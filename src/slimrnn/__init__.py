@@ -11,7 +11,6 @@ from .cells import (
     CellParams,
     CellState,
     Variant,
-    cell_step,
     count_params,
     init_params,
     sequence_backward,
@@ -93,7 +92,6 @@ __all__ = [
     "build_model",
     "build_vocab",
     "calibrate_oracle",
-    "cell_step",
     "check_all",
     "check_model",
     "check_module",

@@ -18,6 +18,17 @@ and differs only in how the three gates i, f, o are computed:
 The candidate path keeps its full parameterization in every variant; slim
 reductions apply to the gates only. LSTM6's alpha is a fixed hyperparameter
 in (-1, 1), not a trainable weight.
+
+Layout. Sequences are time-major and batched: inputs are [T, B, d] and
+hidden states [T, B, n]. A step's pre-activation is [B, width], one n-wide
+column block per slot: i, f, o, c, or only c for LSTM6. A variant keeps its
+weights in one buffer per parameter kind (W, U, u, b), its slots' blocks
+stacked along axis 0 in that same order, and ``CellParams.tensors`` holds
+row-block views into those buffers. Each kind feeds a contiguous run of
+columns, derived from GATE_TERMS: the gate blocks when the variant lists the
+kind, plus the candidate block for W, U and b. So a sequence costs one input
+GEMM for all steps, then one recurrent GEMM per step (the fused-gate layout
+of Appleyard et al. 2016, arXiv 1604.01946).
 """
 
 from __future__ import annotations
@@ -28,10 +39,12 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .numeric import sigmoid, sigmoid_grad, tanh_act, tanh_grad
+from .numeric import sigmoid, sigmoid_grad, tanh_grad
 from .rng import Rng
 
 GATES = ("i", "f", "o")
+KINDS = ("W", "U", "u", "b")
+CANDIDATE_KINDS = ("W", "U", "b")
 
 DEFAULT_ALPHA = 0.59
 DEFAULT_FORGET_BIAS = 1.0
@@ -76,6 +89,17 @@ def param_names(variant: Variant) -> list[str]:
     return names + ["W_c", "U_c", "b_c"]
 
 
+def _slots(variant: Variant) -> tuple[str, ...]:
+    """The pre-activation's column blocks, in order."""
+    return (*GATES, "c") if GATE_TERMS[variant] else ("c",)
+
+
+def _kind_slots(variant: Variant, kind: str) -> tuple[str, ...]:
+    """The slots one parameter kind feeds, in buffer row order."""
+    gates = GATES if kind in GATE_TERMS[variant] else ()
+    return gates + (("c",) if kind in CANDIDATE_KINDS else ())
+
+
 def _expected_shape(name: str, d: int, n: int) -> tuple[int, ...]:
     kind = name.split("_")[0]
     if kind == "W":
@@ -87,13 +111,17 @@ def _expected_shape(name: str, d: int, n: int) -> tuple[int, ...]:
 
 @dataclass
 class CellParams:
-    """Weights for one cell. ``tensors`` holds exactly the variant's names."""
+    """Weights for one cell. ``tensors`` holds exactly the variant's names,
+    as views into ``buffers`` (one per kind the variant uses); ``columns``
+    gives the pre-activation columns each buffer's rows feed."""
 
     variant: Variant
     input_dim: int
     hidden_dim: int
     tensors: dict[str, np.ndarray]
     alpha: float = DEFAULT_ALPHA  # used by LSTM6 only
+    buffers: dict[str, np.ndarray] = field(init=False, repr=False)
+    columns: dict[str, slice] = field(init=False, repr=False)
 
     def __post_init__(self):
         expected = param_names(self.variant)
@@ -110,173 +138,179 @@ class CellParams:
                 )
         if self.variant is Variant.LSTM6 and not -1.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (-1, 1), got {self.alpha}")
+        n, slots = self.hidden_dim, _slots(self.variant)
+        self.buffers, self.columns = {}, {}
+        for kind in KINDS:
+            owned = _kind_slots(self.variant, kind)
+            if owned:
+                self.buffers[kind] = np.concatenate(
+                    [self.tensors[f"{kind}_{slot}"] for slot in owned])
+                first = slots.index(owned[0]) * n
+                self.columns[kind] = slice(first, first + len(owned) * n)
+        self.tensors = self.views(self.buffers)
+
+    @property
+    def gated(self) -> bool:
+        return bool(GATE_TERMS[self.variant])
+
+    @property
+    def width(self) -> int:
+        """Pre-activation columns per step."""
+        return len(_slots(self.variant)) * self.hidden_dim
+
+    def views(self, buffers: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """Name -> row block of per-kind buffers laid out like ``self.buffers``."""
+        n = self.hidden_dim
+        out = {}
+        for kind, buf in buffers.items():
+            for k, slot in enumerate(_kind_slots(self.variant, kind)):
+                out[f"{kind}_{slot}"] = buf[k * n:(k + 1) * n]
+        return {name: out[name] for name in param_names(self.variant)}
 
 
 @dataclass
 class CellState:
-    h: np.ndarray
-    c: np.ndarray
-
-    @classmethod
-    def zeros(cls, n: int) -> "CellState":
-        return cls(np.zeros(n), np.zeros(n))
+    h: np.ndarray  # [B, n]
+    c: np.ndarray  # [B, n]
 
 
 @dataclass
-class StepCache:
-    """Everything the backward pass needs from one forward step."""
+class SequenceCache:
+    """Everything the backward pass needs from one forward run of T steps."""
 
-    x: np.ndarray
-    h_prev: np.ndarray
-    c_prev: np.ndarray
-    i: np.ndarray
-    f: np.ndarray
-    o: np.ndarray
-    c_hat: np.ndarray  # tanh of the candidate pre-activation
-    c: np.ndarray
-    tanh_c: np.ndarray
+    x: np.ndarray  # [T, B, d]
+    h: np.ndarray  # [T+1, B, n]; h[0] is the initial state
+    c: np.ndarray  # [T+1, B, n]; c[0] is the initial state
+    gates: np.ndarray | None  # [T, B, 3n] sigmoid outputs i, f, o; None for LSTM6
+    c_hat: np.ndarray  # [T, B, n] tanh of the candidate pre-activation
+
+    def __len__(self) -> int:
+        return self.x.shape[0]
 
 
 # CellGrads: a dict mirroring CellParams.tensors, same names and shapes.
 CellGrads = dict
 
 
-def _gate_preact(variant: Variant, params: CellParams, g: str,
-                 x: np.ndarray, h_prev: np.ndarray) -> np.ndarray:
-    t = params.tensors
-    if variant is Variant.LSTM0:
-        return t[f"U_{g}"] @ h_prev + t[f"W_{g}"] @ x + t[f"b_{g}"]
-    if variant is Variant.LSTM1:
-        return t[f"U_{g}"] @ h_prev + t[f"b_{g}"]
-    if variant is Variant.LSTM2:
-        return t[f"U_{g}"] @ h_prev
-    if variant is Variant.LSTM3:
-        return t[f"b_{g}"].copy()
-    if variant is Variant.LSTM4:
-        return t[f"u_{g}"] * h_prev
-    if variant is Variant.LSTM5:
-        return t[f"u_{g}"] * h_prev + t[f"b_{g}"]
-    raise ConfigError(f"no gate pre-activation for {variant.value}")
+def _input_term(params: CellParams, x: np.ndarray) -> np.ndarray:
+    """W x in the pre-activation layout, for inputs x [..., d]."""
+    a = np.zeros(x.shape[:-1] + (params.width,))
+    np.matmul(x.reshape(-1, params.input_dim), params.buffers["W"].T,
+              out=a.reshape(-1, params.width)[:, params.columns["W"]])
+    return a
 
 
-def gate_forward(params: CellParams, x: np.ndarray, h_prev: np.ndarray):
-    """Compute the three gate activations (i, f, o) for one step."""
-    n, d = params.hidden_dim, params.input_dim
-    if x.shape != (d,):
-        raise ShapeError(f"gate_forward: input {x.shape}, expected ({d},)")
-    if h_prev.shape != (n,):
-        raise ShapeError(f"gate_forward: hidden {h_prev.shape}, expected ({n},)")
-    if params.variant is Variant.LSTM6:
-        ones = np.ones(n)
-        return ones, params.alpha * np.ones(n), ones.copy()
-    return tuple(
-        sigmoid(_gate_preact(params.variant, params, g, x, h_prev)) for g in GATES
-    )
+def _add_step_terms(params: CellParams, a: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Add U h, u * h and b to ``a`` in place, completing the pre-activation
+    in the order U h + W x + b."""
+    buf, cols = params.buffers, params.columns
+    a[..., cols["U"]] += h @ buf["U"].T
+    if "u" in buf:
+        a[..., cols["u"]] += np.tile(h, 3) * buf["u"]
+    a[..., cols["b"]] += buf["b"]
+    return a
 
 
-def cell_step(params: CellParams, x: np.ndarray, state: CellState):
-    """One forward step; returns the new state and the cache for backward."""
-    i, f, o = gate_forward(params, x, state.h)
-    t = params.tensors
-    c_hat = tanh_act(t["U_c"] @ state.h + t["W_c"] @ x + t["b_c"])
-    c = f * state.c + i * c_hat
-    tanh_c = tanh_act(c)
-    h = o * tanh_c
-    cache = StepCache(x, state.h, state.c, i, f, o, c_hat, c, tanh_c)
-    return CellState(h, c), cache
-
-
-def sequence_forward(params: CellParams, xs: np.ndarray, init: CellState):
-    """Fold cell_step over the rows of xs [T, d]; returns hs [T, n] and caches."""
-    if xs.ndim != 2 or xs.shape[0] < 1:
-        raise ShapeError(f"sequence_forward: need xs of shape [T>=1, d], got {xs.shape}")
-    state = init
-    hs = np.empty((xs.shape[0], params.hidden_dim))
-    caches = []
-    for step, x in enumerate(xs):
-        state, cache = cell_step(params, x, state)
-        hs[step] = state.h
-        caches.append(cache)
-    return hs, caches
+def sequence_forward(params: CellParams, xs: np.ndarray,
+                     init: CellState | None = None):
+    """Run the cell over time-major xs [T, B, d] from ``init`` (zeros when
+    None); returns hs [T, B, n] and the cache for sequence_backward."""
+    d, n = params.input_dim, params.hidden_dim
+    if xs.ndim != 3 or xs.shape[0] < 1 or xs.shape[2] != d:
+        raise ShapeError(f"sequence_forward: need xs of shape [T>=1, B, {d}], got {xs.shape}")
+    T, B, _ = xs.shape
+    h = np.zeros((T + 1, B, n))
+    c = np.zeros((T + 1, B, n))
+    if init is not None:
+        if init.h.shape != (B, n) or init.c.shape != (B, n):
+            raise ShapeError(f"sequence_forward: initial state {init.h.shape}/"
+                             f"{init.c.shape}, expected ({B}, {n})")
+        h[0], c[0] = init.h, init.c
+    # Each step's pre-activations are replaced in place by their activations.
+    act = _input_term(params, xs)
+    gates = act[..., :3 * n] if params.gated else None
+    c_hat = act[..., -n:]
+    for t in range(T):
+        _add_step_terms(params, act[t], h[t])
+        np.tanh(c_hat[t], out=c_hat[t])
+        if gates is None:  # LSTM6: i = 1, f = alpha, o = 1
+            c[t + 1] = params.alpha * c[t] + c_hat[t]
+            np.tanh(c[t + 1], out=h[t + 1])
+        else:
+            gates[t] = sigmoid(gates[t])
+            i, f, o = gates[t, :, :n], gates[t, :, n:2 * n], gates[t, :, 2 * n:]
+            c[t + 1] = f * c[t] + i * c_hat[t]
+            h[t + 1] = o * np.tanh(c[t + 1])
+    return h[1:], SequenceCache(xs, h, c, gates, c_hat)
 
 
 def zero_grads(params: CellParams) -> CellGrads:
-    return {name: np.zeros_like(arr) for name, arr in params.tensors.items()}
+    """Zero gradients, as views into per-kind buffers like the parameters'."""
+    return params.views({kind: np.zeros_like(b) for kind, b in params.buffers.items()})
 
 
-def _gate_backward(variant: Variant, params: CellParams, g: str, da: np.ndarray,
-                   cache: StepCache, grads: CellGrads, dh_prev: np.ndarray,
-                   dx: np.ndarray) -> None:
-    """Route d(pre-activation) of gate g into parameter grads and dh/dx."""
-    t = params.tensors
-    if variant in (Variant.LSTM0, Variant.LSTM1, Variant.LSTM2):
-        grads[f"U_{g}"] += np.outer(da, cache.h_prev)
-        dh_prev += t[f"U_{g}"].T @ da
-    if variant is Variant.LSTM0:
-        grads[f"W_{g}"] += np.outer(da, cache.x)
-        dx += t[f"W_{g}"].T @ da
-    if variant in (Variant.LSTM4, Variant.LSTM5):
-        grads[f"u_{g}"] += da * cache.h_prev
-        dh_prev += da * t[f"u_{g}"]
-    if variant in (Variant.LSTM0, Variant.LSTM1, Variant.LSTM3, Variant.LSTM5):
-        grads[f"b_{g}"] += da
-
-
-def sequence_backward(params: CellParams, caches: list[StepCache],
+def sequence_backward(params: CellParams, cache: SequenceCache,
                       d_hs: np.ndarray):
-    """Reverse-mode gradients of sum_t <d_hs[t], h_t>.
+    """Reverse-mode gradients of sum_t <d_hs[t], h_t> for d_hs [T, B, n].
 
     Returns (grads, d_xs, d_init) where grads mirrors params.tensors, d_xs is
-    [T, d] and d_init is a CellState holding dL/dh_0 and dL/dc_0. For LSTM6
-    the gates are constants, so only the candidate path receives gradient.
+    [T, B, d] and d_init is a CellState holding dL/dh_0 and dL/dc_0. For
+    LSTM6 the gates are constants, so only the candidate path receives
+    gradient.
     """
-    T = len(caches)
-    if T == 0 or d_hs.shape != (T, params.hidden_dim):
+    T, n = len(cache), params.hidden_dim
+    B = cache.x.shape[1]
+    if T == 0 or d_hs.shape != (T, B, n):
         raise ShapeError(
             f"sequence_backward: d_hs {d_hs.shape} does not match "
-            f"{T} cached steps of width {params.hidden_dim}"
+            f"{T} cached steps of {B} rows and width {n}"
         )
-    variant = params.variant
-    t = params.tensors
-    grads = zero_grads(params)
-    d_xs = np.zeros((T, params.input_dim))
-    dc_next = np.zeros(params.hidden_dim)
+    buf, cols = params.buffers, params.columns
+    d_pre = np.empty((T, B, params.width))
+    tanh_c = np.tanh(cache.c[1:])
+    c_hat_grad = tanh_grad(cache.c_hat)
+    tanh_c_grad = tanh_grad(tanh_c)
+    gates = cache.gates
+    if gates is not None:
+        gate_grad = sigmoid_grad(gates)
+    dc_next = np.zeros((B, n))
     dh = d_hs[T - 1].copy()
 
-    for step in range(T - 1, -1, -1):
-        cache = caches[step]
-        dh_prev = np.zeros(params.hidden_dim)
-        dx = d_xs[step]
-
-        # h = o * tanh(c)
-        do = dh * cache.tanh_c
-        dc = dh * cache.o * tanh_grad(cache.tanh_c) + dc_next
-
-        # c = f * c_prev + i * c_hat
-        df = dc * cache.c_prev
-        di = dc * cache.c_hat
-        d_chat = dc * cache.i
-        dc_next = dc * cache.f
-
-        # candidate path: c_hat = tanh(U_c h_prev + W_c x + b_c)
-        da_c = d_chat * tanh_grad(cache.c_hat)
-        grads["U_c"] += np.outer(da_c, cache.h_prev)
-        grads["W_c"] += np.outer(da_c, cache.x)
-        grads["b_c"] += da_c
-        dh_prev += t["U_c"].T @ da_c
-        dx += t["W_c"].T @ da_c
-
-        if variant is not Variant.LSTM6:
-            for g, dg in (("i", di), ("f", df), ("o", do)):
-                gate = getattr(cache, g)
-                da = dg * sigmoid_grad(gate)
-                _gate_backward(variant, params, g, da, cache, grads, dh_prev, dx)
-
-        dh = dh_prev + (d_hs[step - 1] if step > 0 else 0.0)
+    for t in range(T - 1, -1, -1):
+        da = d_pre[t]
+        if gates is None:  # LSTM6: i = 1, f = alpha, o = 1
+            dc = dh * tanh_c_grad[t] + dc_next
+            da[:] = dc * c_hat_grad[t]
+            dc_next = dc * params.alpha
+        else:
+            i, f, o = gates[t, :, :n], gates[t, :, n:2 * n], gates[t, :, 2 * n:]
+            # h = o * tanh(c);  c = f * c_prev + i * c_hat
+            dc = dh * o * tanh_c_grad[t] + dc_next
+            da[:, :n] = dc * cache.c_hat[t]
+            da[:, n:2 * n] = dc * cache.c[t]
+            da[:, 2 * n:3 * n] = dh * tanh_c[t]
+            da[:, :3 * n] *= gate_grad[t]
+            da[:, 3 * n:] = dc * i * c_hat_grad[t]
+            dc_next = dc * f
+        dh = da[:, cols["U"]] @ buf["U"]
+        if "u" in buf:
+            dh += (da[:, cols["u"]] * buf["u"]).reshape(B, 3, n).sum(axis=1)
+        if t > 0:
+            dh += d_hs[t - 1]
 
     # after the step-0 iteration dh is dL/dh_0 and dc_next is dL/dc_0
-    d_init = CellState(h=dh, c=dc_next)
-    return grads, d_xs, d_init
+    flat = d_pre.reshape(T * B, params.width)
+    x_flat = cache.x.reshape(T * B, params.input_dim)
+    h_flat = cache.h[:-1].reshape(T * B, n)
+    grads = {
+        "W": flat[:, cols["W"]].T @ x_flat,
+        "U": flat[:, cols["U"]].T @ h_flat,
+        "b": flat[:, cols["b"]].sum(axis=0),
+    }
+    if "u" in buf:
+        grads["u"] = (flat[:, cols["u"]] * np.tile(h_flat, 3)).sum(axis=0)
+    d_xs = (flat[:, cols["W"]] @ buf["W"]).reshape(T, B, params.input_dim)
+    return params.views(grads), d_xs, CellState(h=dh, c=dc_next)
 
 
 def count_params(variant: Variant, d: int, n: int) -> int:

@@ -18,10 +18,13 @@ from .errors import NumericError
 from .rng import Rng
 
 DEFAULT_EPS = 1e-6
-# The end-to-end model check uses a larger step: its loss is O(1) while some
-# true gradients sit near 1e-7, so the roundoff term (machine epsilon / step)
-# must be pushed further below them than the cell checks need.
-MODEL_EPS = 1e-5
+# The end-to-end model check uses a larger step: its loss sums MODEL_BATCH
+# O(1) terms while some true gradients sit near 1e-8, so the roundoff term
+# (machine epsilon * |loss| / step) must be pushed further below them than
+# the cell checks need. Much above 1e-4 a step starts to straddle the kinks
+# of ReLU and max-pool.
+MODEL_EPS = 1e-4
+MODEL_BATCH = 3
 REL_FLOOR = 1e-12
 
 
@@ -82,7 +85,7 @@ class GradReport:
                f"(tol {self.tolerance:g}, worst {self.max_rel_err:.3e})"]
         for e in self.entries:
             flag = "ok " if e.max_rel_err < self.tolerance else "BAD"
-            out.append(f"  {flag} {e.name:<14} max {e.max_rel_err:.3e} "
+            out.append(f"  {flag} {e.name:<22} max {e.max_rel_err:.3e} "
                        f"mean {e.mean_rel_err:.3e} @ {e.worst_index}")
         return out
 
@@ -118,8 +121,8 @@ def check_variant(variant: Variant, seeds: Sequence[int], tol: float = 1e-5,
     """Gradient-check one cell variant over several random problem instances.
 
     The loss is sum_t <d_hs[t], h_t> for a random weighting d_hs, so every
-    output coordinate at every timestep backpropagates. Parameters, inputs
-    and the initial state are all checked.
+    output coordinate of every batch row at every timestep backpropagates.
+    Parameters, inputs and the initial state are all checked.
     """
     per_seed = []
     for seed in seeds:
@@ -127,17 +130,18 @@ def check_variant(variant: Variant, seeds: Sequence[int], tol: float = 1e-5,
         d = 1 + int(rng.uniform(()) * max_d)
         n = 1 + int(rng.uniform(()) * max_n)
         T = 1 + int(rng.uniform(()) * max_t)
+        B = 1 + int(rng.uniform(()) * 3)
         params = _random_cell_params(variant, d, n, rng)
-        xs = rng.uniform((T, d), -1.0, 1.0)
-        init = CellState(rng.uniform(n, -0.5, 0.5), rng.uniform(n, -0.5, 0.5))
-        d_hs = rng.uniform((T, n), -1.0, 1.0)
+        xs = rng.uniform((T, B, d), -1.0, 1.0)
+        init = CellState(rng.uniform((B, n), -0.5, 0.5), rng.uniform((B, n), -0.5, 0.5))
+        d_hs = rng.uniform((T, B, n), -1.0, 1.0)
 
         def loss() -> float:
             hs, _ = sequence_forward(params, xs, init)
             return float(np.sum(d_hs * hs))
 
-        hs, caches = sequence_forward(params, xs, init)
-        grads, d_xs, d_init = sequence_backward(params, caches, d_hs)
+        hs, cache = sequence_forward(params, xs, init)
+        grads, d_xs, d_init = sequence_backward(params, cache, d_hs)
 
         names = sorted(params.tensors)
         arrays = [params.tensors[name] for name in names] + [xs, init.h, init.c]
@@ -151,49 +155,49 @@ def check_variant(variant: Variant, seeds: Sequence[int], tol: float = 1e-5,
 
 def check_model(seeds: Sequence[int], tol: float = 1e-4,
                 eps: float = MODEL_EPS) -> GradReport:
-    """End-to-end check of the full classification model on a micro instance.
+    """End-to-end check of the full classification model on a micro
+    instance, for every cell variant, on a batch of MODEL_BATCH sequences.
 
-    Dropout rates are zeroed so the loss is deterministic; the loss is binary
-    cross-entropy against a fixed label. Parameters are redrawn at O(1) scale
-    after the build: training-grade inits leave this micro model with
-    gradients near 1e-12, underneath the central-difference resolution floor
-    (machine epsilon over eps, about 1e-10), where relative error is noise.
-    The redraw keeps every gradient well above that floor while exercising
-    the same backward wiring.
+    Dropout rates are zeroed so the loss is deterministic; the loss is the
+    summed binary cross-entropy against fixed labels. Parameters are redrawn
+    at O(1) scale after the build: training-grade inits leave this micro
+    model with gradients near 1e-12, underneath the central-difference
+    resolution floor (machine epsilon times |loss| over eps, about 1e-11),
+    where relative error is noise. The redraw keeps every gradient well
+    above that floor while exercising the same backward wiring. Entries are
+    named "<parameter> [<variant>]".
     """
     from .layers import ModelHyper, ModelSpec, build_model
     from .training import bce_loss
 
+    hyper = ModelHyper(vocab_size=20, embed_dim=4, conv_filters=3,
+                       kernel_size=2, pool_size=2, hidden=3, maxlen=6,
+                       spatial_dropout=0.0, dense_dropout=0.0)
     per_seed = []
     for seed in seeds:
-        rng = Rng(seed)
-        hyper = ModelHyper(vocab_size=20, embed_dim=4, conv_filters=3,
-                           kernel_size=2, pool_size=2, hidden=3, maxlen=6,
-                           spatial_dropout=0.0, dense_dropout=0.0)
-        spec = ModelSpec(variant=Variant.LSTM0)
-        model = build_model(spec, hyper, rng.derive(0))
-        shake = rng.derive(1)
-        for _, arr in model.named_params():
-            arr[...] = shake.uniform(arr.shape, -0.7, 0.7)
-        ids = (rng.uniform(6) * 20).astype(np.int64)
-        y = 1
+        for k, variant in enumerate(Variant):
+            rng = Rng(seed).derive(k)
+            model = build_model(ModelSpec(variant=variant), hyper, rng.derive(0))
+            shake = rng.derive(1)
+            for _, arr in model.named_params():
+                arr[...] = shake.uniform(arr.shape, -0.7, 0.7)
+            ids = (rng.uniform((MODEL_BATCH, 6)) * 20).astype(np.int64)
+            y = np.ones(MODEL_BATCH)
 
-        def loss() -> float:
-            p = model.forward(ids, training=False)
-            value, _ = bce_loss(p, y)
-            return value
+            def loss() -> float:
+                return float(np.sum(bce_loss(model.forward(ids, training=False), y)[0]))
 
-        p = model.forward(ids, training=False)
-        _, dp = bce_loss(p, y)
-        model.zero_grads()
-        model.backward(dp)
+            _, dp = bce_loss(model.forward(ids, training=False), y)
+            model.zero_grads()
+            model.backward(dp)
 
-        names = [name for name, _ in model.named_params()]
-        arrays = [arr for _, arr in model.named_params()]
-        numeric = finite_diff(loss, arrays, eps)
-        analytic = [model.grads[name] for name in names]
-        per_seed.append([_compare(lbl, a, num)
-                         for lbl, a, num in zip(names, analytic, numeric)])
+            names = [name for name, _ in model.named_params()]
+            arrays = [arr for _, arr in model.named_params()]
+            numeric = finite_diff(loss, arrays, eps)
+            analytic = [model.grads[name] for name in names]
+            tag = variant.value.lower()
+            per_seed.append([_compare(f"{lbl} [{tag}]", a, num)
+                             for lbl, a, num in zip(names, analytic, numeric)])
     return GradReport("model", tol, _merge_worst(per_seed))
 
 

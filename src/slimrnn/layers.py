@@ -1,9 +1,13 @@
 """Non-recurrent layers, the bidirectional wrapper, and model assembly.
 
-Each layer caches what its backward pass needs on forward and accumulates
-parameter gradients into its ``grads`` dict, returning the gradient w.r.t.
-its input. Layers process one sequence at a time; batching is the training
-loop's job (gradients accumulate across calls until zero_grads()).
+Every layer is batch-major: sequences travel as [B, T, features] and
+vectors as [B, features]. Each layer caches what its backward pass needs on
+forward, accumulates parameter gradients into its ``grads`` dict (across
+calls, until zero_grads()), and returns the gradient w.r.t. its input. The
+recurrent and conv layers release their caches in backward, so a batch's
+activations are freed before the optimizer step; each backward needs a
+forward of its own. The recurrent layers hand the cells time-major
+[T, B, features] views.
 """
 
 from __future__ import annotations
@@ -11,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cells import (
     CellParams,
-    CellState,
     Variant,
     count_params,
     init_params,
@@ -31,7 +35,7 @@ LSTM_THEN_CNN = "lstm-then-cnn"
 
 
 class Embedding:
-    """Token-id lookup table [V, e]."""
+    """Token-id lookup table [V, e]: ids of any shape gain a trailing e axis."""
 
     def __init__(self, table: np.ndarray):
         self.table = table
@@ -55,16 +59,19 @@ class Embedding:
         return self.table[ids]
 
     def backward(self, d_out: np.ndarray):
-        np.add.at(self.grads["table"], self._ids, d_out)
+        np.add.at(self.grads["table"], self._ids.ravel(),
+                  d_out.reshape(-1, self.table.shape[1]))
         return None  # ids are discrete; nothing flows further back
 
 
 class Dropout:
-    """Inverted dropout; ``spatial`` mode zeroes whole feature columns.
+    """Inverted dropout; ``spatial`` mode zeroes whole feature channels.
 
-    Training zeroes each unit (or column) with probability ``rate`` and
-    scales survivors by 1/(1-rate) so expectations are preserved.
-    Evaluation is the identity.
+    Training zeroes each unit with probability ``rate`` and scales survivors
+    by 1/(1-rate) so expectations are preserved. In spatial mode the unit is
+    a channel (last axis) of one sequence, shared across its time axis
+    (second to last), so an input [B, L, C] takes one draw of shape
+    [B, 1, C]. Evaluation is the identity.
     """
 
     def __init__(self, rate: float, mode: str = "elementwise"):
@@ -74,6 +81,7 @@ class Dropout:
             raise ConfigError(f"unknown dropout mode {mode!r}")
         self.rate = rate
         self.mode = mode
+        self.grads = {}
         self._mask = None
 
     def params(self):
@@ -82,29 +90,27 @@ class Dropout:
     def zero_grads(self):
         pass
 
-    grads: dict = {}
-
     def forward(self, x: np.ndarray, rng: Rng | None = None,
                 training: bool = False) -> np.ndarray:
         if not training or self.rate == 0.0:
-            self._mask = np.ones_like(x)
+            self._mask = None
             return x
         if rng is None:
             raise ConfigError("dropout in training mode needs an rng")
-        keep = 1.0 - self.rate
-        if self.mode == "spatial" and x.ndim == 2:
-            col = (rng.uniform(x.shape[1]) >= self.rate) / keep
-            self._mask = np.tile(col, (x.shape[0], 1))
-        else:
-            self._mask = (rng.uniform(x.shape) >= self.rate) / keep
+        shape = x.shape
+        if self.mode == "spatial" and x.ndim >= 2:
+            shape = x.shape[:-2] + (1, x.shape[-1])
+        self._mask = (rng.uniform(shape) >= self.rate) / (1.0 - self.rate)
         return x * self._mask
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
-        return d_out * self._mask
+        return d_out if self._mask is None else d_out * self._mask
 
 
 class Conv1D:
-    """Valid cross-correlation, stride 1: kernels [F, k, C] over input [L, C]."""
+    """Valid cross-correlation, stride 1: kernels [F, k, C] over inputs
+    [B, L, C], computed as one GEMM over im2col rows [B * L_out, k * C].
+    The input, not its k times larger im2col copy, is kept for backward."""
 
     def __init__(self, kernels: np.ndarray, bias: np.ndarray, activation: str = "relu"):
         if activation not in ("relu", "none"):
@@ -113,7 +119,7 @@ class Conv1D:
         self.bias = bias
         self.activation = activation
         self.grads = {"kernels": np.zeros_like(kernels), "bias": np.zeros_like(bias)}
-        self._windows = None
+        self._x = None
         self._z = None
 
     def params(self):
@@ -123,32 +129,43 @@ class Conv1D:
         for g in self.grads.values():
             g[:] = 0.0
 
+    @staticmethod
+    def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+        """Rows x[b, t:t+k] flattened tap-major: [B * (L-k+1), k * C]."""
+        B, L, C = x.shape
+        windows = sliding_window_view(x, k, axis=1)  # [B, L-k+1, C, k]
+        return windows.transpose(0, 1, 3, 2).reshape(B * (L - k + 1), k * C)
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         F, k, C = self.kernels.shape
-        if x.ndim != 2 or x.shape[1] != C:
+        if x.ndim != 3 or x.shape[2] != C:
             raise ShapeError(f"conv1d: input {x.shape} incompatible with kernels {self.kernels.shape}")
-        if x.shape[0] < k:
-            raise ShapeError(f"conv1d: input length {x.shape[0]} < kernel size {k}")
-        windows = np.lib.stride_tricks.sliding_window_view(x, k, axis=0)  # [Lout, C, k]
-        self._windows = windows
-        z = np.einsum("tck,fkc->tf", windows, self.kernels) + self.bias
-        self._z = z
-        return np.maximum(z, 0.0) if self.activation == "relu" else z
+        if x.shape[1] < k:
+            raise ShapeError(f"conv1d: input length {x.shape[1]} < kernel size {k}")
+        self._x = x
+        z = self._im2col(x, k) @ self.kernels.reshape(F, k * C).T + self.bias
+        self._z = z.reshape(x.shape[0], -1, F)
+        return np.maximum(self._z, 0.0) if self.activation == "relu" else self._z
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         F, k, C = self.kernels.shape
         dz = d_out * (self._z > 0) if self.activation == "relu" else d_out
-        self.grads["kernels"] += np.einsum("tf,tck->fkc", dz, self._windows)
-        self.grads["bias"] += dz.sum(axis=0)
-        L_out = dz.shape[0]
-        d_x = np.zeros((L_out + k - 1, C))
-        for j in range(k):
-            d_x[j:j + L_out] += dz @ self.kernels[:, j, :]
-        return d_x
+        B, L_out, _ = dz.shape
+        dz_rows = dz.reshape(B * L_out, F)
+        self.grads["kernels"] += (dz_rows.T @ self._im2col(self._x, k)).reshape(F, k, C)
+        self.grads["bias"] += dz_rows.sum(axis=0)
+        self._x = self._z = None
+        # d_x[t] = sum_j dz[t - j] @ kernels[:, j]: a full correlation of the
+        # zero-padded dz with the tap-reversed kernels, again one GEMM.
+        padded = np.zeros((B, L_out + 2 * (k - 1), F))
+        padded[:, k - 1:k - 1 + L_out] = dz
+        flipped = self.kernels[:, ::-1, :].transpose(1, 0, 2).reshape(k * F, C)
+        return (self._im2col(padded, k) @ flipped).reshape(B, L_out + k - 1, C)
 
 
 class MaxPool1D:
-    """Non-overlapping window max per feature; trailing remainder is dropped.
+    """Non-overlapping window max per feature over [B, L, F]; the trailing
+    remainder is dropped.
 
     Backward routes each window's gradient to the first argmax on ties.
     """
@@ -157,6 +174,7 @@ class MaxPool1D:
         if pool < 1:
             raise ConfigError(f"pool size must be >= 1, got {pool}")
         self.pool = pool
+        self.grads = {}
         self._arg = None
         self._in_shape = None
 
@@ -166,28 +184,29 @@ class MaxPool1D:
     def zero_grads(self):
         pass
 
-    grads: dict = {}
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        L, F = x.shape
+        if x.ndim != 3:
+            raise ShapeError(f"maxpool1d: need input [B, L, F], got {x.shape}")
+        B, L, F = x.shape
         windows = L // self.pool
         if windows < 1:
             raise ShapeError(f"maxpool1d: input length {L} < pool {self.pool}")
-        blocks = x[: windows * self.pool].reshape(windows, self.pool, F)
-        self._arg = blocks.argmax(axis=1)  # first max wins ties
+        blocks = x[:, : windows * self.pool].reshape(B, windows, self.pool, F)
+        self._arg = blocks.argmax(axis=2)[:, :, None]  # first max wins ties
         self._in_shape = x.shape
-        return blocks.max(axis=1)
+        return blocks.max(axis=2)
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
-        windows, F = d_out.shape
+        B, windows, F = d_out.shape
+        d_blocks = np.zeros((B, windows, self.pool, F))
+        np.put_along_axis(d_blocks, self._arg, d_out[:, :, None], axis=2)
         d_x = np.zeros(self._in_shape)
-        rows = (np.arange(windows)[:, None] * self.pool + self._arg)
-        np.add.at(d_x, (rows.ravel(), np.tile(np.arange(F), windows)), d_out.ravel())
+        d_x[:, : windows * self.pool] = d_blocks.reshape(B, windows * self.pool, F)
         return d_x
 
 
 class Dense:
-    """Affine map with optional activation: act(weights @ x + bias)."""
+    """Affine map with optional activation over rows: act(x @ weights.T + bias)."""
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray, activation: str = "none"):
         if activation not in ("none", "relu", "sigmoid"):
@@ -208,9 +227,9 @@ class Dense:
             g[:] = 0.0
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.shape != (self.weights.shape[1],):
-            raise ShapeError(f"dense: input {x.shape}, expected ({self.weights.shape[1]},)")
-        z = self.weights @ x + self.bias
+        if x.ndim != 2 or x.shape[1] != self.weights.shape[1]:
+            raise ShapeError(f"dense: input {x.shape}, expected [B, {self.weights.shape[1]}]")
+        z = x @ self.weights.T + self.bias
         self._x, self._z = x, z
         if self.activation == "relu":
             self._out = np.maximum(z, 0.0)
@@ -221,24 +240,26 @@ class Dense:
         return self._out
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
+        if d_out.shape != self._out.shape:
+            raise ShapeError(f"dense: output gradient {d_out.shape}, expected {self._out.shape}")
         if self.activation == "relu":
             dz = d_out * (self._z > 0)
         elif self.activation == "sigmoid":
             dz = d_out * sigmoid_grad(self._out)
         else:
             dz = d_out
-        self.grads["weights"] += np.outer(dz, self._x)
-        self.grads["bias"] += dz
-        return self.weights.T @ dz
+        self.grads["weights"] += dz.T @ self._x
+        self.grads["bias"] += dz.sum(axis=0)
+        return dz @ self.weights
 
 
 class Recurrent:
-    """Unidirectional cell run over a sequence, emitting all hidden states."""
+    """Unidirectional cell run over [B, T, d], emitting all hidden states."""
 
     def __init__(self, cell: CellParams):
         self.cell = cell
         self.grads = cell_zero_grads(cell)
-        self._caches = None
+        self._cache = None
 
     def params(self):
         return dict(self.cell.tensors)
@@ -248,19 +269,19 @@ class Recurrent:
             g[:] = 0.0
 
     def forward(self, xs: np.ndarray) -> np.ndarray:
-        hs, self._caches = sequence_forward(
-            self.cell, xs, CellState.zeros(self.cell.hidden_dim))
-        return hs
+        hs, self._cache = sequence_forward(self.cell, xs.transpose(1, 0, 2))
+        return hs.transpose(1, 0, 2)
 
     def backward(self, d_hs: np.ndarray) -> np.ndarray:
-        grads, d_xs, _ = sequence_backward(self.cell, self._caches, d_hs)
+        grads, d_xs, _ = sequence_backward(self.cell, self._cache, d_hs.transpose(1, 0, 2))
+        self._cache = None
         for name, g in grads.items():
             self.grads[name] += g
-        return d_xs
+        return d_xs.transpose(1, 0, 2)
 
 
 class Bidirectional:
-    """Two cells over a sequence, one time-reversed, outputs concatenated.
+    """Two cells over [B, T, d], one time-reversed, outputs concatenated.
 
     Output row t is [forward state after x_0..x_t | backward state after
     x_{T-1}..x_t], width 2n.
@@ -286,23 +307,24 @@ class Bidirectional:
             g[:] = 0.0
 
     def forward(self, xs: np.ndarray) -> np.ndarray:
-        n = self.fwd.hidden_dim
-        hs_f, caches_f = sequence_forward(self.fwd, xs, CellState.zeros(n))
-        hs_b, caches_b = sequence_forward(self.bwd, xs[::-1], CellState.zeros(n))
-        self._caches = (caches_f, caches_b)
-        return np.concatenate([hs_f, hs_b[::-1]], axis=1)
+        xs_t = xs.transpose(1, 0, 2)
+        hs_f, cache_f = sequence_forward(self.fwd, xs_t)
+        hs_b, cache_b = sequence_forward(self.bwd, xs_t[::-1])
+        self._caches = (cache_f, cache_b)
+        return np.concatenate([hs_f, hs_b[::-1]], axis=2).transpose(1, 0, 2)
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         n = self.fwd.hidden_dim
-        caches_f, caches_b = self._caches
-        grads_f, d_xs_f, _ = sequence_backward(self.fwd, caches_f, d_out[:, :n])
-        grads_b, d_xs_b, _ = sequence_backward(
-            self.bwd, caches_b, d_out[::-1, n:].copy())
+        cache_f, cache_b = self._caches
+        self._caches = None
+        d_t = d_out.transpose(1, 0, 2)
+        grads_f, d_xs_f, _ = sequence_backward(self.fwd, cache_f, d_t[:, :, :n])
+        grads_b, d_xs_b, _ = sequence_backward(self.bwd, cache_b, d_t[::-1, :, n:])
         for name, g in grads_f.items():
             self.grads[f"fwd.{name}"] += g
         for name, g in grads_b.items():
             self.grads[f"bwd.{name}"] += g
-        return d_xs_f + d_xs_b[::-1]
+        return (d_xs_f + d_xs_b[::-1]).transpose(1, 0, 2)
 
 
 @dataclass
@@ -445,8 +467,14 @@ class SentimentModel:
         return sum(arr.size for _, arr in self.named_params())
 
     def forward(self, ids: np.ndarray, training: bool = False,
-                rng: Rng | None = None) -> float:
-        x = self.embedding.forward(ids)
+                rng: Rng | None = None):
+        """Probabilities [B] for ids [B, T]; a single sequence ids [T] is a
+        batch of one and gives a float."""
+        ids = np.asarray(ids)
+        if ids.ndim not in (1, 2):
+            raise ShapeError(f"model: need ids [B, T] or [T], got {ids.shape}")
+        single = ids.ndim == 1
+        x = self.embedding.forward(ids[None] if single else ids)
         x = self.spatial_dropout.forward(x, rng, training)
         if self.spec.lstm_position == CNN_THEN_LSTM:
             x = self.conv.forward(x)
@@ -458,21 +486,23 @@ class SentimentModel:
             x = self.pool.forward(x)
         if self.tail is not None:
             x = self.tail.forward(x)
-        self._tail_T = x.shape[0]
-        feat = x[-1]  # final timestep
+        self._tail_T = x.shape[1]
+        feat = x[:, -1]  # final timestep
         for dense, drop in zip(self.extra_dense, self.extra_dropout):
             feat = dense.forward(feat)
             feat = drop.forward(feat, rng, training)
-        return float(self.head.forward(feat)[0])
+        p = self.head.forward(feat)[:, 0]
+        return float(p[0]) if single else p
 
-    def backward(self, d_loss: float) -> dict[str, np.ndarray]:
-        """Backpropagate d(loss)/d(probability); returns the grads dict."""
-        d_feat = self.head.backward(np.array([d_loss]))
+    def backward(self, d_loss) -> dict[str, np.ndarray]:
+        """Backpropagate d(loss)/d(probability), one value per batch row (a
+        float after a single-sequence forward); returns the grads dict."""
+        d_feat = self.head.backward(np.asarray(d_loss, dtype=np.float64).reshape(-1, 1))
         for dense, drop in zip(reversed(self.extra_dense), reversed(self.extra_dropout)):
             d_feat = drop.backward(d_feat)
             d_feat = dense.backward(d_feat)
-        d_seq = np.zeros((self._tail_T, d_feat.shape[0]))
-        d_seq[-1] = d_feat
+        d_seq = np.zeros((d_feat.shape[0], self._tail_T, d_feat.shape[1]))
+        d_seq[:, -1] = d_feat
         if self.tail is not None:
             d_seq = self.tail.backward(d_seq)
         if self.spec.lstm_position == CNN_THEN_LSTM:

@@ -1,8 +1,7 @@
-"""Scalar nonlinearities and strict-shape tensor operations.
+"""Nonlinearities with their gradients, and strict-shape tensor operations.
 
-Values are float64 numpy arrays of rank 1-3 (row-major). Every binary op
-checks shapes exactly and raises ShapeError on mismatch; there is no
-broadcasting anywhere in the library.
+Values are float64 numpy arrays. The binary ops below check shapes exactly
+and raise ShapeError on mismatch.
 """
 
 from __future__ import annotations
@@ -15,11 +14,8 @@ from .errors import ShapeError
 def sigmoid(x):
     """Logistic function 1/(1+e^-x), overflow-safe at both extremes."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))  # never overflows
+    out = np.where(x >= 0, 1.0, e) / (1.0 + e)  # 1/(1+e^-x) or e^x/(1+e^x)
     return out if out.ndim else float(out)
 
 

@@ -45,6 +45,8 @@ def ingest_csv(path: str, text_column: str = "text",
 
     A row is malformed if either field is missing, the text is empty after
     trimming, or the label is not Positive/Negative/Neutral (case-insensitive).
+    A file that is not UTF-8 or that the csv module cannot parse raises
+    DataError.
     """
     try:
         handle = open(path, newline="", encoding="utf-8")
@@ -52,21 +54,26 @@ def ingest_csv(path: str, text_column: str = "text",
         raise DataError(f"cannot open dataset {path}: {exc}") from None
     report = IngestReport(class_counts={label: 0 for label in LABELS})
     records = []
-    with handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        for column in (text_column, label_column):
-            if column not in header:
-                raise DataError(f"column {column!r} not in CSV header {header}")
-        for row in reader:
-            report.total_rows += 1
-            text = (row.get(text_column) or "").strip()
-            label = (row.get(label_column) or "").strip().capitalize()
-            if not text or label not in LABELS:
-                report.skipped_rows += 1
-                continue
-            records.append(RawRecord(text, label))
-            report.class_counts[label] += 1
+    try:
+        with handle:
+            reader = csv.DictReader(handle)
+            header = reader.fieldnames or []
+            for column in (text_column, label_column):
+                if column not in header:
+                    raise DataError(f"column {column!r} not in CSV header {header}")
+            for row in reader:
+                report.total_rows += 1
+                text = (row.get(text_column) or "").strip()
+                label = (row.get(label_column) or "").strip().capitalize()
+                if not text or label not in LABELS:
+                    report.skipped_rows += 1
+                    continue
+                records.append(RawRecord(text, label))
+                report.class_counts[label] += 1
+    except UnicodeDecodeError as exc:
+        raise DataError(f"dataset {path} is not valid UTF-8: {exc}") from None
+    except csv.Error as exc:
+        raise DataError(f"dataset {path} is not a readable CSV: {exc}") from None
     return records, report
 
 

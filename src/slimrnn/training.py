@@ -2,8 +2,11 @@
 
 One seed drives everything through derived streams: 0 builds the model,
 1 shuffles the train/val split, 2 spawns the per-epoch shuffles, and 3
-feeds dropout. Two runs from the same seed and data produce identical
-numbers, so metrics reports serialize byte-for-byte the same.
+feeds dropout. Per batch of B records, stream 3 first yields the spatial
+dropout mask [B, embed_dim] (row b for batch row b), then one mask
+[B, width] per extra dense layer, in stack order. Two runs from the same
+seed and data produce identical numbers, so metrics reports serialize
+byte-for-byte the same.
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ from .textdata import LabeledDataset, split_train_val
 
 P_CLAMP = 1e-7
 THRESHOLD = 0.5
+# Records per evaluation forward pass. A forward pass keeps its activations
+# for backward, so a fixed chunk bounds evaluation memory for any dataset.
+EVAL_CHUNK = 32
 
 
 @dataclass
@@ -111,12 +117,13 @@ class ExperimentConfig:
         return build_model(self.model_spec(), self.model_hyper(), rng)
 
 
-def bce_loss(p: float, y: int) -> tuple[float, float]:
-    """Binary cross-entropy on a clamped probability; returns (loss, dL/dp)."""
-    pc = min(max(p, P_CLAMP), 1.0 - P_CLAMP)
+def bce_loss(p, y):
+    """Binary cross-entropy on clamped probabilities; returns (loss, dL/dp),
+    elementwise when p and y are arrays."""
+    pc = np.clip(p, P_CLAMP, 1.0 - P_CLAMP)
     loss = -(y * np.log(pc) + (1 - y) * np.log(1.0 - pc))
     grad = (pc - y) / (pc * (1.0 - pc))
-    return float(loss), float(grad)
+    return loss, grad
 
 
 @dataclass
@@ -138,17 +145,19 @@ class EvalResult:
 
 
 def evaluate(model: SentimentModel, dataset: LabeledDataset) -> EvalResult:
-    """Score every record at threshold 0.5; per-class accuracy is recall."""
+    """Score every record at threshold 0.5, EVAL_CHUNK records per forward
+    pass; per-class accuracy is recall."""
     tp = fp = tn = fn = 0
     total_loss = 0.0
-    for seq, y in zip(dataset.sequences, dataset.labels):
-        p = model.forward(seq, training=False)
-        total_loss += bce_loss(p, int(y))[0]
-        pred = 1 if p > THRESHOLD else 0
-        if y == 1:
-            tp, fn = (tp + 1, fn) if pred == 1 else (tp, fn + 1)
-        else:
-            tn, fp = (tn + 1, fp) if pred == 0 else (tn, fp + 1)
+    for start in range(0, len(dataset), EVAL_CHUNK):
+        p = model.forward(dataset.sequences[start:start + EVAL_CHUNK], training=False)
+        y = dataset.labels[start:start + EVAL_CHUNK]
+        total_loss += float(np.sum(bce_loss(p, y)[0]))
+        pred, pos = p > THRESHOLD, y == 1
+        tp += int(np.sum(pred & pos))
+        fn += int(np.sum(~pred & pos))
+        tn += int(np.sum(~pred & ~pos))
+        fp += int(np.sum(pred & ~pos))
     n = len(dataset)
     pos_total, neg_total = tp + fn, tn + fp
     return EvalResult(
@@ -202,10 +211,11 @@ def train(config: ExperimentConfig, dataset: LabeledDataset,
     """Split, build, and run minibatch training; returns the trained model
     and its metrics.
 
-    Training accuracy is measured on the fly from the (dropout-active)
-    training forward passes. The final partial batch is trained like any
-    other; each sample's loss gradient is scaled by 1/batch so updates use
-    the batch-mean gradient. ``stop_at_train_accuracy`` ends the run early
+    Each batch is one forward and one backward pass of the model. Training
+    accuracy is measured on the fly from the (dropout-active) training
+    forward passes. The final partial batch is trained like any other; each
+    sample's loss gradient is scaled by 1/batch so updates use the
+    batch-mean gradient. ``stop_at_train_accuracy`` ends the run early
     once the epoch's training accuracy reaches that percentage (used by
     capacity probes; epochs is still the hard budget).
     """
@@ -227,18 +237,16 @@ def train(config: ExperimentConfig, dataset: LabeledDataset,
         for batch_index, start in enumerate(range(0, n, config.batch_size)):
             batch = order[start:start + config.batch_size]
             model.zero_grads()
-            for idx in batch:
-                seq = train_ds.sequences[idx]
-                y = int(train_ds.labels[idx])
-                p = model.forward(seq, training=True, rng=dropout_rng)
-                loss, d_p = bce_loss(p, y)
-                if not np.isfinite(loss) or not np.isfinite(p):
-                    raise NumericError(
-                        f"training diverged at epoch {epoch} batch {batch_index}: "
-                        f"p={p!r} loss={loss!r}")
-                model.backward(d_p / len(batch))
-                epoch_loss += loss
-                correct += (1 if p > THRESHOLD else 0) == y
+            y = train_ds.labels[batch]
+            p = model.forward(train_ds.sequences[batch], training=True, rng=dropout_rng)
+            loss, d_p = bce_loss(p, y)
+            if not (np.all(np.isfinite(loss)) and np.all(np.isfinite(p))):
+                raise NumericError(
+                    f"training diverged at epoch {epoch} batch {batch_index}: "
+                    f"non-finite probability or loss in a batch of {len(batch)}")
+            model.backward(d_p / len(batch))
+            epoch_loss += float(np.sum(loss))
+            correct += int(np.sum((p > THRESHOLD) == (y == 1)))
             grads = model.grads
             if config.clip_norm is not None:
                 clip_by_global_norm(grads, config.clip_norm)
@@ -255,7 +263,7 @@ def train(config: ExperimentConfig, dataset: LabeledDataset,
         if (stop_at_train_accuracy is not None
                 and train_accuracy >= stop_at_train_accuracy):
             break
-    report.final = evaluate(model, val_ds)
+    report.final = val  # the model has not changed since the last epoch's evaluation
     return model, report
 
 
@@ -350,7 +358,7 @@ def run_sweep(base: ExperimentConfig, axis: str, values: list,
     for raw in values:
         value = coerce_axis_value(axis, raw)
         config = replace(base, **{_AXIS_FIELD[axis]: value})
-        _, report = train(config, dataset)
+        report = train(config, dataset)[1]  # let each model go before the next is built
         final = report.final
         rows.append(SweepRow(value, final.positive_accuracy,
                              final.negative_accuracy, final.overall_accuracy))

@@ -37,7 +37,7 @@ from slimrnn import (
     select_binary,
     train,
 )
-from slimrnn.cells import gate_forward, init_params, sequence_forward
+from slimrnn.cells import init_params, sequence_forward
 from slimrnn.gradcheck import check_all
 
 
@@ -107,12 +107,17 @@ def test_gate_range():
             params = init_params(variant, d, n, stream.derive(k))
             x = stream.uniform((d,), -2.0, 2.0)
             h = stream.uniform((n,), -1.0, 1.0)
-            i, f, o = gate_forward(params, x, h)
+            c0 = np.full((1, n), 0.5)
+            hs, cache = sequence_forward(params, x.reshape(1, 1, d),
+                                         CellState(h[None].copy(), c0))
             if variant is Variant.LSTM6:
-                assert np.all(i == 1.0) and np.all(o == 1.0)
-                assert np.all(f == DEFAULT_ALPHA)
+                # i = 1, f = alpha, o = 1: the state update reduces to
+                # c = alpha c0 + c_hat and h = tanh(c), bit for bit
+                assert cache.gates is None
+                assert np.all(cache.c[1] == DEFAULT_ALPHA * c0 + cache.c_hat[0])
+                assert np.all(hs[0] == np.tanh(cache.c[1]))
             else:
-                for gate in (i, f, o):
+                for gate in np.split(cache.gates[0, 0], 3):
                     assert np.all(gate > 0.0) and np.all(gate < 1.0)
                     margin = min(gate.min(), float(1.0 - gate.max()))
                     worst_margin = min(worst_margin, float(margin))
@@ -132,11 +137,11 @@ def test_lstm6_decay_law():
         for name in ("W_c", "U_c", "b_c"):
             params.tensors[name][...] = 0.0
         c0 = stream.uniform((n,), -1.0, 1.0)
-        init = CellState(stream.uniform((n,), -1.0, 1.0), c0)
-        xs = stream.uniform((horizon, d), -2.0, 2.0)
-        _, caches = sequence_forward(params, xs, init)
-        for t, cache in enumerate(caches, start=1):
-            gap = float(np.linalg.norm(cache.c - DEFAULT_ALPHA ** t * c0))
+        init = CellState(stream.uniform((1, n), -1.0, 1.0), c0[None])
+        xs = stream.uniform((horizon, 1, d), -2.0, 2.0)
+        _, cache = sequence_forward(params, xs, init)
+        for t in range(1, horizon + 1):
+            gap = float(np.linalg.norm(cache.c[t, 0] - DEFAULT_ALPHA ** t * c0))
             worst = max(worst, gap)
     ok = worst <= 1e-12
     record("lstm6-decay", ok,

@@ -5,9 +5,13 @@ behaves the same whether pytest capture is on or off.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -144,6 +148,39 @@ class TestTrain:
                                 "--out", str(tmp_path / "run")])
         assert code == cli.EXIT_DATA
         assert "absent.csv" in err
+
+
+    @pytest.mark.parametrize("payload", [
+        "text,sentiment\ncaf\xe9 au lait,Positive\n".encode("latin-1"),
+        ('text,sentiment\n"' + "a" * 200_000 + '",Positive\n').encode("utf-8"),
+    ], ids=["not-utf8", "csv-field-too-large"])
+    def test_unreadable_csv_is_data_error(self, tmp_path, payload):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(payload)
+        config_path = write_config(tmp_path)
+        code, _, err = run_cli(["train", "--config", config_path,
+                                "--data", str(data), "--out", str(tmp_path / "run")])
+        assert code == cli.EXIT_DATA
+        assert "bad.csv" in err
+
+    def test_identical_across_blas_thread_counts(self, tmp_path):
+        """Reference layer sizes, so OpenBLAS splits the larger GEMMs across
+        threads when it may; the outputs must not depend on that split."""
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"seed": 5, "epochs": 2, "vocab_size": 400}))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            out_dir = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            subprocess.run([sys.executable, "-m", "slimrnn.cli", "train",
+                            "--config", str(config_path), "--data", str(FIXTURE_CSV),
+                            "--out", str(out_dir)],
+                           env=env, check=True, capture_output=True, timeout=300)
+            digests.append([hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                            for name in ("metrics.json", "checkpoint.json")])
+        assert digests[0] == digests[1]
 
 
 class TestSeedResolution:

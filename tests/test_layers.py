@@ -17,7 +17,7 @@ from slimrnn import (
     Variant,
     build_model,
 )
-from slimrnn.cells import CellState, init_params, sequence_forward
+from slimrnn.cells import init_params, sequence_forward
 from slimrnn.gradcheck import finite_diff, relative_error
 from slimrnn.layers import (
     Bidirectional,
@@ -76,13 +76,23 @@ class TestDropout:
         assert abs(out.mean() - 1.0) < 0.05
 
     def test_spatial_mode_zeroes_whole_columns(self):
-        x = np.ones((10, 200))
+        x = np.ones((3, 10, 200))
         drop = Dropout(0.4, mode="spatial")
         out = drop.forward(x, rng=Rng(2), training=True)
-        column_is_zero = (out == 0.0).all(axis=0)
-        column_is_live = (out != 0.0).all(axis=0)
+        column_is_zero = (out == 0.0).all(axis=1)
+        column_is_live = (out != 0.0).all(axis=1)
         assert np.all(column_is_zero | column_is_live)
         assert 0.2 < column_is_zero.mean() < 0.6
+        # each sequence draws its own channels
+        assert not np.array_equal(column_is_zero[0], column_is_zero[1])
+
+    def test_spatial_batch_mask_equals_consecutive_sequence_masks(self):
+        x = Rng(4).uniform((4, 6, 5))
+        batched = Dropout(0.4, mode="spatial").forward(x, rng=Rng(5), training=True)
+        one_at_a_time, rng = Dropout(0.4, mode="spatial"), Rng(5)
+        for b in range(4):
+            alone = one_at_a_time.forward(x[b], rng=rng, training=True)
+            np.testing.assert_array_equal(batched[b], alone)
 
     def test_backward_applies_same_mask(self):
         drop = Dropout(0.5)
@@ -119,23 +129,25 @@ def naive_conv1d(x, kernels, bias):
 class TestConv1D:
     def test_matches_naive_loop(self):
         rng = Rng(4)
-        x = rng.uniform((8, 3), -1, 1)
+        x = rng.uniform((2, 8, 3), -1, 1)
         kernels = rng.uniform((5, 2, 3), -1, 1)
         bias = rng.uniform(5, -1, 1)
         conv = Conv1D(kernels, bias, activation="none")
-        np.testing.assert_allclose(conv.forward(x), naive_conv1d(x, kernels, bias),
-                                   atol=1e-12)
+        out = conv.forward(x)
+        for b in range(2):
+            np.testing.assert_allclose(out[b], naive_conv1d(x[b], kernels, bias),
+                                       atol=1e-12)
 
     def test_relu_clips(self):
         conv = Conv1D(np.ones((1, 1, 1)), np.array([-10.0]), activation="relu")
-        out = conv.forward(np.ones((3, 1)))
-        np.testing.assert_array_equal(out, np.zeros((3, 1)))
+        out = conv.forward(np.ones((1, 3, 1)))
+        np.testing.assert_array_equal(out, np.zeros((1, 3, 1)))
 
     def test_backward_gradients_match_oracle(self):
         rng = Rng(5)
-        x = rng.uniform((7, 2), -1, 1)
+        x = rng.uniform((2, 7, 2), -1, 1)
         conv = Conv1D(rng.uniform((3, 3, 2), -1, 1), rng.uniform(3, -1, 1))
-        weight = rng.uniform((5, 3), -1, 1)
+        weight = rng.uniform((2, 5, 3), -1, 1)
 
         def loss():
             return float(np.sum(conv.forward(x) * weight))
@@ -151,27 +163,31 @@ class TestConv1D:
     def test_shape_errors(self):
         conv = Conv1D(np.zeros((2, 3, 4)), np.zeros(2))
         with pytest.raises(ShapeError):
-            conv.forward(np.zeros((8, 5)))  # wrong channel count
+            conv.forward(np.zeros((1, 8, 5)))  # wrong channel count
         with pytest.raises(ShapeError):
-            conv.forward(np.zeros((2, 4)))  # shorter than the kernel
+            conv.forward(np.zeros((1, 2, 4)))  # shorter than the kernel
+        with pytest.raises(ShapeError):
+            conv.forward(np.zeros((8, 4)))  # no batch axis
 
 
 class TestMaxPool1D:
     def test_forward_drops_remainder(self):
-        x = np.array([[1.0], [5.0], [3.0], [2.0], [9.0]])
+        x = np.array([[[1.0], [5.0], [3.0], [2.0], [9.0]]])
         pool = MaxPool1D(2)
-        np.testing.assert_array_equal(pool.forward(x), [[5.0], [3.0]])
+        np.testing.assert_array_equal(pool.forward(x), [[[5.0], [3.0]]])
 
     def test_backward_routes_to_first_argmax(self):
-        x = np.array([[2.0], [2.0], [1.0], [7.0]])
+        x = np.array([[[2.0], [2.0], [1.0], [7.0]],
+                      [[0.0], [3.0], [4.0], [4.0]]])
         pool = MaxPool1D(2)
         pool.forward(x)
-        d_x = pool.backward(np.array([[1.0], [1.0]]))
-        np.testing.assert_array_equal(d_x.ravel(), [1.0, 0.0, 0.0, 1.0])
+        d_x = pool.backward(np.array([[[1.0], [1.0]], [[2.0], [3.0]]]))
+        np.testing.assert_array_equal(d_x[0].ravel(), [1.0, 0.0, 0.0, 1.0])
+        np.testing.assert_array_equal(d_x[1].ravel(), [0.0, 2.0, 3.0, 0.0])
 
     def test_too_short_input(self):
         with pytest.raises(ShapeError):
-            MaxPool1D(4).forward(np.zeros((3, 2)))
+            MaxPool1D(4).forward(np.zeros((1, 3, 2)))
 
     def test_bad_pool_size(self):
         with pytest.raises(ConfigError):
@@ -182,19 +198,19 @@ class TestDense:
     def test_values_and_activations(self):
         w = np.array([[1.0, -1.0], [0.5, 0.5]])
         b = np.array([0.0, -1.0])
-        x = np.array([2.0, 1.0])
-        assert np.allclose(Dense(w, b, "none").forward(x), [1.0, 0.5])
-        assert np.allclose(Dense(w, b, "relu").forward(x), [1.0, 0.5])
+        x = np.array([[2.0, 1.0]])
+        assert np.allclose(Dense(w, b, "none").forward(x), [[1.0, 0.5]])
+        assert np.allclose(Dense(w, b, "relu").forward(x), [[1.0, 0.5]])
         neg = Dense(np.array([[-1.0, 0.0]]), np.zeros(1), "relu").forward(x)
-        np.testing.assert_array_equal(neg, [0.0])
+        np.testing.assert_array_equal(neg, [[0.0]])
         sig = Dense(w, b, "sigmoid").forward(x)
         assert np.all((sig > 0) & (sig < 1))
 
     def test_backward_against_oracle(self):
         rng = Rng(6)
         dense = Dense(rng.uniform((3, 4), -1, 1), rng.uniform(3, -1, 1), "sigmoid")
-        x = rng.uniform(4, -1, 1)
-        weight = rng.uniform(3, -1, 1)
+        x = rng.uniform((2, 4), -1, 1)
+        weight = rng.uniform((2, 3), -1, 1)
 
         def loss():
             return float(np.sum(dense.forward(x) * weight))
@@ -209,7 +225,9 @@ class TestDense:
 
     def test_input_shape_checked(self):
         with pytest.raises(ShapeError):
-            Dense(np.zeros((2, 3)), np.zeros(2)).forward(np.zeros(4))
+            Dense(np.zeros((2, 3)), np.zeros(2)).forward(np.zeros((1, 4)))
+        with pytest.raises(ShapeError):
+            Dense(np.zeros((2, 3)), np.zeros(2)).forward(np.zeros(3))  # no batch axis
 
     def test_unknown_activation(self):
         with pytest.raises(ConfigError):
@@ -219,9 +237,9 @@ class TestDense:
 def test_recurrent_wraps_sequence_forward():
     cell = init_params(Variant.LSTM0, 3, 4, Rng(7))
     layer = Recurrent(cell)
-    xs = Rng(8).uniform((5, 3), -1, 1)
-    expected, _ = sequence_forward(cell, xs, CellState.zeros(4))
-    np.testing.assert_array_equal(layer.forward(xs), expected)
+    xs = Rng(8).uniform((2, 5, 3), -1, 1)  # [B, T, d]
+    expected, _ = sequence_forward(cell, xs.transpose(1, 0, 2))
+    np.testing.assert_array_equal(layer.forward(xs), expected.transpose(1, 0, 2))
 
 
 class TestBidirectional:
@@ -229,12 +247,13 @@ class TestBidirectional:
         fwd = init_params(Variant.LSTM0, 3, 2, Rng(9))
         bwd = init_params(Variant.LSTM0, 3, 2, Rng(10))
         layer = Bidirectional(fwd, bwd)
-        xs = Rng(11).uniform((4, 3), -1, 1)
+        xs = Rng(11).uniform((2, 4, 3), -1, 1)  # [B, T, d]
         out = layer.forward(xs)
-        hs_f, _ = sequence_forward(fwd, xs, CellState.zeros(2))
-        hs_b, _ = sequence_forward(bwd, xs[::-1], CellState.zeros(2))
-        np.testing.assert_array_equal(out[:, :2], hs_f)
-        np.testing.assert_array_equal(out[:, 2:], hs_b[::-1])
+        xs_t = xs.transpose(1, 0, 2)
+        hs_f, _ = sequence_forward(fwd, xs_t)
+        hs_b, _ = sequence_forward(bwd, xs_t[::-1])
+        np.testing.assert_array_equal(out[:, :, :2], hs_f.transpose(1, 0, 2))
+        np.testing.assert_array_equal(out[:, :, 2:], hs_b[::-1].transpose(1, 0, 2))
 
     def test_width_mismatch(self):
         with pytest.raises(ConfigError):
@@ -245,8 +264,8 @@ class TestBidirectional:
         fwd = init_params(Variant.LSTM1, 2, 2, Rng(12))
         bwd = init_params(Variant.LSTM1, 2, 2, Rng(13))
         layer = Bidirectional(fwd, bwd)
-        xs = Rng(14).uniform((3, 2), -1, 1)
-        weight = Rng(15).uniform((3, 4), -1, 1)
+        xs = Rng(14).uniform((2, 3, 2), -1, 1)
+        weight = Rng(15).uniform((2, 3, 4), -1, 1)
 
         def loss():
             return float(np.sum(layer.forward(xs) * weight))

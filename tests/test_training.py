@@ -11,15 +11,19 @@ from conftest import make_separable_dataset, micro_config
 
 from slimrnn import (
     ConfigError,
+    LabeledDataset,
     NumericError,
     Rng,
     bce_loss,
     evaluate,
     run_sweep,
+    split_train_val,
     train,
 )
+from slimrnn import training
 from slimrnn.layers import SentimentModel
 from slimrnn.training import (
+    EVAL_CHUNK,
     SWEEP_AXES,
     ExperimentConfig,
     coerce_axis_value,
@@ -111,6 +115,32 @@ class TestEvaluate:
         weighted = (r.positive_accuracy * pos + r.negative_accuracy * neg) / r.n
         assert r.overall_accuracy == pytest.approx(weighted)
 
+    def test_chunks_match_records_one_at_a_time(self, monkeypatch):
+        rng = Rng(3)
+        n = 2 * EVAL_CHUNK + 5
+        dataset = LabeledDataset((rng.uniform((n, 8)) * 12).astype(np.int64),
+                                 (rng.uniform(n) < 0.5).astype(np.int64))
+        model = micro_config(vocab_size=12).build(Rng(4))
+        ps = np.array([model.forward(seq) for seq in dataset.sequences])
+        pred, pos = ps > 0.5, dataset.labels == 1
+
+        batch_sizes = []
+        forward = SentimentModel.forward
+
+        def spy(self, ids, training=False, rng=None):
+            batch_sizes.append(len(ids))
+            return forward(self, ids, training, rng)
+
+        monkeypatch.setattr(SentimentModel, "forward", spy)
+        result = evaluate(model, dataset)
+        assert batch_sizes == [EVAL_CHUNK, EVAL_CHUNK, 5]
+        assert (result.true_positive, result.false_negative) == (
+            int(np.sum(pred & pos)), int(np.sum(~pred & pos)))
+        assert (result.true_negative, result.false_positive) == (
+            int(np.sum(~pred & ~pos)), int(np.sum(pred & ~pos)))
+        expected_loss = float(np.mean(bce_loss(ps, dataset.labels)[0]))
+        assert result.mean_loss == pytest.approx(expected_loss, rel=1e-12)
+
 
 class TestTrain:
     def test_separable_data_is_learned(self, separable_dataset):
@@ -158,6 +188,22 @@ class TestTrain:
         with pytest.raises(NumericError) as err:
             train(config, separable_dataset)
         assert "epoch 0" in str(err.value) and "batch 0" in str(err.value)
+
+    def test_final_reuses_last_epoch_evaluation(self, separable_dataset, monkeypatch):
+        calls = []
+        real_evaluate = training.evaluate
+
+        def counting(model, dataset):
+            calls.append(len(dataset))
+            return real_evaluate(model, dataset)
+
+        monkeypatch.setattr(training, "evaluate", counting)
+        config = micro_config(vocab_size=12, epochs=3)
+        model, report = train(config, separable_dataset)
+        assert len(calls) == config.epochs
+        _, val = split_train_val(separable_dataset, config.split_ratio,
+                                 Rng(config.seed).derive(1))
+        assert report.final == real_evaluate(model, val)
 
     def test_partial_final_batch_is_trained(self, separable_dataset):
         # 27 train rows with batch 8 leaves a final batch of 3
