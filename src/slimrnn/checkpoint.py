@@ -11,6 +11,7 @@ import json
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import DataError
 from .rng import Rng
 from .textdata import Vocabulary
@@ -57,7 +58,8 @@ def checkpoint_payload(model, config: ExperimentConfig,
 
 def save_checkpoint(path: str, model, config: ExperimentConfig,
                     vocab: Vocabulary | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    """Write the checkpoint atomically: a failed write keeps the old file."""
+    with atomic_write(path) as handle:
         json.dump(checkpoint_payload(model, config, vocab), handle,
                   sort_keys=True, indent=2)
         handle.write("\n")

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 
+from .atomic import atomic_write
 from .cells import Variant, count_params
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .gradcheck import calibrate_oracle, check_all, check_module
@@ -107,7 +108,7 @@ def _utc_now() -> str:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         json.dump(payload, handle, sort_keys=True, indent=2)
         handle.write("\n")
 
@@ -129,7 +130,7 @@ def _write_manifest(out_dir: str, config: ExperimentConfig, data_path: str,
 
 
 def _write_curves(path: str, report: MetricsReport) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with atomic_write(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["epoch", "loss", "accuracy"])
         for e in report.epochs:

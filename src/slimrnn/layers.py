@@ -35,18 +35,30 @@ LSTM_THEN_CNN = "lstm-then-cnn"
 
 
 class Embedding:
-    """Token-id lookup table [V, e]: ids of any shape gain a trailing e axis."""
+    """Token-id lookup table [V, e]: ids of any shape gain a trailing e axis.
+
+    Backward writes only the looked-up rows of the table gradient, so the
+    layer records them, and zero_grads clears just those rows; the rest of
+    the gradient stays exactly zero.
+    """
 
     def __init__(self, table: np.ndarray):
         self.table = table
         self.grads = {"table": np.zeros_like(table)}
+        self._written = np.zeros(table.shape[0], dtype=bool)
         self._ids = None
 
     def params(self):
         return {"table": self.table}
 
+    def written_rows(self) -> np.ndarray:
+        """Sorted rows of the table gradient written since zero_grads."""
+        return np.flatnonzero(self._written)
+
     def zero_grads(self):
-        self.grads["table"][:] = 0.0
+        rows = self.written_rows()
+        self.grads["table"][rows] = 0.0
+        self._written[rows] = False
 
     def forward(self, ids: np.ndarray) -> np.ndarray:
         ids = np.asarray(ids)
@@ -59,8 +71,9 @@ class Embedding:
         return self.table[ids]
 
     def backward(self, d_out: np.ndarray):
-        np.add.at(self.grads["table"], self._ids.ravel(),
-                  d_out.reshape(-1, self.table.shape[1]))
+        ids = self._ids.ravel()
+        np.add.at(self.grads["table"], ids, d_out.reshape(-1, self.table.shape[1]))
+        self._written[ids] = True
         return None  # ids are discrete; nothing flows further back
 
 
@@ -458,6 +471,12 @@ class SentimentModel:
         for prefix, layer in self._ordered_layers():
             out.update({f"{prefix}.{name}": arr for name, arr in layer.grads.items()})
         return out
+
+    @property
+    def grad_rows(self) -> dict[str, np.ndarray]:
+        """Per row-sparse gradient, the rows that can be nonzero (the
+        ``rows`` argument of clipping and the optimizers)."""
+        return {"embedding.table": self.embedding.written_rows()}
 
     def zero_grads(self) -> None:
         for _, layer in self._ordered_layers():

@@ -1,14 +1,8 @@
-"""Nonlinearities with their gradients, and strict-shape tensor operations.
-
-Values are float64 numpy arrays. The binary ops below check shapes exactly
-and raise ShapeError on mismatch.
-"""
+"""Nonlinearities with their gradients, on float64 numpy arrays."""
 
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import ShapeError
 
 
 def sigmoid(x):
@@ -34,37 +28,3 @@ def tanh_grad(t):
     """Derivative of tanh expressed in its output: 1 - t^2."""
     return 1.0 - t * t
 
-
-def require_same_shape(a: np.ndarray, b: np.ndarray, op: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not match")
-
-
-def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product with exact conformance checking."""
-    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise ShapeError(f"matvec: matrix {m.shape} incompatible with vector {v.shape}")
-    return m @ v
-
-
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    require_same_shape(a, b, "hadamard")
-    return a * b
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    require_same_shape(a, b, "add")
-    return a + b
-
-
-def scale(a: np.ndarray, s: float) -> np.ndarray:
-    return a * float(s)
-
-
-def check_finite(x: np.ndarray, what: str) -> np.ndarray:
-    """Raise NumericError if x contains NaN or Inf."""
-    from .errors import NumericError
-
-    if not np.all(np.isfinite(x)):
-        raise NumericError(f"{what} contains non-finite values")
-    return x

@@ -4,6 +4,18 @@ Parameters and gradients travel as dicts keyed by tensor name. All three
 rules update the parameter arrays in place and are deterministic given
 (state, grads). Slot tensors are allocated lazily per name, so an optimizer
 binds to whatever parameter set it first sees.
+
+A caller may say, per tensor, which rows (indices along axis 0) of the
+gradient can be nonzero; every other row of that gradient must be zero,
+and such a tensor must be named on every step or on none. The step then
+updates, in place, only the leading rows up to the last one whose update
+can be nonzero: this step's rows for SGD, and every row given on any step
+so far for RMSprop and Adam, whose slots keep a row moving after its
+gradient returns to zero. Every rule is elementwise, and a row past that
+end has a zero gradient (and zero slots), so its update is exactly 0; the
+result is bit-identical to updating the whole tensor. Vocabulary ids are
+ranked by frequency, so the rows an embedding gradient touches sit near
+the start of the table.
 """
 
 from __future__ import annotations
@@ -15,16 +27,25 @@ from .errors import ConfigError, ShapeError
 LR_PRESETS = (1e-4, 1e-3, 3e-4)
 
 
-def clip_by_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients in place so their joint L2 norm is <= max_norm.
+def clip_by_global_norm(grads: dict[str, np.ndarray], max_norm: float,
+                        rows: dict[str, np.ndarray] | None = None) -> float:
+    """Scale all gradients in place so their joint L2 norm is <= max_norm;
+    a max_norm of 0 only measures.
 
-    Returns the pre-clip norm.
+    ``rows`` names, per tensor, the rows that can be nonzero (see the module
+    docstring); only those are scaled. The norm is always summed over whole
+    tensors, because numpy's pairwise summation order depends on where the
+    nonzero entries sit. Returns the pre-clip norm.
     """
     total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
     if total > max_norm > 0.0:
         factor = max_norm / total
-        for g in grads.values():
-            g *= factor
+        rows = rows or {}
+        for name, g in grads.items():
+            if name in rows:
+                g[rows[name]] *= factor
+            else:
+                g *= factor
     return total
 
 
@@ -34,9 +55,12 @@ class Optimizer:
             raise ConfigError(f"learning rate must be positive, got {lr}")
         self.lr = lr
         self.t = 0
+        # Per tensor stepped so far: one past the last row given on any step,
+        # or None if it is stepped whole.
+        self.row_end: dict[str, int | None] = {}
 
-    @staticmethod
-    def _check(params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def _check(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
+               rows: dict[str, np.ndarray]) -> None:
         if params.keys() != grads.keys():
             missing = sorted(params.keys() - grads.keys())
             extra = sorted(grads.keys() - params.keys())
@@ -45,14 +69,40 @@ class Optimizer:
             if p.shape != grads[name].shape:
                 raise ShapeError(
                     f"{name}: param {p.shape} vs grad {grads[name].shape}")
+            if name in self.row_end and (self.row_end[name] is None) != (name not in rows):
+                raise ShapeError(
+                    f"{name}: rows must be given on every step or on none")
+        for name, r in rows.items():
+            if name not in params:
+                raise ShapeError(f"row set for unknown tensor {name!r}")
+            if len(r) and not 0 <= r.min() <= r.max() < len(params[name]):
+                raise ShapeError(f"{name}: rows outside [0, {len(params[name])})")
 
     def apply_update(self, params: dict[str, np.ndarray],
-                     grads: dict[str, np.ndarray]) -> None:
-        self._check(params, grads)
+                     grads: dict[str, np.ndarray],
+                     rows: dict[str, np.ndarray] | None = None) -> None:
+        """One step. ``rows`` maps a tensor name to the rows of its gradient
+        that can be nonzero; tensors not named are updated whole."""
+        rows = rows or {}
+        self._check(params, grads, rows)
         self.t += 1
-        self._step(params, grads)
+        for name, p in params.items():
+            g, slots = grads[name], self._slots(name, p)
+            if name not in rows:
+                self.row_end[name] = None
+            else:
+                end = int(rows[name].max()) + 1 if len(rows[name]) else 0
+                self.row_end[name] = max(end, self.row_end.get(name) or 0)
+                if slots:
+                    end = self.row_end[name]
+                p, g, slots = p[:end], g[:end], [s[:end] for s in slots]
+            self._rule(p, g, *slots)
 
-    def _step(self, params, grads):
+    def _slots(self, name: str, p: np.ndarray) -> tuple[np.ndarray, ...]:
+        return ()
+
+    def _rule(self, p, g, *slots) -> None:
+        """Update p (and the slots) in place from g, elementwise."""
         raise NotImplementedError
 
     def _slot(self, store: dict, name: str, like: np.ndarray) -> np.ndarray:
@@ -64,9 +114,8 @@ class Optimizer:
 class SGD(Optimizer):
     kind = "sgd"
 
-    def _step(self, params, grads):
-        for name, p in params.items():
-            p -= self.lr * grads[name]
+    def _rule(self, p, g):
+        p -= self.lr * g
 
 
 class RMSprop(Optimizer):
@@ -80,13 +129,13 @@ class RMSprop(Optimizer):
         self.eps = eps
         self.v: dict[str, np.ndarray] = {}
 
-    def _step(self, params, grads):
-        for name, p in params.items():
-            g = grads[name]
-            v = self._slot(self.v, name, p)
-            v *= self.rho
-            v += (1.0 - self.rho) * g * g
-            p -= self.lr * g / (np.sqrt(v) + self.eps)
+    def _slots(self, name, p):
+        return (self._slot(self.v, name, p),)
+
+    def _rule(self, p, g, v):
+        v *= self.rho
+        v += (1.0 - self.rho) * g * g
+        p -= self.lr * g / (np.sqrt(v) + self.eps)
 
 
 class Adam(Optimizer):
@@ -104,18 +153,17 @@ class Adam(Optimizer):
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
 
-    def _step(self, params, grads):
+    def _slots(self, name, p):
+        return (self._slot(self.m, name, p), self._slot(self.v, name, p))
+
+    def _rule(self, p, g, m, v):
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for name, p in params.items():
-            g = grads[name]
-            m = self._slot(self.m, name, p)
-            v = self._slot(self.v, name, p)
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 OPTIMIZERS = {"sgd": SGD, "rmsprop": RMSprop, "adam": Adam}

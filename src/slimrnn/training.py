@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -82,6 +84,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         if "seed" not in raw:
             raise ConfigError("config must set a seed")
+        hints = get_type_hints(cls)
+        for key, value in raw.items():
+            if not _has_type(value, hints[key]):
+                raise ConfigError(
+                    f"config {key}: expected {_type_name(hints[key])}, got {value!r}")
         return cls(**raw)
 
     def to_dict(self) -> dict:
@@ -115,6 +122,24 @@ class ExperimentConfig:
 
     def build(self, rng: Rng) -> SentimentModel:
         return build_model(self.model_spec(), self.model_hyper(), rng)
+
+
+def _has_type(value, hint) -> bool:
+    """Whether a config value read from JSON fits a field annotation. An
+    int is a float, a list is a tuple, and a bool is not a number."""
+    args = get_args(hint)
+    if get_origin(hint) is UnionType:
+        return any(_has_type(value, arg) for arg in args)
+    if get_origin(hint) is tuple:
+        return (isinstance(value, (list, tuple))
+                and all(_has_type(item, args[0]) for item in value))
+    if hint is float:
+        hint = (int, float)
+    return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
+
+
+def _type_name(hint) -> str:
+    return hint.__name__ if isinstance(hint, type) else str(hint)
 
 
 def bce_loss(p, y):
@@ -217,7 +242,10 @@ def train(config: ExperimentConfig, dataset: LabeledDataset,
     sample's loss gradient is scaled by 1/batch so updates use the
     batch-mean gradient. ``stop_at_train_accuracy`` ends the run early
     once the epoch's training accuracy reaches that percentage (used by
-    capacity probes; epochs is still the hard budget).
+    capacity probes; epochs is still the hard budget). A non-finite
+    probability, loss or gradient norm raises NumericError before the
+    weights are touched. Clipping and the optimizer step visit only the
+    embedding rows that can move (see ``optimizers``).
     """
     root = Rng(config.seed)
     train_ds, val_ds = split_train_val(dataset, config.split_ratio, root.derive(1))
@@ -226,6 +254,7 @@ def train(config: ExperimentConfig, dataset: LabeledDataset,
     dropout_rng = root.derive(3)
     optimizer = make_optimizer(config.optimizer, config.lr)
     params = dict(model.named_params())
+    max_norm = 0.0 if config.clip_norm is None else config.clip_norm  # 0 only measures
 
     report = MetricsReport(config=config.to_dict(),
                            train_size=len(train_ds), val_size=len(val_ds))
@@ -247,10 +276,13 @@ def train(config: ExperimentConfig, dataset: LabeledDataset,
             model.backward(d_p / len(batch))
             epoch_loss += float(np.sum(loss))
             correct += int(np.sum((p > THRESHOLD) == (y == 1)))
-            grads = model.grads
-            if config.clip_norm is not None:
-                clip_by_global_norm(grads, config.clip_norm)
-            optimizer.apply_update(params, grads)
+            grads, rows = model.grads, model.grad_rows
+            norm = clip_by_global_norm(grads, max_norm, rows)
+            if not np.isfinite(norm):
+                raise NumericError(
+                    f"training diverged at epoch {epoch} batch {batch_index}: "
+                    f"gradient norm is {norm}")
+            optimizer.apply_update(params, grads, rows)
         val = evaluate(model, val_ds)
         train_accuracy = 100.0 * correct / n
         report.epochs.append(EpochMetrics(

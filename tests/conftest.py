@@ -62,3 +62,40 @@ def fixture_csv() -> str:
 @pytest.fixture
 def separable_dataset() -> LabeledDataset:
     return make_separable_dataset()
+
+
+class DenseReference:
+    """SGD, RMSprop and Adam written out over whole tensors, ignoring any
+    row sets: the reference the row-sparse optimizer step must match bit for
+    bit."""
+
+    def __init__(self, kind: str, lr: float, rho: float = 0.9, beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8):
+        self.kind, self.lr, self.rho = kind, lr, rho
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+        self.m: dict = {}
+        self.v: dict = {}
+
+    def apply_update(self, params, grads, rows=None):
+        self.t += 1
+        for name, p in params.items():
+            g = grads[name]
+            if self.kind == "sgd":
+                p -= self.lr * g
+                continue
+            v = self.v.setdefault(name, np.zeros_like(p))
+            if self.kind == "rmsprop":
+                v *= self.rho
+                v += (1.0 - self.rho) * g * g
+                p -= self.lr * g / (np.sqrt(v) + self.eps)
+                continue
+            m = self.m.setdefault(name, np.zeros_like(p))
+            bc1 = 1.0 - self.beta1 ** self.t
+            bc2 = 1.0 - self.beta2 ** self.t
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import make_separable_dataset, micro_config
 
+from slimrnn import checkpoint
 from slimrnn import (
     DataError,
     Rng,
@@ -61,6 +62,28 @@ def test_payload_is_plain_json(trained, tmp_path):
     blob = payload["params"]["head.weights"]
     assert blob["shape"] == [1, 8]  # bidirectional tail doubles hidden=4
     assert isinstance(blob["data"], str)
+
+
+def test_save_is_atomic(trained, tmp_path, monkeypatch):
+    model, config, vocab, _ = trained
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(str(path), model, config, vocab)
+    before = path.read_bytes()
+    payload = checkpoint.checkpoint_payload(model, config, vocab)
+    assert before == (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+
+    real_payload = checkpoint.checkpoint_payload
+
+    def unserializable(*args):
+        broken = real_payload(*args)
+        broken["params"]["zzz"] = object()  # sorts last: fails mid-file
+        return broken
+
+    monkeypatch.setattr(checkpoint, "checkpoint_payload", unserializable)
+    with pytest.raises(TypeError):
+        save_checkpoint(str(path), model, config, vocab)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.json"]
 
 
 def test_missing_file():

@@ -18,6 +18,7 @@ import pytest
 from conftest import FIXTURE_CSV, MICRO_DEFAULTS
 
 from slimrnn import cli
+from slimrnn.training import EpochMetrics, MetricsReport
 
 
 def run_cli(argv):
@@ -141,6 +142,15 @@ class TestTrain:
         assert code == cli.EXIT_CONFIG
         assert "learning_rate" in err
 
+    def test_wrongly_typed_config_value(self, tmp_path):
+        config_path = write_config(tmp_path, epochs="3")
+        code, _, err = run_cli(["train", "--config", config_path,
+                                "--data", str(FIXTURE_CSV),
+                                "--out", str(tmp_path / "run")])
+        assert code == cli.EXIT_CONFIG
+        assert "epochs" in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_data_file(self, tmp_path):
         config_path = write_config(tmp_path)
         code, _, err = run_cli(["train", "--config", config_path,
@@ -181,6 +191,21 @@ class TestTrain:
             digests.append([hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
                             for name in ("metrics.json", "checkpoint.json")])
         assert digests[0] == digests[1]
+
+
+def test_failed_writes_keep_previous_files(tmp_path):
+    metrics, curves = tmp_path / "metrics.json", tmp_path / "curves.csv"
+    metrics.write_text("old metrics\n")
+    curves.write_text("old curves\n")
+    with pytest.raises(TypeError):
+        cli._write_json(str(metrics), {"a": 1, "b": object()})
+    report = MetricsReport(config={}, train_size=1, val_size=1, epochs=[
+        EpochMetrics(0, 0.5, 50.0, 0.5, 50.0), EpochMetrics(1, "bad", 50.0, 0.5, 50.0)])
+    with pytest.raises(ValueError):
+        cli._write_curves(str(curves), report)
+    assert metrics.read_text() == "old metrics\n"
+    assert curves.read_text() == "old curves\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["curves.csv", "metrics.json"]
 
 
 class TestSeedResolution:

@@ -56,6 +56,10 @@ class TestEmbedding:
         np.testing.assert_array_equal(emb.grads["table"][1], [3.0, 0.5])
         np.testing.assert_array_equal(emb.grads["table"][3], [0.0, 1.0])
         np.testing.assert_array_equal(emb.grads["table"][0], [0.0, 0.0])
+        np.testing.assert_array_equal(emb.written_rows(), [1, 3])
+        emb.zero_grads()
+        assert emb.written_rows().size == 0
+        assert not emb.grads["table"].any()
 
 
 class TestDropout:
@@ -307,6 +311,24 @@ class TestSentimentModel:
         p = model.forward(np.arange(9) % 30)
         assert 0.0 < p < 1.0
         assert model.param_count() == model.expected_param_count()
+
+    def test_zero_grads_clears_every_gradient(self):
+        """zero_grads clears only the table rows backward wrote; after any
+        backward, one or several, the whole table gradient is zero again."""
+        model = self.build()
+        rng = Rng(26)
+        for backwards in (1, 2, 1, 3):
+            written = set()
+            for _ in range(backwards):
+                ids = (rng.uniform((4, 9)) * 30).astype(np.int64)
+                model.forward(ids)
+                model.backward(rng.uniform(4, -1.0, 1.0))
+                written |= set(ids.ravel().tolist())
+            assert set(model.grad_rows["embedding.table"].tolist()) == written
+            model.zero_grads()
+            for name, g in model.grads.items():
+                assert not g.any(), name
+            assert model.grad_rows["embedding.table"].size == 0
 
     def test_zero_head_weights_predict_constant(self):
         model = self.build()

@@ -1,4 +1,4 @@
-"""Activation functions and shape-checked array helpers."""
+"""Activation functions and their gradients."""
 
 import numpy as np
 import pytest
@@ -6,19 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from slimrnn import NumericError, ShapeError
-from slimrnn.numeric import (
-    add,
-    check_finite,
-    hadamard,
-    matvec,
-    require_same_shape,
-    scale,
-    sigmoid,
-    sigmoid_grad,
-    tanh_act,
-    tanh_grad,
-)
+from slimrnn.numeric import sigmoid, sigmoid_grad, tanh_act, tanh_grad
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -64,40 +52,3 @@ class TestTanh:
         t = tanh_act(np.array([0.3, -0.9]))
         np.testing.assert_allclose(tanh_grad(t), 1.0 - t * t)
 
-
-def test_matvec_matches_manual():
-    m = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    v = np.array([10.0, -1.0])
-    np.testing.assert_array_equal(matvec(m, v), [8.0, 26.0, 44.0])
-
-
-def test_matvec_shape_error_names_both_shapes():
-    with pytest.raises(ShapeError) as err:
-        matvec(np.zeros((3, 2)), np.zeros(5))
-    assert "(3, 2)" in str(err.value) and "(5,)" in str(err.value)
-
-
-def test_elementwise_helpers_refuse_broadcasting():
-    a, b = np.zeros(3), np.zeros(4)
-    for fn in (hadamard, add):
-        with pytest.raises(ShapeError):
-            fn(a, b)
-    with pytest.raises(ShapeError):
-        require_same_shape(np.zeros((2, 2)), np.zeros(4), "unit test")
-
-
-def test_elementwise_helpers_values():
-    a = np.array([1.0, -2.0, 3.0])
-    b = np.array([4.0, 5.0, -6.0])
-    np.testing.assert_array_equal(hadamard(a, b), a * b)
-    np.testing.assert_array_equal(add(a, b), a + b)
-    np.testing.assert_array_equal(scale(a, 2.5), 2.5 * a)
-
-
-def test_check_finite():
-    check_finite(np.array([1.0, 2.0]), "ok case")
-    with pytest.raises(NumericError) as err:
-        check_finite(np.array([1.0, np.nan]), "nan case")
-    assert "nan case" in str(err.value)
-    with pytest.raises(NumericError):
-        check_finite(np.array([np.inf]), "inf case")

@@ -14,8 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import DenseReference
+
 from slimrnn import SGD, Adam, ConfigError, RMSprop, ShapeError, clip_by_global_norm
 from slimrnn.optimizers import LR_PRESETS, make_optimizer
+
+# Rows of a [12, 3] table given a gradient on successive steps. Row 1 gets
+# one gradient and never another, row 4 comes and goes, and rows 3, 5, 6,
+# 8 and 10 never get one.
+ROW_STEPS = ([1, 4, 7], [4, 9], [2], [7, 11, 4], [0], [9, 2, 4])
 
 
 def test_sgd_first_step():
@@ -95,6 +102,73 @@ def test_shape_and_key_mismatches():
     assert "w" in str(err.value) and "q" in str(err.value)
 
 
+@pytest.mark.parametrize("kind", ["sgd", "rmsprop", "adam"])
+def test_row_step_equals_whole_table_step(kind):
+    rng = np.random.default_rng(5)
+    table = rng.normal(size=(12, 3))
+    bias = rng.normal(size=4)
+    fast = {"table": table.copy(), "bias": bias.copy()}
+    slow = {"table": table.copy(), "bias": bias.copy()}
+    opt, ref = make_optimizer(kind, 0.05), DenseReference(kind, 0.05)
+    for step in ROW_STEPS:
+        g_table = np.zeros_like(table)
+        g_table[step] = rng.normal(size=(len(step), 3))
+        grads = {"table": g_table, "bias": rng.normal(size=4)}
+        opt.apply_update(fast, {k: g.copy() for k, g in grads.items()},
+                         rows={"table": np.array(step)})
+        ref.apply_update(slow, grads)
+        for name in fast:
+            assert np.array_equal(fast[name], slow[name]), name
+            assert fast[name].tobytes() == slow[name].tobytes(), name
+    for slots, ref_slots in ((getattr(opt, "m", {}), ref.m), (getattr(opt, "v", {}), ref.v)):
+        assert slots.keys() == ref_slots.keys()
+        for name in slots:
+            assert np.array_equal(slots[name], ref_slots[name]), name
+
+
+def test_rows_for_unknown_tensor_rejected():
+    with pytest.raises(ShapeError):
+        SGD(0.1).apply_update({"w": np.zeros(3)}, {"w": np.zeros(3)},
+                              rows={"q": np.array([0])})
+
+
+@pytest.mark.parametrize("bad", [np.array([3]), np.array([-1, 0])])
+def test_rows_outside_the_tensor_rejected(bad):
+    with pytest.raises(ShapeError):
+        SGD(0.1).apply_update({"w": np.zeros(3)}, {"w": np.zeros(3)}, rows={"w": bad})
+
+
+@pytest.mark.parametrize("kind", ["sgd", "rmsprop", "adam"])
+@pytest.mark.parametrize("first_rows", [True, False])
+def test_rows_named_on_some_steps_only_rejected(kind, first_rows):
+    # Slots stepped whole may be nonzero past any row end, and slots stepped
+    # by rows would miss their rows' moves in a whole step that followed.
+    opt = make_optimizer(kind, 0.1)
+    params, grads = {"w": np.ones((4, 2))}, {"w": np.ones((4, 2))}
+    with_rows = {"w": np.array([1])}
+    opt.apply_update(params, grads, with_rows if first_rows else None)
+    with pytest.raises(ShapeError, match="every step or on none"):
+        opt.apply_update(params, grads, None if first_rows else with_rows)
+
+
+@pytest.mark.parametrize("kind", ["sgd", "rmsprop", "adam"])
+def test_row_step_visits_only_leading_rows(kind):
+    # Rows past the last one given are neither read nor written: NaN put
+    # there in the gradient (which the caller promised is zero) goes nowhere.
+    opt = make_optimizer(kind, 0.1)
+    params = {"w": np.ones((6, 2))}
+    for step in ([0, 2], [1], [3, 0]):
+        grads = {"w": np.zeros((6, 2))}
+        grads["w"][step] = 1.0
+        grads["w"][4:] = np.nan
+        opt.apply_update(params, grads, {"w": np.array(step)})
+    assert np.isfinite(params["w"][:4]).all()
+    assert (params["w"][4:] == 1.0).all()
+    for slots in (getattr(opt, "m", {}), getattr(opt, "v", {})):
+        assert not slots or not slots["w"][4:].any()
+    assert opt.row_end == {"w": 4}
+
+
 def test_make_optimizer():
     assert isinstance(make_optimizer("SGD", 0.1), SGD)
     assert isinstance(make_optimizer("rmsprop", 0.1), RMSprop)
@@ -120,6 +194,18 @@ class TestClipByGlobalNorm:
         assert joint == pytest.approx(1.0, abs=1e-12)
         # direction preserved
         assert grads["a"][0] / grads["b"][0] == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("max_norm", [0.05, 100.0, 0.0])
+    def test_row_sets_scale_like_whole_tensors(self, max_norm):
+        rng = np.random.default_rng(6)
+        table = np.zeros((40, 3))
+        table[[2, 17, 30]] = rng.normal(size=(3, 3))
+        grads = {"table": table, "bias": rng.normal(size=5)}
+        ref = {k: g.copy() for k, g in grads.items()}
+        norm = clip_by_global_norm(grads, max_norm, rows={"table": np.array([2, 17, 30])})
+        assert norm == clip_by_global_norm(ref, max_norm)
+        for name in grads:
+            assert grads[name].tobytes() == ref[name].tobytes(), name
 
     def test_noop_under_threshold(self):
         grads = {"a": np.array([0.3, 0.4])}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_separable_dataset, micro_config
+from conftest import DenseReference, make_separable_dataset, micro_config
 
 from slimrnn import (
     ConfigError,
@@ -67,6 +67,20 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict({"seed": 1, "learning_rate": 0.1, "bs": 2})
         message = str(err.value)
         assert "learning_rate" in message and "bs" in message
+
+    @pytest.mark.parametrize("key,value", [
+        ("epochs", "3"), ("seed", 1.5), ("lr", True), ("extra_dense", 1),
+        ("variant", 0), ("clip_norm", "off"), ("extra_dense_dims", [64, "32"]),
+    ])
+    def test_from_dict_rejects_wrong_types(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict({"seed": 1, key: value})
+        assert key in str(err.value)
+
+    def test_from_dict_accepts_json_numbers_and_lists(self):
+        config = ExperimentConfig.from_dict(
+            {"seed": 1, "lr": 1, "clip_norm": None, "extra_dense_dims": [8, 4]})
+        assert config.extra_dense_dims == (8, 4)
 
     def test_from_dict_requires_seed(self):
         with pytest.raises(ConfigError):
@@ -188,6 +202,54 @@ class TestTrain:
         with pytest.raises(NumericError) as err:
             train(config, separable_dataset)
         assert "epoch 0" in str(err.value) and "batch 0" in str(err.value)
+
+    @pytest.mark.parametrize("clip_norm", [None, 5.0])
+    def test_non_finite_gradient_stops_before_the_step(self, separable_dataset,
+                                                       monkeypatch, clip_norm):
+        models = []
+        real_backward = SentimentModel.backward
+
+        def poisoned(self, d_loss):
+            grads = real_backward(self, d_loss)
+            models.append(self)
+            self.conv.grads["bias"][0] = np.nan
+            return grads
+
+        monkeypatch.setattr(SentimentModel, "backward", poisoned)
+        with pytest.raises(NumericError) as err:
+            train(micro_config(vocab_size=12, clip_norm=clip_norm), separable_dataset)
+        assert "epoch 0 batch 0" in str(err.value) and "norm" in str(err.value)
+        for _, arr in models[0].named_params():
+            assert np.all(np.isfinite(arr))
+
+    @pytest.mark.parametrize("kind", ["sgd", "rmsprop", "adam"])
+    def test_row_sparse_step_equals_whole_table_run(self, monkeypatch, kind):
+        # Even ids of a 300-row table: odd rows never get a gradient, and the
+        # rows that do sit apart, where a norm summed over them alone would
+        # differ in the last bits from the whole-table sum (numpy's pairwise
+        # order depends on where the nonzero entries sit). A clip norm of
+        # 1e-3 fires on every batch.
+        rng = np.random.default_rng(4)
+        data = LabeledDataset(rng.integers(0, 150, size=(36, 8)) * 2, np.arange(36) % 2)
+        config = micro_config(optimizer=kind, clip_norm=1e-3, epochs=3,
+                              vocab_size=300, embed_dim=16)
+        fast_model, fast = train(config, data)
+
+        fired = []
+        real_clip = training.clip_by_global_norm
+
+        def reference_clip(grads, max_norm, rows=None):
+            norm = real_clip(grads, max_norm)  # no row sets: scales whole tensors
+            fired.append(norm > max_norm)
+            return norm
+
+        monkeypatch.setattr(training, "clip_by_global_norm", reference_clip)
+        monkeypatch.setattr(training, "make_optimizer", DenseReference)
+        slow_model, slow = train(config, data)
+        assert all(fired)
+        assert fast.to_json() == slow.to_json()
+        for (name, a), (_, b) in zip(fast_model.named_params(), slow_model.named_params()):
+            assert a.tobytes() == b.tobytes(), name
 
     def test_final_reuses_last_epoch_evaluation(self, separable_dataset, monkeypatch):
         calls = []
