@@ -34,7 +34,6 @@ from .layers import (
     ModelHyper,
     ModelSpec,
     SentimentModel,
-    build_model,
 )
 from .optimizers import SGD, Adam, RMSprop, clip_by_global_norm, make_optimizer
 from .rng import Rng
@@ -89,7 +88,6 @@ __all__ = [
     "Variant",
     "Vocabulary",
     "bce_loss",
-    "build_model",
     "build_vocab",
     "calibrate_oracle",
     "check_all",

@@ -8,7 +8,8 @@ cleanly. Dropout must be inactive in any loss handed to the checker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,6 +26,9 @@ DEFAULT_EPS = 1e-6
 # of ReLU and max-pool.
 MODEL_EPS = 1e-4
 MODEL_BATCH = 3
+# check_model runs these variants under every architecture switch: lstm0
+# has W, U and b in each gate, lstm5 is the one with both u and b.
+SWITCHED_VARIANTS = (Variant.LSTM0, Variant.LSTM5)
 REL_FLOOR = 1e-12
 
 
@@ -64,6 +68,7 @@ class ParamCheck:
     max_rel_err: float
     mean_rel_err: float
     worst_index: int
+    kinks: int = 0  # coordinates left out because their step crossed a kink
 
 
 @dataclass
@@ -85,26 +90,37 @@ class GradReport:
                f"(tol {self.tolerance:g}, worst {self.max_rel_err:.3e})"]
         for e in self.entries:
             flag = "ok " if e.max_rel_err < self.tolerance else "BAD"
+            kinks = f" ({e.kinks} at kinks)" if e.kinks else ""
             out.append(f"  {flag} {e.name:<22} max {e.max_rel_err:.3e} "
-                       f"mean {e.mean_rel_err:.3e} @ {e.worst_index}")
+                       f"mean {e.mean_rel_err:.3e} @ {e.worst_index}{kinks}")
         return out
 
 
-def _compare(name: str, analytic: np.ndarray, numeric: np.ndarray) -> ParamCheck:
+def _compare(name: str, analytic: np.ndarray, numeric: np.ndarray,
+             smooth: np.ndarray | None = None) -> ParamCheck:
+    """Relative error per coordinate; those where ``smooth`` is False are
+    left out and counted as kinks."""
     err = relative_error(analytic, numeric).ravel()
+    if smooth is None:
+        smooth = np.ones(err.size, dtype=bool)
+    err = np.where(smooth, err, 0.0)
     worst = int(np.argmax(err)) if err.size else 0
     return ParamCheck(name, float(err.max(initial=0.0)),
-                      float(err.mean()) if err.size else 0.0, worst)
+                      float(err[smooth].mean()) if smooth.any() else 0.0, worst,
+                      int(err.size - smooth.sum()))
 
 
 def _merge_worst(per_seed: list[list[ParamCheck]]) -> list[ParamCheck]:
-    """Keep, per parameter name, the worst entry seen across seeds."""
+    """Keep, per parameter name, the worst entry seen across seeds, with the
+    kinks of every seed added up."""
     worst: dict[str, ParamCheck] = {}
+    kinks: dict[str, int] = {}
     for entries in per_seed:
         for e in entries:
+            kinks[e.name] = kinks.get(e.name, 0) + e.kinks
             if e.name not in worst or e.max_rel_err > worst[e.name].max_rel_err:
                 worst[e.name] = e
-    return list(worst.values())
+    return [replace(e, kinks=kinks[name]) for name, e in worst.items()]
 
 
 def _random_cell_params(variant: Variant, d: int, n: int, rng: Rng) -> CellParams:
@@ -153,10 +169,34 @@ def check_variant(variant: Variant, seeds: Sequence[int], tol: float = 1e-5,
     return GradReport(variant.value, tol, _merge_worst(per_seed))
 
 
+def _model_specs() -> list:
+    """Every variant at the default switches, then every other combination
+    of lstm_position, extra_dense and bidirectional_tail for
+    SWITCHED_VARIANTS."""
+    from .layers import CNN_THEN_LSTM, LSTM_THEN_CNN, ModelSpec
+
+    specs = [ModelSpec(variant=variant) for variant in Variant]
+    for variant, position, dense, tail in itertools.product(
+            SWITCHED_VARIANTS, (CNN_THEN_LSTM, LSTM_THEN_CNN), (False, True), (True, False)):
+        spec = ModelSpec(variant=variant, lstm_position=position, extra_dense=dense,
+                         bidirectional_tail=tail)
+        if spec not in specs:
+            specs.append(spec)
+    return specs
+
+
+def _branches(model) -> bytes:
+    """The ReLU and max-pool branches the model's last forward pass took;
+    its loss is smooth wherever these stay the same."""
+    taken = [model.conv._z > 0, model.pool._arg] + [d._z > 0 for d in model.extra_dense]
+    return b"".join(t.tobytes() for t in taken)
+
+
 def check_model(seeds: Sequence[int], tol: float = 1e-4,
                 eps: float = MODEL_EPS) -> GradReport:
     """End-to-end check of the full classification model on a micro
-    instance, for every cell variant, on a batch of MODEL_BATCH sequences.
+    instance, on a batch of MODEL_BATCH sequences: every cell variant at the
+    default switches, and every switch combination for SWITCHED_VARIANTS.
 
     Dropout rates are zeroed so the loss is deterministic; the loss is the
     summed binary cross-entropy against fixed labels. Parameters are redrawn
@@ -164,30 +204,40 @@ def check_model(seeds: Sequence[int], tol: float = 1e-4,
     model with gradients near 1e-12, underneath the central-difference
     resolution floor (machine epsilon times |loss| over eps, about 1e-11),
     where relative error is noise. The redraw keeps every gradient well
-    above that floor while exercising the same backward wiring. Entries are
-    named "<parameter> [<variant>]".
+    above that floor while exercising the same backward wiring; the extra
+    dense layers are 6 and 4 wide because through narrower ReLU layers the
+    signal reaching the head, and with it the gradients, fades towards that
+    floor. A coordinate whose step changes a ReLU or max-pool branch (see
+    ``_branches``) straddles a kink, where a central difference measures no
+    derivative; it is left out and counted in the entry's ``kinks``. Entries
+    are named "<parameter> [<variant> <lstm_position> tail<0|1> dense<0|1>]".
     """
-    from .layers import ModelHyper, ModelSpec, build_model
+    from .layers import ModelHyper, SentimentModel
     from .training import bce_loss
 
     hyper = ModelHyper(vocab_size=20, embed_dim=4, conv_filters=3,
                        kernel_size=2, pool_size=2, hidden=3, maxlen=6,
-                       spatial_dropout=0.0, dense_dropout=0.0)
+                       spatial_dropout=0.0, dense_dropout=0.0,
+                       extra_dense_dims=(6, 4))
     per_seed = []
     for seed in seeds:
-        for k, variant in enumerate(Variant):
+        for k, spec in enumerate(_model_specs()):
             rng = Rng(seed).derive(k)
-            model = build_model(ModelSpec(variant=variant), hyper, rng.derive(0))
+            model = SentimentModel(spec, hyper, rng.derive(0))
             shake = rng.derive(1)
             for _, arr in model.named_params():
                 arr[...] = shake.uniform(arr.shape, -0.7, 0.7)
             ids = (rng.uniform((MODEL_BATCH, 6)) * 20).astype(np.int64)
             y = np.ones(MODEL_BATCH)
+            stepped = []  # branches after each loss call: +eps, -eps per coordinate
 
             def loss() -> float:
-                return float(np.sum(bce_loss(model.forward(ids, training=False), y)[0]))
+                value = float(np.sum(bce_loss(model.forward(ids, training=False), y)[0]))
+                stepped.append(_branches(model))
+                return value
 
             _, dp = bce_loss(model.forward(ids, training=False), y)
+            taken = _branches(model)
             model.zero_grads()
             model.backward(dp)
 
@@ -195,9 +245,13 @@ def check_model(seeds: Sequence[int], tol: float = 1e-4,
             arrays = [arr for _, arr in model.named_params()]
             numeric = finite_diff(loss, arrays, eps)
             analytic = [model.grads[name] for name in names]
-            tag = variant.value.lower()
-            per_seed.append([_compare(f"{lbl} [{tag}]", a, num)
-                             for lbl, a, num in zip(names, analytic, numeric)])
+            smooth = np.array([up == taken == down
+                               for up, down in zip(stepped[::2], stepped[1::2])])
+            smooth = np.split(smooth, np.cumsum([arr.size for arr in arrays])[:-1])
+            tag = (f"{spec.variant.value.lower()} {spec.lstm_position} "
+                   f"tail{int(spec.bidirectional_tail)} dense{int(spec.extra_dense)}")
+            per_seed.append([_compare(f"{lbl} [{tag}]", a, num, ok)
+                             for lbl, a, num, ok in zip(names, analytic, numeric, smooth)])
     return GradReport("model", tol, _merge_worst(per_seed))
 
 

@@ -555,7 +555,3 @@ class SentimentModel:
                 feat = width
         total += feat + 1  # head
         return total
-
-
-def build_model(spec: ModelSpec, hyper: ModelHyper, rng: Rng) -> SentimentModel:
-    return SentimentModel(spec, hyper, rng)

@@ -16,9 +16,15 @@ end has a zero gradient (and zero slots), so its update is exactly 0; the
 result is bit-identical to updating the whole tensor. Vocabulary ids are
 ranked by frequency, so the rows an embedding gradient touches sit near
 the start of the table.
+
+Clipping sums such a tensor's squares over the same leading rows only, in
+the pairwise order numpy's whole-tensor ``np.sum`` uses, so the norm keeps
+every bit (see ``clip_by_global_norm``).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -27,20 +33,61 @@ from .errors import ConfigError, ShapeError
 LR_PRESETS = (1e-4, 1e-3, 3e-4)
 
 
+# numpy's pairwise summation (``pairwise_sum`` in its loops): a run of more
+# than this many elements is split in two and each half summed alone; a run
+# of at most this many is summed directly.
+PAIRWISE_BLOCK = 128
+
+
+def _prefix_sum_of_squares(flat: np.ndarray, n: int, end: int) -> float:
+    """``float(np.sum(flat[:n] ** 2))``, bit for bit, for a contiguous
+    ``flat`` that is zero from index ``end`` on, squaring only about
+    ``end`` entries.
+
+    ``np.sum`` over a contiguous float64 array is one pairwise tree: a run of
+    n > PAIRWISE_BLOCK elements splits at ``n//2 - (n//2) % 8``, a shorter
+    run is a leaf. A subtree wholly before ``end`` is the same ``np.sum`` on
+    the same run; one wholly past it sums to exactly 0.0, and adding 0.0 to a
+    sum of squares leaves it unchanged. So only the path along ``end`` is
+    walked, about 2·log2(n / PAIRWISE_BLOCK) calls.
+    """
+    if end <= 0:
+        return 0.0
+    if end >= n or n <= PAIRWISE_BLOCK:
+        part = flat[:n]
+        return float(np.sum(part * part))
+    half = n // 2
+    half -= half % 8
+    return (_prefix_sum_of_squares(flat, half, end)
+            + _prefix_sum_of_squares(flat[half:], n - half, end - half))
+
+
 def clip_by_global_norm(grads: dict[str, np.ndarray], max_norm: float,
                         rows: dict[str, np.ndarray] | None = None) -> float:
     """Scale all gradients in place so their joint L2 norm is <= max_norm;
     a max_norm of 0 only measures.
 
     ``rows`` names, per tensor, the rows that can be nonzero (see the module
-    docstring); only those are scaled. The norm is always summed over whole
-    tensors, because numpy's pairwise summation order depends on where the
-    nonzero entries sit. Returns the pre-clip norm.
+    docstring); only those are scaled. Such a tensor, which must be
+    C-contiguous, has its squares summed up to one past its last given row
+    only, in numpy's pairwise order over the whole tensor, so the norm equals
+    the whole-tensor ``np.sum(g * g)`` bit for bit; a sum over the given rows
+    alone would group the terms differently. Returns the pre-clip norm.
     """
-    total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+    rows = rows or {}
+    terms = []
+    for name, g in grads.items():
+        if name not in rows:
+            terms.append(float(np.sum(g * g)))
+            continue
+        if not g.flags.c_contiguous:
+            raise ShapeError(f"{name}: a gradient given with rows must be C-contiguous")
+        end = int(rows[name].max()) + 1 if len(rows[name]) else 0
+        width = math.prod(g.shape[1:])
+        terms.append(_prefix_sum_of_squares(g.reshape(-1), g.size, end * width))
+    total = float(np.sqrt(sum(terms)))
     if total > max_norm > 0.0:
         factor = max_norm / total
-        rows = rows or {}
         for name, g in grads.items():
             if name in rows:
                 g[rows[name]] *= factor
@@ -51,8 +98,8 @@ def clip_by_global_norm(grads: dict[str, np.ndarray], max_norm: float,
 
 class Optimizer:
     def __init__(self, lr: float):
-        if lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {lr}")
+        if not 0.0 < lr < math.inf:
+            raise ConfigError(f"learning rate must be positive and finite, got {lr}")
         self.lr = lr
         self.t = 0
         # Per tensor stepped so far: one past the last row given on any step,

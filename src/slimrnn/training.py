@@ -12,6 +12,7 @@ byte-for-byte the same.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -25,7 +26,6 @@ from .layers import (
     ModelHyper,
     ModelSpec,
     SentimentModel,
-    build_model,
 )
 from .optimizers import clip_by_global_norm, make_optimizer
 from .rng import Rng
@@ -74,6 +74,13 @@ class ExperimentConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not math.isfinite(self.lr):
+            raise ConfigError(f"lr must be finite, got {self.lr}")
+        # train clips when the norm exceeds clip_norm > 0, so 0, a negative
+        # value or NaN would switch clipping off silently; null is the way.
+        if self.clip_norm is not None and not 0.0 < self.clip_norm < math.inf:
+            raise ConfigError(
+                f"clip_norm must be null or finite and > 0, got {self.clip_norm}")
         self.extra_dense_dims = tuple(self.extra_dense_dims)
 
     @classmethod
@@ -121,7 +128,7 @@ class ExperimentConfig:
         )
 
     def build(self, rng: Rng) -> SentimentModel:
-        return build_model(self.model_spec(), self.model_hyper(), rng)
+        return SentimentModel(self.model_spec(), self.model_hyper(), rng)
 
 
 def _has_type(value, hint) -> bool:

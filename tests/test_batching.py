@@ -13,9 +13,9 @@ from slimrnn import (
     ModelHyper,
     ModelSpec,
     Rng,
+    SentimentModel,
     ShapeError,
     Variant,
-    build_model,
 )
 from slimrnn.training import bce_loss
 
@@ -30,7 +30,7 @@ SWITCHES = list(itertools.product(
 def shaken_model(spec: ModelSpec):
     """A micro model with every parameter redrawn at O(1) scale, so the
     gradients compared below sit far above roundoff."""
-    model = build_model(spec, ModelHyper(**HYPER), Rng(40))
+    model = SentimentModel(spec, ModelHyper(**HYPER), Rng(40))
     shake = Rng(41)
     for _, arr in model.named_params():
         arr[...] = shake.uniform(arr.shape, -0.7, 0.7)

@@ -151,6 +151,14 @@ class TestTrain:
         assert "epochs" in err and "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
+    def test_non_finite_config_value(self, tmp_path):
+        config_path = write_config(tmp_path, clip_norm=float("nan"))  # written as NaN
+        code, _, err = run_cli(["train", "--config", config_path,
+                                "--data", str(FIXTURE_CSV),
+                                "--out", str(tmp_path / "run")])
+        assert code == cli.EXIT_CONFIG
+        assert "clip_norm" in err and "Traceback" not in err
+
     def test_missing_data_file(self, tmp_path):
         config_path = write_config(tmp_path)
         code, _, err = run_cli(["train", "--config", config_path,

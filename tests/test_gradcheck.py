@@ -1,13 +1,27 @@
 """The finite-difference oracle and the checks built on it."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from slimrnn import NumericError, Variant
+from slimrnn import (
+    CNN_THEN_LSTM,
+    LSTM_THEN_CNN,
+    ModelHyper,
+    ModelSpec,
+    NumericError,
+    Rng,
+    SentimentModel,
+    Variant,
+)
 from slimrnn.gradcheck import (
     DEFAULT_EPS,
+    SWITCHED_VARIANTS,
     GradReport,
     ParamCheck,
+    _branches,
+    _compare,
     calibrate_oracle,
     check_model,
     check_module,
@@ -83,6 +97,37 @@ def test_model_check_passes_single_seed():
     assert report.passed, "\n".join(report.lines())
     assert any(e.name.startswith("tail.") for e in report.entries)
     assert any(e.name.startswith("conv.") for e in report.entries)
+    tags = {e.name.split(" [")[1].rstrip("]") for e in report.entries}
+    expected = {f"{v.value.lower()} {CNN_THEN_LSTM} tail1 dense0" for v in Variant}
+    expected |= {f"{v.value.lower()} {position} tail{tail} dense{dense}"
+                 for v, position, tail, dense in itertools.product(
+                     SWITCHED_VARIANTS, (CNN_THEN_LSTM, LSTM_THEN_CNN), (0, 1), (0, 1))}
+    assert tags == expected
+    assert any(e.name.startswith("dense1.") for e in report.entries)
+
+
+def test_compare_leaves_out_coordinates_at_kinks():
+    analytic, numeric = np.array([1.0, 2.0, 3.0]), np.array([1.0, 5.0, 3.0])
+    assert _compare("w", analytic, numeric).max_rel_err == pytest.approx(0.6)
+    check = _compare("w", analytic, numeric, np.array([True, False, True]))
+    assert (check.max_rel_err, check.mean_rel_err, check.kinks) == (0.0, 0.0, 1)
+    assert "(1 at kinks)" in "\n".join(GradReport("demo", 1e-5, [check]).lines())
+
+
+@pytest.mark.parametrize("layer", ["conv.bias", "dense0.bias", "dense1.bias"])
+def test_branches_change_when_a_relu_or_pool_decision_does(layer):
+    hyper = ModelHyper(vocab_size=20, embed_dim=4, conv_filters=3, kernel_size=2,
+                       pool_size=2, hidden=3, maxlen=6, spatial_dropout=0.0,
+                       dense_dropout=0.0, extra_dense_dims=(6, 4))
+    model = SentimentModel(ModelSpec(extra_dense=True), hyper, Rng(3))
+    ids = np.arange(18).reshape(3, 6)
+    model.forward(ids)
+    taken = _branches(model)
+    model.forward(ids)
+    assert _branches(model) == taken
+    dict(model.named_params())[layer][...] -= 10.0  # every unit of the layer goes dead
+    model.forward(ids)
+    assert _branches(model) != taken
 
 
 def test_check_module_dispatch():

@@ -15,7 +15,6 @@ from slimrnn import (
     Rng,
     ShapeError,
     Variant,
-    build_model,
 )
 from slimrnn.cells import init_params, sequence_forward
 from slimrnn.gradcheck import finite_diff, relative_error
@@ -27,6 +26,7 @@ from slimrnn.layers import (
     Embedding,
     MaxPool1D,
     Recurrent,
+    SentimentModel,
 )
 from slimrnn.training import bce_loss
 
@@ -287,7 +287,7 @@ class TestBidirectional:
 class TestSentimentModel:
     def build(self, **spec_overrides):
         spec = ModelSpec(**{"variant": Variant.LSTM0, **spec_overrides})
-        return build_model(spec, ModelHyper(**MICRO_HYPER), Rng(20))
+        return SentimentModel(spec, ModelHyper(**MICRO_HYPER), Rng(20))
 
     def test_probability_in_unit_interval(self):
         model = self.build()
@@ -298,14 +298,14 @@ class TestSentimentModel:
     def test_param_count_matches_closed_form_everywhere(self):
         for variant, position, extra in itertools.product(
                 Variant, (CNN_THEN_LSTM, LSTM_THEN_CNN), (False, True)):
-            model = build_model(ModelSpec(variant=variant, lstm_position=position,
+            model = SentimentModel(ModelSpec(variant=variant, lstm_position=position,
                                           extra_dense=extra),
                                 ModelHyper(**MICRO_HYPER), Rng(21))
             assert model.param_count() == model.expected_param_count(), (
                 variant, position, extra)
 
     def test_unidirectional_option(self):
-        model = build_model(ModelSpec(variant=Variant.LSTM2, bidirectional_tail=False),
+        model = SentimentModel(ModelSpec(variant=Variant.LSTM2, bidirectional_tail=False),
                             ModelHyper(**MICRO_HYPER), Rng(22))
         assert model.tail is None
         p = model.forward(np.arange(9) % 30)
@@ -344,7 +344,7 @@ class TestSentimentModel:
 
     def test_rnn_before_conv_ordering_backward(self):
         hyper = ModelHyper(**MICRO_HYPER)
-        model = build_model(ModelSpec(variant=Variant.LSTM1,
+        model = SentimentModel(ModelSpec(variant=Variant.LSTM1,
                                       lstm_position=LSTM_THEN_CNN),
                             hyper, Rng(24))
         shake = Rng(25)
@@ -369,12 +369,12 @@ class TestSentimentModel:
 
     def test_sequence_shorter_than_kernel_rejected(self):
         with pytest.raises(ConfigError):
-            build_model(ModelSpec(variant=Variant.LSTM0),
+            SentimentModel(ModelSpec(variant=Variant.LSTM0),
                         ModelHyper(**{**MICRO_HYPER, "maxlen": 2}), Rng(27))
 
     def test_pool_larger_than_conv_output_rejected(self):
         with pytest.raises(ConfigError):
-            build_model(ModelSpec(variant=Variant.LSTM0),
+            SentimentModel(ModelSpec(variant=Variant.LSTM0),
                         ModelHyper(**{**MICRO_HYPER, "pool_size": 12}), Rng(28))
 
     def test_bad_lstm_position(self):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import DenseReference
 
 from slimrnn import SGD, Adam, ConfigError, RMSprop, ShapeError, clip_by_global_norm
-from slimrnn.optimizers import LR_PRESETS, make_optimizer
+from slimrnn.optimizers import LR_PRESETS, _prefix_sum_of_squares, make_optimizer
 
 # Rows of a [12, 3] table given a gradient on successive steps. Row 1 gets
 # one gradient and never another, row 4 comes and goes, and rows 3, 5, 6,
@@ -178,11 +178,61 @@ def test_make_optimizer():
         make_optimizer("sgd", 0.0)
     with pytest.raises(ConfigError):
         make_optimizer("sgd", -1e-3)
+    for lr in (math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            make_optimizer("adam", lr)
 
 
 def test_lr_presets_sane():
     assert all(lr > 0 for lr in LR_PRESETS)
     assert 1e-3 in LR_PRESETS
+
+
+def row_sparse(n_rows: int, width: int, rows, seed: int = 0,
+               scale: float = 1.0) -> np.ndarray:
+    """A [n_rows, width] gradient that is zero outside ``rows``."""
+    g = np.zeros((n_rows, width))
+    g[list(rows)] = np.random.default_rng(seed).normal(size=(len(rows), width)) * scale
+    return g
+
+
+def prefix_norm_term(g: np.ndarray, rows) -> float:
+    end = max(rows) + 1 if len(rows) else 0
+    return _prefix_sum_of_squares(g.reshape(-1), g.size, end * g.shape[1])
+
+
+@st.composite
+def row_sparse_cases(draw):
+    n_rows = draw(st.integers(1, 300).filter(lambda n: n % 8))
+    width = draw(st.integers(1, 200))
+    rows = draw(st.one_of(
+        st.just([]), st.just([0]), st.just([n_rows - 1]),
+        st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=12, unique=True),
+        st.integers(1, n_rows).map(lambda end: list(range(end)))))
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    g = row_sparse(n_rows, width, rows, draw(st.integers(0, 2**32 - 1)), scale)
+    if rows and draw(st.booleans()):
+        g[rows[-1], draw(st.integers(0, width - 1))] = draw(
+            st.sampled_from([math.inf, -math.inf, math.nan]))
+    return g, rows
+
+
+@given(row_sparse_cases())
+@settings(max_examples=150, deadline=None)
+def test_prefix_norm_equals_whole_tensor_sum(case):
+    g, rows = case
+    expected, got = float(np.sum(g * g)), prefix_norm_term(g, rows)
+    assert got == expected or (math.isnan(got) and math.isnan(expected))
+
+
+@pytest.mark.parametrize("end", [1, 2, 127, 129, 2048, 2700, 10001, 19999, 20000])
+@pytest.mark.parametrize("every", [1, 7])
+def test_prefix_norm_at_the_reference_shape(end, every):
+    # [20000, 128] is about 15 pairwise levels deep. Every row, or every 7th
+    # row, before end is written, and the last row written is end - 1.
+    rows = sorted(set(range(0, end, every)) | {end - 1})
+    g = row_sparse(20000, 128, rows, seed=end)
+    assert prefix_norm_term(g, rows) == float(np.sum(g * g))
 
 
 class TestClipByGlobalNorm:
@@ -206,6 +256,26 @@ class TestClipByGlobalNorm:
         assert norm == clip_by_global_norm(ref, max_norm)
         for name in grads:
             assert grads[name].tobytes() == ref[name].tobytes(), name
+
+    @pytest.mark.parametrize("max_norm", [1e-3, 1e6, 0.0])
+    @pytest.mark.parametrize("shape,rows", [
+        ((3001, 37), [0, 5, 998, 1500, 1501, 2093]),
+        ((2000, 128), list(range(1500)) + [1999]),
+    ])
+    def test_deep_row_sets_scale_like_whole_tensors(self, max_norm, shape, rows):
+        # Tables many pairwise levels deep, written sparsely or in a dense prefix.
+        rng = np.random.default_rng(8)
+        grads = {"table": row_sparse(*shape, rows, seed=8), "bias": rng.normal(size=5)}
+        ref = {k: g.copy() for k, g in grads.items()}
+        norm = clip_by_global_norm(grads, max_norm, rows={"table": np.array(rows)})
+        assert norm == clip_by_global_norm(ref, max_norm)
+        for name in grads:
+            assert grads[name].tobytes() == ref[name].tobytes(), name
+
+    def test_rows_of_a_non_contiguous_gradient_rejected(self):
+        g = np.zeros((6, 4))[:, ::2]
+        with pytest.raises(ShapeError, match="C-contiguous"):
+            clip_by_global_norm({"t": g}, 1.0, rows={"t": np.array([1])})
 
     def test_noop_under_threshold(self):
         grads = {"a": np.array([0.3, 0.4])}

@@ -77,6 +77,15 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict({"seed": 1, key: value})
         assert key in str(err.value)
 
+    @pytest.mark.parametrize("key,value", [
+        ("clip_norm", 0), ("clip_norm", -1.0), ("clip_norm", float("nan")),
+        ("clip_norm", float("inf")), ("lr", float("nan")), ("lr", float("inf")),
+    ])
+    def test_from_dict_rejects_non_finite_lr_and_clip_norm_off_values(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(json.loads(json.dumps({"seed": 1, key: value})))
+        assert key in str(err.value)
+
     def test_from_dict_accepts_json_numbers_and_lists(self):
         config = ExperimentConfig.from_dict(
             {"seed": 1, "lr": 1, "clip_norm": None, "extra_dense_dims": [8, 4]})
