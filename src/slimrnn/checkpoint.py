@@ -2,12 +2,21 @@
 
 Every tensor is serialized as base64 over its little-endian float64 bytes,
 so a save/load round trip restores weights bit for bit on any platform.
+
+Neither direction holds a tensor's whole text next to its array. A save
+streams each tensor's base64 into the file SAVE_CHUNK_BYTES of raw bytes at
+a time, writing exactly the text ``json.dumps(checkpoint_payload(...),
+sort_keys=True, indent=2) + "\\n"``. A load decodes each blob LOAD_CHUNK_CHARS
+characters at a time, strictly (any character outside the base64 alphabet,
+or misplaced padding, is an error), straight into the new model's own
+array, and drops the blob's text once it is decoded.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import sys
 
 import numpy as np
 
@@ -19,33 +28,24 @@ from .training import ExperimentConfig
 
 FORMAT_VERSION = 1
 
-
-def _encode_array(arr: np.ndarray) -> dict:
-    return {
-        "shape": list(arr.shape),
-        "data": base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii"),
-    }
+# Both multiples of a base64 quantum (3 bytes, 4 characters), so every chunk
+# but a tensor's last encodes or decodes without padding.
+SAVE_CHUNK_BYTES = 3 << 16
+LOAD_CHUNK_CHARS = 4 << 16
 
 
-def _decode_array(blob: dict, name: str) -> np.ndarray:
-    try:
-        raw = base64.b64decode(blob["data"])
-        shape = tuple(blob["shape"])
-        flat = np.frombuffer(raw, dtype="<f8")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"checkpoint tensor {name!r} is malformed: {exc}") from None
-    if flat.size != int(np.prod(shape, dtype=np.int64)):
-        raise DataError(
-            f"checkpoint tensor {name!r}: {flat.size} values do not fill shape {shape}")
-    return flat.reshape(shape).astype(np.float64).copy()
+def _le_bytes(arr: np.ndarray) -> np.ndarray:
+    """The tensor's little-endian float64 bytes; a view when ``arr`` already
+    is contiguous little-endian float64."""
+    return np.ascontiguousarray(arr, dtype="<f8").reshape(-1).view(np.uint8)
 
 
-def checkpoint_payload(model, config: ExperimentConfig,
-                       vocab: Vocabulary | None = None) -> dict:
+def _payload(model, config: ExperimentConfig, vocab: Vocabulary | None, data) -> dict:
     payload = {
         "format_version": FORMAT_VERSION,
         "config": config.to_dict(),
-        "params": {name: _encode_array(arr) for name, arr in model.named_params()},
+        "params": {name: {"shape": list(arr.shape), "data": data(arr)}
+                   for name, arr in model.named_params()},
         "vocabulary": None,
     }
     if vocab is not None:
@@ -56,13 +56,83 @@ def checkpoint_payload(model, config: ExperimentConfig,
     return payload
 
 
+def checkpoint_payload(model, config: ExperimentConfig,
+                       vocab: Vocabulary | None = None) -> dict:
+    """The checkpoint as one JSON-ready dict, every tensor's base64 text in
+    memory. ``save_checkpoint`` writes the same text without building it."""
+    return _payload(model, config, vocab,
+                    lambda arr: base64.b64encode(_le_bytes(arr)).decode("ascii"))
+
+
+def _write_base64(handle, arr: np.ndarray) -> None:
+    raw = _le_bytes(arr)
+    for start in range(0, raw.size, SAVE_CHUNK_BYTES):
+        handle.write(base64.b64encode(raw[start:start + SAVE_CHUNK_BYTES]).decode("ascii"))
+
+
+def _write_json(handle, payload: dict) -> None:
+    """``json.dump(payload, handle, sort_keys=True, indent=2)`` for a payload
+    whose tensor data are still arrays, each written as its base64 string.
+
+    The encoder is a generator that calls ``default`` for an array just
+    before it yields that value's text: here the empty string's ``""``,
+    which is replaced by the quoted, streamed base64.
+    """
+    pending = []
+
+    def defer(obj):
+        if not isinstance(obj, np.ndarray):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        pending.append(obj)
+        return ""
+
+    for chunk in json.JSONEncoder(sort_keys=True, indent=2, default=defer).iterencode(payload):
+        if pending:
+            handle.write('"')
+            _write_base64(handle, pending.pop())
+            handle.write('"')
+        else:
+            handle.write(chunk)
+
+
 def save_checkpoint(path: str, model, config: ExperimentConfig,
                     vocab: Vocabulary | None = None) -> None:
     """Write the checkpoint atomically: a failed write keeps the old file."""
     with atomic_write(path) as handle:
-        json.dump(checkpoint_payload(model, config, vocab), handle,
-                  sort_keys=True, indent=2)
+        _write_json(handle, _payload(model, config, vocab, lambda arr: arr))
         handle.write("\n")
+
+
+def _decode_into(arr: np.ndarray, blob, name: str) -> None:
+    """Overwrite ``arr`` (C-contiguous float64) with a stored tensor, after
+    checking that the blob's shape and text length fit it."""
+    if not isinstance(blob, dict):
+        raise DataError(f"checkpoint tensor {name!r} is not an object")
+    shape, data = blob.get("shape"), blob.get("data")
+    if not isinstance(shape, list) or not all(type(k) is int and k >= 0 for k in shape):
+        raise DataError(
+            f"checkpoint tensor {name!r}: shape {shape!r} is not a list of "
+            f"non-negative ints")
+    if tuple(shape) != arr.shape:
+        raise DataError(
+            f"checkpoint tensor {name!r} has shape {tuple(shape)}, "
+            f"model expects {arr.shape}")
+    out = memoryview(arr).cast("B")
+    if not isinstance(data, str) or len(data) != 4 * -(-out.nbytes // 3):
+        raise DataError(
+            f"checkpoint tensor {name!r}: data is not {out.nbytes} bytes of base64")
+    for start in range(0, len(data), LOAD_CHUNK_CHARS):
+        at = start // 4 * 3
+        try:
+            raw = base64.b64decode(data[start:start + LOAD_CHUNK_CHARS], validate=True)
+        except ValueError as exc:
+            raise DataError(f"checkpoint tensor {name!r} is malformed: {exc}") from None
+        if len(raw) != min(LOAD_CHUNK_CHARS // 4 * 3, out.nbytes - at):
+            raise DataError(
+                f"checkpoint tensor {name!r}: base64 decodes to the wrong number of bytes")
+        out[at:at + len(raw)] = raw
+    if sys.byteorder != "little":
+        arr.byteswap(inplace=True)
 
 
 def load_checkpoint(path: str):
@@ -79,16 +149,20 @@ def load_checkpoint(path: str):
     except json.JSONDecodeError as exc:
         raise DataError(f"checkpoint {path} is not valid JSON: {exc}") from None
 
+    if not isinstance(payload, dict):
+        raise DataError(f"checkpoint {path} is not a JSON object")
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise DataError(f"unsupported checkpoint format_version {version!r}")
     if "config" not in payload or "params" not in payload:
         raise DataError("checkpoint is missing config or params")
+    stored = payload.pop("params")
+    if not isinstance(stored, dict):
+        raise DataError("checkpoint params is not an object")
 
     config = ExperimentConfig.from_dict(payload["config"])
     model = config.build(Rng(config.seed).derive(0))
 
-    stored = payload["params"]
     expected = dict(model.named_params())
     missing = sorted(set(expected) - set(stored))
     extra = sorted(set(stored) - set(expected))
@@ -96,12 +170,7 @@ def load_checkpoint(path: str):
         raise DataError(
             f"checkpoint params do not match the model: missing={missing} extra={extra}")
     for name, arr in expected.items():
-        loaded = _decode_array(stored[name], name)
-        if loaded.shape != arr.shape:
-            raise DataError(
-                f"checkpoint tensor {name!r} has shape {loaded.shape}, "
-                f"model expects {arr.shape}")
-        arr[...] = loaded
+        _decode_into(arr, stored.pop(name), name)
 
     vocab = None
     if payload.get("vocabulary"):
@@ -109,6 +178,6 @@ def load_checkpoint(path: str):
         try:
             vocab = Vocabulary({str(w): int(i) for w, i in v["word_to_id"].items()},
                                int(v["capacity"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"checkpoint vocabulary is malformed: {exc}") from None
     return model, config, vocab

@@ -39,12 +39,14 @@ class Embedding:
 
     Backward writes only the looked-up rows of the table gradient, so the
     layer records them, and zero_grads clears just those rows; the rest of
-    the gradient stays exactly zero.
+    the gradient stays exactly zero. It is allocated zeroed (``np.zeros``,
+    not ``zeros_like``, which writes every page), so rows never written
+    need not occupy memory.
     """
 
     def __init__(self, table: np.ndarray):
         self.table = table
-        self.grads = {"table": np.zeros_like(table)}
+        self.grads = {"table": np.zeros(table.shape, table.dtype)}
         self._written = np.zeros(table.shape[0], dtype=bool)
         self._ids = None
 

@@ -13,9 +13,10 @@ can be nonzero: this step's rows for SGD, and every row given on any step
 so far for RMSprop and Adam, whose slots keep a row moving after its
 gradient returns to zero. Every rule is elementwise, and a row past that
 end has a zero gradient (and zero slots), so its update is exactly 0; the
-result is bit-identical to updating the whole tensor. Vocabulary ids are
-ranked by frequency, so the rows an embedding gradient touches sit near
-the start of the table.
+result is bit-identical to updating the whole tensor. Such a tensor's slots
+are stored only up to that end, since every slot row past it is zero.
+Vocabulary ids are ranked by frequency, so the rows an embedding gradient
+touches sit near the start of the table.
 
 Clipping sums such a tensor's squares over the same leading rows only, in
 the pairwise order numpy's whole-tensor ``np.sum`` uses, so the norm keeps
@@ -97,6 +98,8 @@ def clip_by_global_norm(grads: dict[str, np.ndarray], max_norm: float,
 
 
 class Optimizer:
+    has_slots = False  # whether the rule keeps per-tensor state across steps
+
     def __init__(self, lr: float):
         if not 0.0 < lr < math.inf:
             raise ConfigError(f"learning rate must be positive and finite, got {lr}")
@@ -134,18 +137,20 @@ class Optimizer:
         self._check(params, grads, rows)
         self.t += 1
         for name, p in params.items():
-            g, slots = grads[name], self._slots(name, p)
+            g = grads[name]
             if name not in rows:
                 self.row_end[name] = None
             else:
                 end = int(rows[name].max()) + 1 if len(rows[name]) else 0
                 self.row_end[name] = max(end, self.row_end.get(name) or 0)
-                if slots:
+                if self.has_slots:
                     end = self.row_end[name]
-                p, g, slots = p[:end], g[:end], [s[:end] for s in slots]
-            self._rule(p, g, *slots)
+                p, g = p[:end], g[:end]
+            self._rule(p, g, *self._slots(name, p))
 
     def _slots(self, name: str, p: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The rule's slots for ``p``, the part of tensor ``name`` this step
+        updates."""
         return ()
 
     def _rule(self, p, g, *slots) -> None:
@@ -153,9 +158,18 @@ class Optimizer:
         raise NotImplementedError
 
     def _slot(self, store: dict, name: str, like: np.ndarray) -> np.ndarray:
-        if name not in store:
-            store[name] = np.zeros_like(like)
-        return store[name]
+        """A slot shaped like ``like``. For a tensor stepped by rows that is
+        its leading rows up to the row end, the only slot rows that can be
+        nonzero, so the slot grows, zero-filled, as the row end does. The
+        end rarely grows once the frequent words have been seen, so copies
+        are few."""
+        slot = store.get(name)
+        if slot is None or slot.shape != like.shape:
+            grown = np.zeros(like.shape, like.dtype)
+            if slot is not None:
+                grown[:len(slot)] = slot
+            store[name] = slot = grown
+        return slot
 
 
 class SGD(Optimizer):
@@ -169,6 +183,7 @@ class RMSprop(Optimizer):
     """Gradient scaled by a decaying RMS of its own history."""
 
     kind = "rmsprop"
+    has_slots = True
 
     def __init__(self, lr: float, rho: float = 0.9, eps: float = 1e-8):
         super().__init__(lr)
@@ -190,6 +205,7 @@ class Adam(Optimizer):
     square root."""
 
     kind = "adam"
+    has_slots = True
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):

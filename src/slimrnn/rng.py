@@ -6,6 +6,11 @@ arithmetic. Because each output depends only on (seed, counter), blocks of
 any size can be produced with vectorized numpy uint64 ops and the stream is
 identical on every platform for a given seed. Uniform doubles take the top
 53 bits, giving values in [0, 1).
+
+``uniform`` fills its output UNIFORM_BLOCK draws at a time, so a large draw
+(the 2.56M-entry embedding init) holds its result plus one block of
+temporaries, never several result-sized ones. Draw k depends only on k, so
+the values do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+UNIFORM_BLOCK = 1 << 16
 
 
 def _mix_scalar(z: int) -> int:
@@ -50,8 +57,13 @@ class Rng:
         if isinstance(shape, int):
             shape = (shape,)
         n = int(np.prod(shape)) if shape else 1
-        u = (self._raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        return (lo + (hi - lo) * u).reshape(shape)
+        out = np.empty(n)
+        for start in range(0, n, UNIFORM_BLOCK):
+            block = out[start:start + UNIFORM_BLOCK]
+            np.multiply(self._raw(len(block)) >> np.uint64(11), 2.0**-53, out=block)
+            block *= hi - lo
+            block += lo
+        return out.reshape(shape)
 
     def permutation(self, n: int) -> np.ndarray:
         """Uniform permutation of range(n): stable argsort of raw uint64 keys."""

@@ -85,6 +85,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(raw) - known)
         if unknown:

@@ -1,6 +1,8 @@
 """Checkpoint serialization: bit-exact restore and malformed-file handling."""
 
+import base64
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from conftest import make_separable_dataset, micro_config
 from slimrnn import checkpoint
 from slimrnn import (
     DataError,
+    ExperimentConfig,
     Rng,
     Vocabulary,
     load_checkpoint,
@@ -72,18 +75,37 @@ def test_save_is_atomic(trained, tmp_path, monkeypatch):
     payload = checkpoint.checkpoint_payload(model, config, vocab)
     assert before == (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
 
-    real_payload = checkpoint.checkpoint_payload
+    real_b64encode = base64.b64encode
+    chunks = []
 
-    def unserializable(*args):
-        broken = real_payload(*args)
-        broken["params"]["zzz"] = object()  # sorts last: fails mid-file
-        return broken
+    def failing(raw):
+        chunks.append(raw)
+        if len(chunks) == 5:  # conv.bias, the first tensor written, has 11
+            raise OSError("disk full")
+        return real_b64encode(raw)
 
-    monkeypatch.setattr(checkpoint, "checkpoint_payload", unserializable)
-    with pytest.raises(TypeError):
+    monkeypatch.setattr(checkpoint, "SAVE_CHUNK_BYTES", 3)
+    monkeypatch.setattr(checkpoint.base64, "b64encode", failing)
+    with pytest.raises(OSError):
         save_checkpoint(str(path), model, config, vocab)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.json"]
+
+
+@pytest.mark.parametrize("save_bytes, load_chars", [(3, 4), (6, 8), (9, 4), (3, 12)])
+def test_chunk_sizes_do_not_change_the_file_or_the_weights(trained, tmp_path, monkeypatch,
+                                                          save_bytes, load_chars):
+    model, config, vocab, _ = trained
+    reference = tmp_path / "reference.json"
+    save_checkpoint(str(reference), model, config, vocab)
+    monkeypatch.setattr(checkpoint, "SAVE_CHUNK_BYTES", save_bytes)
+    monkeypatch.setattr(checkpoint, "LOAD_CHUNK_CHARS", load_chars)
+    path = tmp_path / "chunked.json"
+    save_checkpoint(str(path), model, config, vocab)
+    assert path.read_bytes() == reference.read_bytes()
+    restored, _, _ = load_checkpoint(str(path))
+    for (_, a), (_, b) in zip(model.named_params(), restored.named_params()):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_missing_file():
@@ -133,13 +155,19 @@ def test_tampered_shape_detected(trained, tmp_path):
         load_checkpoint(str(path))
 
 
-def test_truncated_blob_detected(trained, tmp_path):
+@pytest.mark.parametrize("tamper", [
+    lambda data: data[: len(data) // 2],  # truncated
+    lambda data: data[:4] + "!" + data[5:],  # outside the alphabet, same length
+    lambda data: data[:4] + "A===" + data[8:],  # padding inside the data
+    lambda data: data[:-4] + "AAAA",  # 3 bytes where the last quantum holds fewer
+], ids=["truncated", "bad-character", "inner-padding", "overlong-tail"])
+def test_tampered_blob_detected(trained, tmp_path, tamper):
     model, config, vocab, _ = trained
-    path = tmp_path / "trunc.json"
+    path = tmp_path / "tampered.json"
     save_checkpoint(str(path), model, config, vocab)
     payload = json.loads(path.read_text())
     blob = payload["params"]["head.weights"]
-    blob["data"] = blob["data"][: len(blob["data"]) // 2]
+    blob["data"] = tamper(blob["data"])
     path.write_text(json.dumps(payload))
     with pytest.raises(DataError):
         load_checkpoint(str(path))
@@ -160,3 +188,69 @@ def test_unusual_but_valid_weights_round_trip(tmp_path):
     assert got[0, 0] == 5e-324
     assert np.signbit(got[0, 1])
     assert got[1, 0] == 1e308
+
+
+# -- the reference-size model: memory and bytes ------------------------------
+
+MB = 1 << 20
+
+
+def traced_peak(fn):
+    """(fn(), peak bytes that tracemalloc saw allocated while fn ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def nbytes(arrays) -> int:
+    return sum(arr.nbytes for arr in arrays)
+
+
+@pytest.fixture(scope="module")
+def reference(tmp_path_factory):
+    """The paper's reference model (20000x128 embedding, 2.7M parameters),
+    a full vocabulary, and its checkpoint file."""
+    config = ExperimentConfig(seed=3)
+    model = config.build(Rng(config.seed).derive(0))
+    vocab = Vocabulary({f"w{i}": i for i in range(1, config.vocab_size)},
+                       config.vocab_size)
+    path = tmp_path_factory.mktemp("reference") / "checkpoint.json"
+    save_checkpoint(str(path), model, config, vocab)
+    return model, config, vocab, path
+
+
+def test_reference_save_matches_json_dumps(reference):
+    model, config, vocab, path = reference
+    payload = checkpoint.checkpoint_payload(model, config, vocab)
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    table = payload["params"]["embedding.table"]["data"]
+    assert len(table) > 10 * checkpoint.SAVE_CHUNK_BYTES  # spans many chunks
+    assert path.read_bytes() == text.encode()
+
+
+def test_build_holds_one_copy_of_each_tensor():
+    config = ExperimentConfig(seed=3)
+    model, peak = traced_peak(lambda: config.build(Rng(config.seed).derive(0)))
+    live = nbytes(arr for _, arr in model.named_params()) + nbytes(model.grads.values())
+    assert peak <= live + 2 * MB, (peak / MB, live / MB)
+
+
+def test_save_streams_every_tensor(reference, tmp_path):
+    model, config, vocab, _ = reference
+    _, peak = traced_peak(
+        lambda: save_checkpoint(str(tmp_path / "c.json"), model, config, vocab))
+    assert peak < 4 * MB, peak / MB
+
+
+def test_load_decodes_in_place(reference):
+    model, _, _, path = reference
+    text = path.stat().st_size
+    blobs = sum(len(blob["data"]) for blob in json.loads(path.read_text())["params"].values())
+    (loaded, _, _), peak = traced_peak(lambda: load_checkpoint(str(path)))
+    live = nbytes(arr for _, arr in loaded.named_params()) + nbytes(loaded.grads.values())
+    assert peak <= text + blobs + live + 2 * MB, (peak / MB, (text + blobs + live) / MB)
+    for (name, a), (_, b) in zip(model.named_params(), loaded.named_params()):
+        assert a.tobytes() == b.tobytes(), name

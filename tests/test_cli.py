@@ -274,6 +274,38 @@ class TestEval:
                               "--data", str(FIXTURE_CSV)])
         assert code == cli.EXIT_DATA
 
+    @staticmethod
+    def _set_blob(payload, key, value):
+        payload["params"]["head.bias"][key] = value  # shape [1]
+        return payload
+
+    @staticmethod
+    def _insert_character(payload):
+        blob = payload["params"]["head.weights"]
+        blob["data"] = blob["data"][:4] + "!" + blob["data"][4:]
+        return payload
+
+    @pytest.mark.parametrize("corrupt, code", [
+        (lambda p: [p], cli.EXIT_DATA),
+        (lambda p: {**p, "params": 5}, cli.EXIT_DATA),
+        (lambda p: TestEval._set_blob(p, "shape", "ab"), cli.EXIT_DATA),
+        (lambda p: TestEval._set_blob(p, "shape", [[1]]), cli.EXIT_DATA),
+        (lambda p: TestEval._set_blob(p, "shape", [1.0]), cli.EXIT_DATA),
+        (lambda p: TestEval._insert_character(p), cli.EXIT_DATA),
+        (lambda p: {**p, "vocabulary": {"capacity": 40, "word_to_id": []}}, cli.EXIT_DATA),
+        (lambda p: {**p, "config": 5}, cli.EXIT_CONFIG),
+    ], ids=["top-level-list", "params-number", "shape-string", "shape-nested",
+            "shape-float", "non-base64-character", "word_to_id-list", "config-number"])
+    def test_malformed_checkpoint(self, trained_run, tmp_path, corrupt, code):
+        out_dir, _ = trained_run
+        payload = json.loads((out_dir / "checkpoint.json").read_text())
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(corrupt(payload)))
+        got, _, err = run_cli(["eval", "--checkpoint", str(path),
+                               "--data", str(FIXTURE_CSV), "--out", str(tmp_path)])
+        assert got == code
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestSweep:
     def test_batch_size_axis(self, tmp_path):

@@ -165,7 +165,7 @@ def test_row_step_visits_only_leading_rows(kind):
     assert np.isfinite(params["w"][:4]).all()
     assert (params["w"][4:] == 1.0).all()
     for slots in (getattr(opt, "m", {}), getattr(opt, "v", {})):
-        assert not slots or not slots["w"][4:].any()
+        assert not slots or slots["w"].shape == (4, 2)  # stored up to the row end
     assert opt.row_end == {"w": 4}
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slimrnn import ConfigError, Rng
+from slimrnn import ConfigError, Rng, rng
 
 _MASK = (1 << 64) - 1
 
@@ -58,8 +58,37 @@ def test_uniform_range_and_shapes():
     assert x.min() >= -2.0 and x.max() < 5.0
     assert r.uniform(4).shape == (4,)
     scalar = Rng(9).uniform(())
-    assert scalar.shape == ()
+    assert type(scalar) is np.ndarray and scalar.shape == () and scalar.dtype == np.float64
     assert 0.0 <= float(scalar) < 1.0
+    empty = r.uniform((0,))
+    assert type(empty) is np.ndarray and empty.shape == (0,) and empty.dtype == np.float64
+
+
+def _reference_uniform(seed: int, k: int, lo: float, hi: float) -> float:
+    """Draw k of a fresh ``Rng(seed).uniform`` stream, from the scalar
+    generator."""
+    raw = _mix((seed + (k + 1) * 0x9E3779B97F4A7C15) & _MASK)
+    return lo + (hi - lo) * ((raw >> 11) * 2.0**-53)
+
+
+@pytest.mark.parametrize("blocks", [1, 3.5])
+def test_uniform_across_block_boundaries(blocks):
+    block = rng.UNIFORM_BLOCK
+    n = int(blocks * block) + 1
+    lo, hi = -0.05, 0.05
+    x = Rng(42).uniform(n, lo, hi)
+    edges = {0, n - 1} | {k for b in range(block, n, block) for k in (b - 1, b)}
+    for k in sorted(edges):
+        assert x[k].tobytes() == np.float64(_reference_uniform(42, k, lo, hi)).tobytes(), k
+    small = Rng(42)
+    parts = [small.uniform(min(7919, n - start), lo, hi) for start in range(0, n, 7919)]
+    assert np.concatenate(parts).tobytes() == x.tobytes()
+
+
+def test_uniform_does_not_depend_on_block_size(monkeypatch):
+    expected = Rng(8).uniform((40, 25), -1.0, 3.0)
+    monkeypatch.setattr(rng, "UNIFORM_BLOCK", 7)
+    assert Rng(8).uniform((40, 25), -1.0, 3.0).tobytes() == expected.tobytes()
 
 
 def test_uniform_rejects_empty_interval():
