@@ -28,13 +28,7 @@ from .gradcheck import (
     finite_diff,
     relative_error,
 )
-from .layers import (
-    CNN_THEN_LSTM,
-    LSTM_THEN_CNN,
-    ModelHyper,
-    ModelSpec,
-    SentimentModel,
-)
+from .layers import CNN_THEN_LSTM, LSTM_THEN_CNN, SentimentModel
 from .optimizers import SGD, Adam, RMSprop, clip_by_global_norm, make_optimizer
 from .rng import Rng
 from .textdata import (
@@ -75,8 +69,6 @@ __all__ = [
     "GradReport",
     "LabeledDataset",
     "MetricsReport",
-    "ModelHyper",
-    "ModelSpec",
     "NumericError",
     "RMSprop",
     "Rng",

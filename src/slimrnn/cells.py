@@ -188,10 +188,6 @@ class SequenceCache:
         return self.x.shape[0]
 
 
-# CellGrads: a dict mirroring CellParams.tensors, same names and shapes.
-CellGrads = dict
-
-
 def _input_term(params: CellParams, x: np.ndarray) -> np.ndarray:
     """W x in the pre-activation layout, for inputs x [..., d]."""
     a = np.zeros(x.shape[:-1] + (params.width,))
@@ -244,8 +240,9 @@ def sequence_forward(params: CellParams, xs: np.ndarray,
     return h[1:], SequenceCache(xs, h, c, gates, c_hat)
 
 
-def zero_grads(params: CellParams) -> CellGrads:
-    """Zero gradients, as views into per-kind buffers like the parameters'."""
+def zero_grads(params: CellParams) -> dict[str, np.ndarray]:
+    """Zero gradients under params.tensors' names and shapes, as views into
+    per-kind buffers like the parameters'."""
     return params.views({kind: np.zeros_like(b) for kind, b in params.buffers.items()})
 
 

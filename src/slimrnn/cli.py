@@ -75,8 +75,6 @@ def _resolve_config(args) -> ExperimentConfig:
                 raise ConfigError(f"{SEED_ENV}={env!r} is not an integer") from None
     if "seed" not in raw:
         raise ConfigError(f"no seed: pass --seed, set it in the config, or export {SEED_ENV}")
-    if "extra_dense_dims" in raw and isinstance(raw["extra_dense_dims"], list):
-        raw["extra_dense_dims"] = tuple(raw["extra_dense_dims"])
     return ExperimentConfig.from_dict(raw)
 
 

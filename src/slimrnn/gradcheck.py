@@ -169,20 +169,25 @@ def check_variant(variant: Variant, seeds: Sequence[int], tol: float = 1e-5,
     return GradReport(variant.value, tol, _merge_worst(per_seed))
 
 
-def _model_specs() -> list:
-    """Every variant at the default switches, then every other combination
-    of lstm_position, extra_dense and bidirectional_tail for
-    SWITCHED_VARIANTS."""
-    from .layers import CNN_THEN_LSTM, LSTM_THEN_CNN, ModelSpec
+def _model_configs() -> list:
+    """The micro model at every variant with the default switches, then
+    every other combination of lstm_position, extra_dense and
+    bidirectional_tail for SWITCHED_VARIANTS."""
+    from .layers import CNN_THEN_LSTM, LSTM_THEN_CNN
+    from .training import ExperimentConfig
 
-    specs = [ModelSpec(variant=variant) for variant in Variant]
+    micro = ExperimentConfig(seed=0, vocab_size=20, embed_dim=4, conv_filters=3,
+                             kernel_size=2, pool_size=2, hidden=3, maxlen=6,
+                             spatial_dropout=0.0, dense_dropout=0.0,
+                             extra_dense_dims=(6, 4))
+    configs = [replace(micro, variant=variant.value.lower()) for variant in Variant]
     for variant, position, dense, tail in itertools.product(
             SWITCHED_VARIANTS, (CNN_THEN_LSTM, LSTM_THEN_CNN), (False, True), (True, False)):
-        spec = ModelSpec(variant=variant, lstm_position=position, extra_dense=dense,
-                         bidirectional_tail=tail)
-        if spec not in specs:
-            specs.append(spec)
-    return specs
+        config = replace(micro, variant=variant.value.lower(), lstm_position=position,
+                         extra_dense=dense, bidirectional_tail=tail)
+        if config not in configs:
+            configs.append(config)
+    return configs
 
 
 def _branches(model) -> bytes:
@@ -212,18 +217,13 @@ def check_model(seeds: Sequence[int], tol: float = 1e-4,
     derivative; it is left out and counted in the entry's ``kinks``. Entries
     are named "<parameter> [<variant> <lstm_position> tail<0|1> dense<0|1>]".
     """
-    from .layers import ModelHyper, SentimentModel
     from .training import bce_loss
 
-    hyper = ModelHyper(vocab_size=20, embed_dim=4, conv_filters=3,
-                       kernel_size=2, pool_size=2, hidden=3, maxlen=6,
-                       spatial_dropout=0.0, dense_dropout=0.0,
-                       extra_dense_dims=(6, 4))
     per_seed = []
     for seed in seeds:
-        for k, spec in enumerate(_model_specs()):
+        for k, config in enumerate(_model_configs()):
             rng = Rng(seed).derive(k)
-            model = SentimentModel(spec, hyper, rng.derive(0))
+            model = config.build(rng.derive(0))
             shake = rng.derive(1)
             for _, arr in model.named_params():
                 arr[...] = shake.uniform(arr.shape, -0.7, 0.7)
@@ -248,8 +248,8 @@ def check_model(seeds: Sequence[int], tol: float = 1e-4,
             smooth = np.array([up == taken == down
                                for up, down in zip(stepped[::2], stepped[1::2])])
             smooth = np.split(smooth, np.cumsum([arr.size for arr in arrays])[:-1])
-            tag = (f"{spec.variant.value.lower()} {spec.lstm_position} "
-                   f"tail{int(spec.bidirectional_tail)} dense{int(spec.extra_dense)}")
+            tag = (f"{config.variant} {config.lstm_position} "
+                   f"tail{int(config.bidirectional_tail)} dense{int(config.extra_dense)}")
             per_seed.append([_compare(f"{lbl} [{tag}]", a, num, ok)
                              for lbl, a, num, ok in zip(names, analytic, numeric, smooth)])
     return GradReport("model", tol, _merge_worst(per_seed))
@@ -280,7 +280,7 @@ def check_all(seeds: Sequence[int], tol: float = 1e-5,
 
 def calibrate_oracle(eps: float = DEFAULT_EPS, tol: float = 1e-8) -> GradReport:
     """Validate the oracle itself on closed-form derivatives before use."""
-    from .numeric import sigmoid, sigmoid_grad, tanh_act, tanh_grad
+    from .numeric import sigmoid, sigmoid_grad, tanh_grad
 
     entries = []
     w = np.array([3.0])
@@ -291,6 +291,6 @@ def calibrate_oracle(eps: float = DEFAULT_EPS, tol: float = 1e-8) -> GradReport:
     num = finite_diff(lambda: float(np.sum(sigmoid(x))), [x], eps)[0]
     entries.append(_compare("sigmoid", sigmoid_grad(sigmoid(x)), num))
 
-    num = finite_diff(lambda: float(np.sum(tanh_act(x))), [x], eps)[0]
-    entries.append(_compare("tanh", tanh_grad(tanh_act(x)), num))
+    num = finite_diff(lambda: float(np.sum(np.tanh(x))), [x], eps)[0]
+    entries.append(_compare("tanh", tanh_grad(np.tanh(x)), num))
     return GradReport("oracle-calibration", tol, entries)

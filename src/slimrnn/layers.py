@@ -12,7 +12,7 @@ forward of its own. The recurrent layers hand the cells time-major
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -29,6 +29,9 @@ from .cells import (
 from .errors import ConfigError, DataError, ShapeError
 from .numeric import sigmoid, sigmoid_grad
 from .rng import Rng
+
+if TYPE_CHECKING:
+    from .training import ExperimentConfig
 
 CNN_THEN_LSTM = "cnn-then-lstm"
 LSTM_THEN_CNN = "lstm-then-cnn"
@@ -342,40 +345,6 @@ class Bidirectional:
         return (d_xs_f + d_xs_b[::-1]).transpose(1, 0, 2)
 
 
-@dataclass
-class ModelHyper:
-    """Layer sizes and rates for the classification model."""
-
-    vocab_size: int = 20000
-    embed_dim: int = 128
-    conv_filters: int = 64
-    kernel_size: int = 5
-    pool_size: int = 4
-    hidden: int = 64
-    maxlen: int = 32
-    spatial_dropout: float = 0.4
-    dense_dropout: float = 0.2
-    extra_dense_dims: tuple[int, ...] = (64, 32, 16)
-
-
-@dataclass
-class ModelSpec:
-    """Architecture switches: which cell variant and how blocks are ordered."""
-
-    variant: Variant = Variant.LSTM0
-    lstm_position: str = CNN_THEN_LSTM
-    extra_dense: bool = False
-    bidirectional_tail: bool = True
-    alpha: float = 0.59
-    forget_bias: float = 1.0
-
-    def __post_init__(self):
-        if self.lstm_position not in (CNN_THEN_LSTM, LSTM_THEN_CNN):
-            raise ConfigError(
-                f"lstm_position must be {CNN_THEN_LSTM!r} or {LSTM_THEN_CNN!r}, "
-                f"got {self.lstm_position!r}")
-
-
 def _dense_init(out_dim: int, in_dim: int, rng: Rng, activation: str) -> Dense:
     s = 1.0 / np.sqrt(in_dim)
     return Dense(rng.uniform((out_dim, in_dim), -s, s), np.zeros(out_dim), activation)
@@ -388,70 +357,66 @@ class SentimentModel:
     maxpool, unidirectional variant cell, bidirectional tail, optional extra
     dense/dropout trio, sigmoid head reading the tail's final timestep.
     lstm-then-cnn runs the variant cell directly on embeddings and convolves
-    its hidden states instead.
+    its hidden states instead. Sizes, rates and switches are read from the
+    experiment config; its training fields play no part here.
     """
 
-    def __init__(self, spec: ModelSpec, hyper: ModelHyper, rng: Rng):
-        self.spec = spec
-        self.hyper = hyper
-        h = hyper
-        self._validate_lengths(spec, h)
+    def __init__(self, config: ExperimentConfig, rng: Rng):
+        self.config = c = config
+        self.variant = Variant.parse(c.variant)
+        self._validate_lengths(c)
 
         s_e = 0.05  # embedding init range, matching common framework defaults
-        self.embedding = Embedding(rng.uniform((h.vocab_size, h.embed_dim), -s_e, s_e))
-        self.spatial_dropout = Dropout(h.spatial_dropout, mode="spatial")
+        self.embedding = Embedding(rng.uniform((c.vocab_size, c.embed_dim), -s_e, s_e))
+        self.spatial_dropout = Dropout(c.spatial_dropout, mode="spatial")
 
-        conv_channels = h.embed_dim if spec.lstm_position == CNN_THEN_LSTM else h.hidden
-        s_k = 1.0 / np.sqrt(h.kernel_size * conv_channels)
+        conv_channels = c.embed_dim if c.lstm_position == CNN_THEN_LSTM else c.hidden
+        s_k = 1.0 / np.sqrt(c.kernel_size * conv_channels)
         self.conv = Conv1D(
-            rng.uniform((h.conv_filters, h.kernel_size, conv_channels), -s_k, s_k),
-            np.zeros(h.conv_filters), activation="relu")
-        self.pool = MaxPool1D(h.pool_size)
+            rng.uniform((c.conv_filters, c.kernel_size, conv_channels), -s_k, s_k),
+            np.zeros(c.conv_filters), activation="relu")
+        self.pool = MaxPool1D(c.pool_size)
 
-        rnn_in = h.conv_filters if spec.lstm_position == CNN_THEN_LSTM else h.embed_dim
+        rnn_in = c.conv_filters if c.lstm_position == CNN_THEN_LSTM else c.embed_dim
         self.rnn = Recurrent(init_params(
-            spec.variant, rnn_in, h.hidden, rng.derive(1),
-            alpha=spec.alpha, forget_bias=spec.forget_bias))
+            self.variant, rnn_in, c.hidden, rng.derive(1),
+            alpha=c.alpha, forget_bias=c.forget_bias))
 
-        tail_in = h.hidden if spec.lstm_position == CNN_THEN_LSTM else h.conv_filters
-        if spec.bidirectional_tail:
+        tail_in = c.hidden if c.lstm_position == CNN_THEN_LSTM else c.conv_filters
+        if c.bidirectional_tail:
             self.tail = Bidirectional(
-                init_params(Variant.LSTM0, tail_in, h.hidden, rng.derive(2),
-                            forget_bias=spec.forget_bias),
-                init_params(Variant.LSTM0, tail_in, h.hidden, rng.derive(3),
-                            forget_bias=spec.forget_bias))
-            feat = 2 * h.hidden
+                init_params(Variant.LSTM0, tail_in, c.hidden, rng.derive(2),
+                            forget_bias=c.forget_bias),
+                init_params(Variant.LSTM0, tail_in, c.hidden, rng.derive(3),
+                            forget_bias=c.forget_bias))
+            feat = 2 * c.hidden
         else:
             self.tail = None
             feat = tail_in
 
         self.extra_dense: list[Dense] = []
         self.extra_dropout: list[Dropout] = []
-        if spec.extra_dense:
+        if c.extra_dense:
             stage = rng.derive(4)
-            for width in h.extra_dense_dims:
+            for width in c.extra_dense_dims:
                 self.extra_dense.append(_dense_init(width, feat, stage, "relu"))
-                self.extra_dropout.append(Dropout(h.dense_dropout, mode="elementwise"))
+                self.extra_dropout.append(Dropout(c.dense_dropout, mode="elementwise"))
                 feat = width
 
         self.head = _dense_init(1, feat, rng.derive(5), "sigmoid")
         self._tail_T = None
 
     @staticmethod
-    def _validate_lengths(spec: ModelSpec, h: ModelHyper) -> None:
-        if spec.lstm_position == CNN_THEN_LSTM:
-            conv_out = h.maxlen - h.kernel_size + 1
-            chain = "embedding->conv"
-        else:
-            conv_out = h.maxlen - h.kernel_size + 1  # rnn preserves length
-            chain = "rnn->conv"
+    def _validate_lengths(c: ExperimentConfig) -> None:
+        conv_out = c.maxlen - c.kernel_size + 1  # the rnn preserves length
         if conv_out < 1:
+            chain = "embedding->conv" if c.lstm_position == CNN_THEN_LSTM else "rnn->conv"
             raise ConfigError(
-                f"{chain}: sequence length {h.maxlen} shorter than kernel_size "
-                f"{h.kernel_size}")
-        if conv_out // h.pool_size < 1:
+                f"{chain}: sequence length {c.maxlen} shorter than kernel_size "
+                f"{c.kernel_size}")
+        if conv_out // c.pool_size < 1:
             raise ConfigError(
-                f"conv->pool: conv output length {conv_out} < pool_size {h.pool_size}")
+                f"conv->pool: conv output length {conv_out} < pool_size {c.pool_size}")
 
     def _ordered_layers(self):
         layers = [("embedding", self.embedding), ("conv", self.conv), ("rnn", self.rnn)]
@@ -497,7 +462,7 @@ class SentimentModel:
         single = ids.ndim == 1
         x = self.embedding.forward(ids[None] if single else ids)
         x = self.spatial_dropout.forward(x, rng, training)
-        if self.spec.lstm_position == CNN_THEN_LSTM:
+        if self.config.lstm_position == CNN_THEN_LSTM:
             x = self.conv.forward(x)
             x = self.pool.forward(x)
             x = self.rnn.forward(x)
@@ -526,7 +491,7 @@ class SentimentModel:
         d_seq[:, -1] = d_feat
         if self.tail is not None:
             d_seq = self.tail.backward(d_seq)
-        if self.spec.lstm_position == CNN_THEN_LSTM:
+        if self.config.lstm_position == CNN_THEN_LSTM:
             d_seq = self.rnn.backward(d_seq)
             d_seq = self.pool.backward(d_seq)
             d_seq = self.conv.backward(d_seq)
@@ -540,19 +505,19 @@ class SentimentModel:
 
     def expected_param_count(self) -> int:
         """Closed-form total, cross-checkable against param_count()."""
-        h, spec = self.hyper, self.spec
-        total = h.vocab_size * h.embed_dim
-        conv_channels = h.embed_dim if spec.lstm_position == CNN_THEN_LSTM else h.hidden
-        total += h.conv_filters * h.kernel_size * conv_channels + h.conv_filters
-        rnn_in = h.conv_filters if spec.lstm_position == CNN_THEN_LSTM else h.embed_dim
-        total += count_params(spec.variant, rnn_in, h.hidden)
-        tail_in = h.hidden if spec.lstm_position == CNN_THEN_LSTM else h.conv_filters
+        c = self.config
+        total = c.vocab_size * c.embed_dim
+        conv_channels = c.embed_dim if c.lstm_position == CNN_THEN_LSTM else c.hidden
+        total += c.conv_filters * c.kernel_size * conv_channels + c.conv_filters
+        rnn_in = c.conv_filters if c.lstm_position == CNN_THEN_LSTM else c.embed_dim
+        total += count_params(self.variant, rnn_in, c.hidden)
+        tail_in = c.hidden if c.lstm_position == CNN_THEN_LSTM else c.conv_filters
         feat = tail_in
-        if spec.bidirectional_tail:
-            total += 2 * count_params(Variant.LSTM0, tail_in, h.hidden)
-            feat = 2 * h.hidden
-        if spec.extra_dense:
-            for width in h.extra_dense_dims:
+        if c.bidirectional_tail:
+            total += 2 * count_params(Variant.LSTM0, tail_in, c.hidden)
+            feat = 2 * c.hidden
+        if c.extra_dense:
+            for width in c.extra_dense_dims:
                 total += width * feat + width
                 feat = width
         total += feat + 1  # head

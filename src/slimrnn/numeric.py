@@ -18,12 +18,6 @@ def sigmoid_grad(s):
     return s * (1.0 - s)
 
 
-def tanh_act(x):
-    x = np.asarray(x, dtype=np.float64)
-    out = np.tanh(x)
-    return out if out.ndim else float(out)
-
-
 def tanh_grad(t):
     """Derivative of tanh expressed in its output: 1 - t^2."""
     return 1.0 - t * t

@@ -31,9 +31,6 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 
-LR_PRESETS = (1e-4, 1e-3, 3e-4)
-
-
 # numpy's pairwise summation (``pairwise_sum`` in its loops): a run of more
 # than this many elements is split in two and each half summed alone; a run
 # of at most this many is summed directly.

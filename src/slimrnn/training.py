@@ -21,12 +21,7 @@ import numpy as np
 
 from .cells import DEFAULT_ALPHA, DEFAULT_FORGET_BIAS, Variant
 from .errors import ConfigError, NumericError
-from .layers import (
-    CNN_THEN_LSTM,
-    ModelHyper,
-    ModelSpec,
-    SentimentModel,
-)
+from .layers import CNN_THEN_LSTM, LSTM_THEN_CNN, SentimentModel
 from .optimizers import clip_by_global_norm, make_optimizer
 from .rng import Rng
 from .textdata import LabeledDataset, split_train_val
@@ -38,9 +33,10 @@ THRESHOLD = 0.5
 EVAL_CHUNK = 32
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs besides the data itself. ``seed`` is mandatory."""
+    """Everything a run needs besides the data itself, the model's sizes and
+    switches included. ``seed`` is mandatory."""
 
     seed: int
     variant: str = "lstm0"
@@ -70,6 +66,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         Variant.parse(self.variant)  # raises ConfigError on junk
+        if self.lstm_position not in (CNN_THEN_LSTM, LSTM_THEN_CNN):
+            raise ConfigError(
+                f"lstm_position must be {CNN_THEN_LSTM!r} or {LSTM_THEN_CNN!r}, "
+                f"got {self.lstm_position!r}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -81,7 +81,7 @@ class ExperimentConfig:
         if self.clip_norm is not None and not 0.0 < self.clip_norm < math.inf:
             raise ConfigError(
                 f"clip_norm must be null or finite and > 0, got {self.clip_norm}")
-        self.extra_dense_dims = tuple(self.extra_dense_dims)
+        object.__setattr__(self, "extra_dense_dims", tuple(self.extra_dense_dims))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -105,32 +105,8 @@ class ExperimentConfig:
         out["extra_dense_dims"] = list(self.extra_dense_dims)
         return out
 
-    def model_spec(self) -> ModelSpec:
-        return ModelSpec(
-            variant=Variant.parse(self.variant),
-            lstm_position=self.lstm_position,
-            extra_dense=self.extra_dense,
-            bidirectional_tail=self.bidirectional_tail,
-            alpha=self.alpha,
-            forget_bias=self.forget_bias,
-        )
-
-    def model_hyper(self) -> ModelHyper:
-        return ModelHyper(
-            vocab_size=self.vocab_size,
-            embed_dim=self.embed_dim,
-            conv_filters=self.conv_filters,
-            kernel_size=self.kernel_size,
-            pool_size=self.pool_size,
-            hidden=self.hidden,
-            maxlen=self.maxlen,
-            spatial_dropout=self.spatial_dropout,
-            dense_dropout=self.dense_dropout,
-            extra_dense_dims=self.extra_dense_dims,
-        )
-
     def build(self, rng: Rng) -> SentimentModel:
-        return SentimentModel(self.model_spec(), self.model_hyper(), rng)
+        return SentimentModel(self, rng)
 
 
 def _has_type(value, hint) -> bool:

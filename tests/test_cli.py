@@ -123,7 +123,8 @@ class TestTrain:
         float(first[1]), float(first[2])
 
     def test_rerun_is_byte_identical(self, tmp_path):
-        config_path = write_config(tmp_path, epochs=1)
+        config_path = write_config(tmp_path, epochs=1, extra_dense=True,
+                                   extra_dense_dims=[8, 4])
         blobs = []
         for tag in ("a", "b"):
             out_dir = tmp_path / tag
@@ -133,6 +134,7 @@ class TestTrain:
             assert code == cli.EXIT_OK, err
             blobs.append((out_dir / "metrics.json").read_bytes())
         assert blobs[0] == blobs[1]
+        assert json.loads(blobs[0])["config"]["extra_dense_dims"] == [8, 4]
 
     def test_unknown_config_key(self, tmp_path):
         config_path = write_config(tmp_path, learning_rate=0.1)

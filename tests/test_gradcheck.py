@@ -1,6 +1,7 @@
 """The finite-difference oracle and the checks built on it."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,6 @@ import pytest
 from slimrnn import (
     CNN_THEN_LSTM,
     LSTM_THEN_CNN,
-    ModelHyper,
-    ModelSpec,
     NumericError,
     Rng,
     SentimentModel,
@@ -22,6 +21,7 @@ from slimrnn.gradcheck import (
     ParamCheck,
     _branches,
     _compare,
+    _model_configs,
     calibrate_oracle,
     check_model,
     check_module,
@@ -116,10 +116,7 @@ def test_compare_leaves_out_coordinates_at_kinks():
 
 @pytest.mark.parametrize("layer", ["conv.bias", "dense0.bias", "dense1.bias"])
 def test_branches_change_when_a_relu_or_pool_decision_does(layer):
-    hyper = ModelHyper(vocab_size=20, embed_dim=4, conv_filters=3, kernel_size=2,
-                       pool_size=2, hidden=3, maxlen=6, spatial_dropout=0.0,
-                       dense_dropout=0.0, extra_dense_dims=(6, 4))
-    model = SentimentModel(ModelSpec(extra_dense=True), hyper, Rng(3))
+    model = SentimentModel(replace(_model_configs()[0], extra_dense=True), Rng(3))
     ids = np.arange(18).reshape(3, 6)
     model.forward(ids)
     taken = _branches(model)

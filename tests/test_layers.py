@@ -1,6 +1,7 @@
 """Layer-by-layer behavior, plus assembly checks on the whole model."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,7 @@ from slimrnn import (
     LSTM_THEN_CNN,
     ConfigError,
     DataError,
-    ModelHyper,
-    ModelSpec,
+    ExperimentConfig,
     Rng,
     ShapeError,
     Variant,
@@ -30,9 +30,9 @@ from slimrnn.layers import (
 )
 from slimrnn.training import bce_loss
 
-MICRO_HYPER = dict(vocab_size=30, embed_dim=5, conv_filters=4, kernel_size=3,
-                   pool_size=2, hidden=3, maxlen=9,
-                   spatial_dropout=0.0, dense_dropout=0.0)
+MICRO = ExperimentConfig(seed=0, vocab_size=30, embed_dim=5, conv_filters=4,
+                         kernel_size=3, pool_size=2, hidden=3, maxlen=9,
+                         spatial_dropout=0.0, dense_dropout=0.0)
 
 
 class TestEmbedding:
@@ -285,9 +285,8 @@ class TestBidirectional:
 
 
 class TestSentimentModel:
-    def build(self, **spec_overrides):
-        spec = ModelSpec(**{"variant": Variant.LSTM0, **spec_overrides})
-        return SentimentModel(spec, ModelHyper(**MICRO_HYPER), Rng(20))
+    def build(self):
+        return SentimentModel(MICRO, Rng(20))
 
     def test_probability_in_unit_interval(self):
         model = self.build()
@@ -298,15 +297,15 @@ class TestSentimentModel:
     def test_param_count_matches_closed_form_everywhere(self):
         for variant, position, extra in itertools.product(
                 Variant, (CNN_THEN_LSTM, LSTM_THEN_CNN), (False, True)):
-            model = SentimentModel(ModelSpec(variant=variant, lstm_position=position,
-                                          extra_dense=extra),
-                                ModelHyper(**MICRO_HYPER), Rng(21))
+            config = replace(MICRO, variant=variant.value.lower(),
+                             lstm_position=position, extra_dense=extra)
+            model = SentimentModel(config, Rng(21))
             assert model.param_count() == model.expected_param_count(), (
                 variant, position, extra)
 
     def test_unidirectional_option(self):
-        model = SentimentModel(ModelSpec(variant=Variant.LSTM2, bidirectional_tail=False),
-                            ModelHyper(**MICRO_HYPER), Rng(22))
+        model = SentimentModel(replace(MICRO, variant="lstm2", bidirectional_tail=False),
+                               Rng(22))
         assert model.tail is None
         p = model.forward(np.arange(9) % 30)
         assert 0.0 < p < 1.0
@@ -343,10 +342,8 @@ class TestSentimentModel:
             assert model.forward(ids) == pytest.approx(expected, abs=1e-15)
 
     def test_rnn_before_conv_ordering_backward(self):
-        hyper = ModelHyper(**MICRO_HYPER)
-        model = SentimentModel(ModelSpec(variant=Variant.LSTM1,
-                                      lstm_position=LSTM_THEN_CNN),
-                            hyper, Rng(24))
+        model = SentimentModel(replace(MICRO, variant="lstm1", lstm_position=LSTM_THEN_CNN),
+                               Rng(24))
         shake = Rng(25)
         for _, arr in model.named_params():
             arr[...] = shake.uniform(arr.shape, -0.7, 0.7)
@@ -368,15 +365,15 @@ class TestSentimentModel:
             assert err[mask].max(initial=0.0) < 1e-4, name
 
     def test_sequence_shorter_than_kernel_rejected(self):
-        with pytest.raises(ConfigError):
-            SentimentModel(ModelSpec(variant=Variant.LSTM0),
-                        ModelHyper(**{**MICRO_HYPER, "maxlen": 2}), Rng(27))
+        with pytest.raises(ConfigError, match="embedding->conv"):
+            SentimentModel(replace(MICRO, maxlen=2), Rng(27))
+        with pytest.raises(ConfigError, match="rnn->conv"):
+            SentimentModel(replace(MICRO, maxlen=2, lstm_position=LSTM_THEN_CNN), Rng(27))
 
     def test_pool_larger_than_conv_output_rejected(self):
         with pytest.raises(ConfigError):
-            SentimentModel(ModelSpec(variant=Variant.LSTM0),
-                        ModelHyper(**{**MICRO_HYPER, "pool_size": 12}), Rng(28))
+            SentimentModel(replace(MICRO, pool_size=12), Rng(28))
 
     def test_bad_lstm_position(self):
         with pytest.raises(ConfigError):
-            ModelSpec(variant=Variant.LSTM0, lstm_position="cnn-after-lstm")
+            replace(MICRO, lstm_position="cnn-after-lstm")

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import DenseReference
 
 from slimrnn import SGD, Adam, ConfigError, RMSprop, ShapeError, clip_by_global_norm
-from slimrnn.optimizers import LR_PRESETS, _prefix_sum_of_squares, make_optimizer
+from slimrnn.optimizers import _prefix_sum_of_squares, make_optimizer
 
 # Rows of a [12, 3] table given a gradient on successive steps. Row 1 gets
 # one gradient and never another, row 4 comes and goes, and rows 3, 5, 6,
@@ -181,11 +181,6 @@ def test_make_optimizer():
     for lr in (math.nan, math.inf):
         with pytest.raises(ConfigError):
             make_optimizer("adam", lr)
-
-
-def test_lr_presets_sane():
-    assert all(lr > 0 for lr in LR_PRESETS)
-    assert 1e-3 in LR_PRESETS
 
 
 def row_sparse(n_rows: int, width: int, rows, seed: int = 0,

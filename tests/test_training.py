@@ -1,6 +1,8 @@
 """Config validation, loss, evaluation identities, the loop, and sweeps."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,7 +110,25 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             micro_config(batch_size=0)
         with pytest.raises(ConfigError):
-            micro_config(lstm_position="sideways").model_spec()
+            micro_config(lstm_position="sideways")
+
+    def test_frozen(self):
+        config = micro_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.epochs = 3
+        assert dataclasses.replace(config, epochs=3).epochs == 3
+
+    def test_readme_config_table_matches_defaults(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Config file\n", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split("|")[1:3] for line in section.splitlines()
+                if line.startswith("| `")]
+        table = {key.strip().strip("`"): cell.strip() for key, cell in rows}
+        defaults = ExperimentConfig(seed=0).to_dict()
+        assert table.keys() == defaults.keys()
+        assert table.pop("seed") == "required"
+        for key, cell in table.items():
+            assert json.loads(cell.strip("`")) == defaults[key], key
 
     def test_build_produces_model(self):
         model = micro_config().build(Rng(0))
