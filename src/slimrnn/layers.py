@@ -7,7 +7,9 @@ calls, until zero_grads()), and returns the gradient w.r.t. its input. The
 recurrent and conv layers release their caches in backward, so a batch's
 activations are freed before the optimizer step; each backward needs a
 forward of its own. The recurrent layers hand the cells time-major
-[T, B, features] views.
+[T, B, features] views. The embedding's gradient is row-sparse: it keeps a
+row end, past which every row is zero, and the model hands it to clipping
+and the optimizer as ``row_ends``.
 """
 
 from __future__ import annotations
@@ -41,29 +43,25 @@ class Embedding:
     """Token-id lookup table [V, e]: ids of any shape gain a trailing e axis.
 
     Backward writes only the looked-up rows of the table gradient, so the
-    layer records them, and zero_grads clears just those rows; the rest of
-    the gradient stays exactly zero. It is allocated zeroed (``np.zeros``,
-    not ``zeros_like``, which writes every page), so rows never written
-    need not occupy memory.
+    layer keeps ``row_end``, one past the highest row written since
+    zero_grads, and zero_grads clears just the rows before it; every row
+    from it on stays exactly zero. The gradient is allocated zeroed
+    (``np.zeros``, not ``zeros_like``, which writes every page), so rows
+    never reached need not occupy memory.
     """
 
     def __init__(self, table: np.ndarray):
         self.table = table
         self.grads = {"table": np.zeros(table.shape, table.dtype)}
-        self._written = np.zeros(table.shape[0], dtype=bool)
+        self.row_end = 0
         self._ids = None
 
     def params(self):
         return {"table": self.table}
 
-    def written_rows(self) -> np.ndarray:
-        """Sorted rows of the table gradient written since zero_grads."""
-        return np.flatnonzero(self._written)
-
     def zero_grads(self):
-        rows = self.written_rows()
-        self.grads["table"][rows] = 0.0
-        self._written[rows] = False
+        self.grads["table"][:self.row_end] = 0.0
+        self.row_end = 0
 
     def forward(self, ids: np.ndarray) -> np.ndarray:
         ids = np.asarray(ids)
@@ -78,7 +76,8 @@ class Embedding:
     def backward(self, d_out: np.ndarray):
         ids = self._ids.ravel()
         np.add.at(self.grads["table"], ids, d_out.reshape(-1, self.table.shape[1]))
-        self._written[ids] = True
+        if ids.size:
+            self.row_end = max(self.row_end, int(ids.max()) + 1)
         return None  # ids are discrete; nothing flows further back
 
 
@@ -99,14 +98,7 @@ class Dropout:
             raise ConfigError(f"unknown dropout mode {mode!r}")
         self.rate = rate
         self.mode = mode
-        self.grads = {}
         self._mask = None
-
-    def params(self):
-        return {}
-
-    def zero_grads(self):
-        pass
 
     def forward(self, x: np.ndarray, rng: Rng | None = None,
                 training: bool = False) -> np.ndarray:
@@ -192,15 +184,8 @@ class MaxPool1D:
         if pool < 1:
             raise ConfigError(f"pool size must be >= 1, got {pool}")
         self.pool = pool
-        self.grads = {}
         self._arg = None
         self._in_shape = None
-
-    def params(self):
-        return {}
-
-    def zero_grads(self):
-        pass
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 3:
@@ -440,10 +425,10 @@ class SentimentModel:
         return out
 
     @property
-    def grad_rows(self) -> dict[str, np.ndarray]:
-        """Per row-sparse gradient, the rows that can be nonzero (the
-        ``rows`` argument of clipping and the optimizers)."""
-        return {"embedding.table": self.embedding.written_rows()}
+    def row_ends(self) -> dict[str, int]:
+        """Per row-sparse gradient, the row from which it is zero (the
+        ``ends`` argument of clipping and the optimizers)."""
+        return {"embedding.table": self.embedding.row_end}
 
     def zero_grads(self) -> None:
         for _, layer in self._ordered_layers():

@@ -5,22 +5,21 @@ rules update the parameter arrays in place and are deterministic given
 (state, grads). Slot tensors are allocated lazily per name, so an optimizer
 binds to whatever parameter set it first sees.
 
-A caller may say, per tensor, which rows (indices along axis 0) of the
-gradient can be nonzero; every other row of that gradient must be zero,
-and such a tensor must be named on every step or on none. The step then
-updates, in place, only the leading rows up to the last one whose update
-can be nonzero: this step's rows for SGD, and every row given on any step
-so far for RMSprop and Adam, whose slots keep a row moving after its
-gradient returns to zero. Every rule is elementwise, and a row past that
-end has a zero gradient (and zero slots), so its update is exactly 0; the
-result is bit-identical to updating the whole tensor. Such a tensor's slots
-are stored only up to that end, since every slot row past it is zero.
-Vocabulary ids are ranked by frequency, so the rows an embedding gradient
-touches sit near the start of the table.
+A caller may give, per tensor, a row end: every row (index along axis 0)
+of the gradient from that end on is zero. A tensor not named ends at its
+last row. The step updates, in place, only the leading rows up to the
+largest end given for that tensor on any step so far, because slots keep a
+row moving after its gradient returns to zero. Every rule is elementwise,
+and a row past that end has a zero gradient and zero slots, so its update
+is exactly 0 (``p - lr * 0.0 == p`` for SGD, which has no slots): the
+result is bit-identical to updating the whole tensor. Slots are stored
+only up to that end and grow, zero-filled, when it does. Vocabulary ids
+are ranked by frequency, so the rows an embedding gradient touches sit
+near the start of the table.
 
-Clipping sums such a tensor's squares over the same leading rows only, in
-the pairwise order numpy's whole-tensor ``np.sum`` uses, so the norm keeps
-every bit (see ``clip_by_global_norm``).
+Clipping sums each tensor's squares up to its end only, in the pairwise
+order numpy's whole-tensor ``np.sum`` uses, so the norm keeps every bit
+(see ``clip_by_global_norm``).
 """
 
 from __future__ import annotations
@@ -60,54 +59,58 @@ def _prefix_sum_of_squares(flat: np.ndarray, n: int, end: int) -> float:
             + _prefix_sum_of_squares(flat[half:], n - half, end - half))
 
 
+def _row_ends(tensors: dict[str, np.ndarray],
+              ends: dict[str, int] | None) -> dict[str, int]:
+    """Each tensor's given row end, or its length if none is given."""
+    ends = ends or {}
+    unknown = sorted(ends.keys() - tensors.keys())
+    if unknown:
+        raise ShapeError(f"row end for unknown tensors {unknown}")
+    out = {}
+    for name, t in tensors.items():
+        out[name] = end = ends.get(name, len(t))
+        if not 0 <= end <= len(t):
+            raise ShapeError(f"{name}: row end {end} outside [0, {len(t)}]")
+    return out
+
+
 def clip_by_global_norm(grads: dict[str, np.ndarray], max_norm: float,
-                        rows: dict[str, np.ndarray] | None = None) -> float:
+                        ends: dict[str, int] | None = None) -> float:
     """Scale all gradients in place so their joint L2 norm is <= max_norm;
     a max_norm of 0 only measures.
 
-    ``rows`` names, per tensor, the rows that can be nonzero (see the module
-    docstring); only those are scaled. Such a tensor, which must be
-    C-contiguous, has its squares summed up to one past its last given row
-    only, in numpy's pairwise order over the whole tensor, so the norm equals
-    the whole-tensor ``np.sum(g * g)`` bit for bit; a sum over the given rows
+    ``ends`` gives, per tensor, the row from which its gradient is zero (see
+    the module docstring); only the rows before it are squared and scaled.
+    The squares are summed in numpy's pairwise order over the whole tensor
+    in C order, so for a C-contiguous gradient the norm equals the
+    whole-tensor ``np.sum(g * g)`` bit for bit; a sum over the written rows
     alone would group the terms differently. Returns the pre-clip norm.
     """
-    rows = rows or {}
-    terms = []
-    for name, g in grads.items():
-        if name not in rows:
-            terms.append(float(np.sum(g * g)))
-            continue
-        if not g.flags.c_contiguous:
-            raise ShapeError(f"{name}: a gradient given with rows must be C-contiguous")
-        end = int(rows[name].max()) + 1 if len(rows[name]) else 0
-        width = math.prod(g.shape[1:])
-        terms.append(_prefix_sum_of_squares(g.reshape(-1), g.size, end * width))
-    total = float(np.sqrt(sum(terms)))
+    ends = _row_ends(grads, ends)
+    total = float(np.sqrt(sum(
+        _prefix_sum_of_squares(g.reshape(-1), g.size, ends[name] * math.prod(g.shape[1:]))
+        for name, g in grads.items())))
     if total > max_norm > 0.0:
         factor = max_norm / total
         for name, g in grads.items():
-            if name in rows:
-                g[rows[name]] *= factor
-            else:
-                g *= factor
+            g[:ends[name]] *= factor
     return total
 
 
 class Optimizer:
-    has_slots = False  # whether the rule keeps per-tensor state across steps
-
     def __init__(self, lr: float):
         if not 0.0 < lr < math.inf:
-            raise ConfigError(f"learning rate must be positive and finite, got {lr}")
+            raise ConfigError(f"lr must be positive and finite, got {lr}")
         self.lr = lr
         self.t = 0
-        # Per tensor stepped so far: one past the last row given on any step,
-        # or None if it is stepped whole.
-        self.row_end: dict[str, int | None] = {}
+        # Per tensor stepped so far: the largest row end of any step.
+        self.row_end: dict[str, int] = {}
 
-    def _check(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-               rows: dict[str, np.ndarray]) -> None:
+    def apply_update(self, params: dict[str, np.ndarray],
+                     grads: dict[str, np.ndarray],
+                     ends: dict[str, int] | None = None) -> None:
+        """One step. ``ends`` maps a tensor name to the row from which its
+        gradient is zero; tensors not named end at their last row."""
         if params.keys() != grads.keys():
             missing = sorted(params.keys() - grads.keys())
             extra = sorted(grads.keys() - params.keys())
@@ -116,34 +119,12 @@ class Optimizer:
             if p.shape != grads[name].shape:
                 raise ShapeError(
                     f"{name}: param {p.shape} vs grad {grads[name].shape}")
-            if name in self.row_end and (self.row_end[name] is None) != (name not in rows):
-                raise ShapeError(
-                    f"{name}: rows must be given on every step or on none")
-        for name, r in rows.items():
-            if name not in params:
-                raise ShapeError(f"row set for unknown tensor {name!r}")
-            if len(r) and not 0 <= r.min() <= r.max() < len(params[name]):
-                raise ShapeError(f"{name}: rows outside [0, {len(params[name])})")
-
-    def apply_update(self, params: dict[str, np.ndarray],
-                     grads: dict[str, np.ndarray],
-                     rows: dict[str, np.ndarray] | None = None) -> None:
-        """One step. ``rows`` maps a tensor name to the rows of its gradient
-        that can be nonzero; tensors not named are updated whole."""
-        rows = rows or {}
-        self._check(params, grads, rows)
+        ends = _row_ends(grads, ends)
         self.t += 1
         for name, p in params.items():
-            g = grads[name]
-            if name not in rows:
-                self.row_end[name] = None
-            else:
-                end = int(rows[name].max()) + 1 if len(rows[name]) else 0
-                self.row_end[name] = max(end, self.row_end.get(name) or 0)
-                if self.has_slots:
-                    end = self.row_end[name]
-                p, g = p[:end], g[:end]
-            self._rule(p, g, *self._slots(name, p))
+            end = self.row_end[name] = max(ends[name], self.row_end.get(name, 0))
+            p = p[:end]
+            self._rule(p, grads[name][:end], *self._slots(name, p))
 
     def _slots(self, name: str, p: np.ndarray) -> tuple[np.ndarray, ...]:
         """The rule's slots for ``p``, the part of tensor ``name`` this step
@@ -155,11 +136,10 @@ class Optimizer:
         raise NotImplementedError
 
     def _slot(self, store: dict, name: str, like: np.ndarray) -> np.ndarray:
-        """A slot shaped like ``like``. For a tensor stepped by rows that is
-        its leading rows up to the row end, the only slot rows that can be
-        nonzero, so the slot grows, zero-filled, as the row end does. The
-        end rarely grows once the frequent words have been seen, so copies
-        are few."""
+        """A slot shaped like ``like``: the tensor's leading rows up to its
+        row end, the only slot rows that can be nonzero. The slot grows,
+        zero-filled, as the row end does. The end rarely grows once the
+        frequent words have been seen, so copies are few."""
         slot = store.get(name)
         if slot is None or slot.shape != like.shape:
             grown = np.zeros(like.shape, like.dtype)
@@ -180,7 +160,6 @@ class RMSprop(Optimizer):
     """Gradient scaled by a decaying RMS of its own history."""
 
     kind = "rmsprop"
-    has_slots = True
 
     def __init__(self, lr: float, rho: float = 0.9, eps: float = 1e-8):
         super().__init__(lr)
@@ -202,7 +181,6 @@ class Adam(Optimizer):
     square root."""
 
     kind = "adam"
-    has_slots = True
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):

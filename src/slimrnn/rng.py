@@ -15,6 +15,8 @@ the values do not depend on the block size.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError
@@ -25,6 +27,13 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 UNIFORM_BLOCK = 1 << 16
+
+# The same constants as numpy scalars, built once: a small draw would
+# otherwise spend much of its time converting them.
+_GOLDEN_U64 = np.uint64(_GOLDEN)
+_MIX1_U64 = np.uint64(_MIX1)
+_MIX2_U64 = np.uint64(_MIX2)
+_SHIFT = {bits: np.uint64(bits) for bits in (11, 27, 30, 31)}
 
 
 def _mix_scalar(z: int) -> int:
@@ -44,11 +53,11 @@ class Rng:
         """Next ``n`` uint64 outputs, advancing the counter."""
         idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
-        with np.errstate(over="ignore"):
-            z = (np.uint64(self.seed) + idx * np.uint64(_GOLDEN))
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-            return z ^ (z >> np.uint64(31))
+        # uint64 array arithmetic wraps silently; only numpy scalars warn.
+        z = np.uint64(self.seed) + idx * _GOLDEN_U64
+        z = (z ^ (z >> _SHIFT[30])) * _MIX1_U64
+        z = (z ^ (z >> _SHIFT[27])) * _MIX2_U64
+        return z ^ (z >> _SHIFT[31])
 
     def uniform(self, shape, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         """I.i.d. uniform draws in [lo, hi) as float64."""
@@ -56,11 +65,11 @@ class Rng:
             raise ConfigError(f"uniform bounds require lo < hi, got lo={lo}, hi={hi}")
         if isinstance(shape, int):
             shape = (shape,)
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)
         out = np.empty(n)
         for start in range(0, n, UNIFORM_BLOCK):
             block = out[start:start + UNIFORM_BLOCK]
-            np.multiply(self._raw(len(block)) >> np.uint64(11), 2.0**-53, out=block)
+            np.multiply(self._raw(len(block)) >> _SHIFT[11], 2.0**-53, out=block)
             block *= hi - lo
             block += lo
         return out.reshape(shape)

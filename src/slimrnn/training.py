@@ -74,8 +74,7 @@ class ExperimentConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not math.isfinite(self.lr):
-            raise ConfigError(f"lr must be finite, got {self.lr}")
+        make_optimizer(self.optimizer, self.lr)  # ConfigError on junk or lr not in (0, inf)
         # train clips when the norm exceeds clip_norm > 0, so 0, a negative
         # value or NaN would switch clipping off silently; null is the way.
         if self.clip_norm is not None and not 0.0 < self.clip_norm < math.inf:
@@ -261,13 +260,13 @@ def train(config: ExperimentConfig, dataset: LabeledDataset,
             model.backward(d_p / len(batch))
             epoch_loss += float(np.sum(loss))
             correct += int(np.sum((p > THRESHOLD) == (y == 1)))
-            grads, rows = model.grads, model.grad_rows
-            norm = clip_by_global_norm(grads, max_norm, rows)
+            grads, ends = model.grads, model.row_ends
+            norm = clip_by_global_norm(grads, max_norm, ends)
             if not np.isfinite(norm):
                 raise NumericError(
                     f"training diverged at epoch {epoch} batch {batch_index}: "
                     f"gradient norm is {norm}")
-            optimizer.apply_update(params, grads, rows)
+            optimizer.apply_update(params, grads, ends)
         val = evaluate(model, val_ds)
         train_accuracy = 100.0 * correct / n
         report.epochs.append(EpochMetrics(
@@ -365,16 +364,17 @@ class SweepResult:
 
 def run_sweep(base: ExperimentConfig, axis: str, values: list,
               dataset: LabeledDataset) -> SweepResult:
-    """Train once per value, everything else (seed included) held fixed."""
+    """Train once per value, everything else (seed included) held fixed. A
+    bad value raises ConfigError before the first run starts."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; pick one of {', '.join(SWEEP_AXES)}")
     if not values:
         raise ConfigError("sweep needs at least one value")
+    values = [coerce_axis_value(axis, raw) for raw in values]
+    configs = [replace(base, **{_AXIS_FIELD[axis]: value}) for value in values]
     rows = []
     reports = []
-    for raw in values:
-        value = coerce_axis_value(axis, raw)
-        config = replace(base, **{_AXIS_FIELD[axis]: value})
+    for value, config in zip(values, configs):
         report = train(config, dataset)[1]  # let each model go before the next is built
         final = report.final
         rows.append(SweepRow(value, final.positive_accuracy,

@@ -66,7 +66,7 @@ def separable_dataset() -> LabeledDataset:
 
 class DenseReference:
     """SGD, RMSprop and Adam written out over whole tensors, ignoring any
-    row sets: the reference the row-sparse optimizer step must match bit for
+    row ends: the reference the row-sparse optimizer step must match bit for
     bit."""
 
     def __init__(self, kind: str, lr: float, rho: float = 0.9, beta1: float = 0.9,
@@ -77,7 +77,7 @@ class DenseReference:
         self.m: dict = {}
         self.v: dict = {}
 
-    def apply_update(self, params, grads, rows=None):
+    def apply_update(self, params, grads, ends=None):
         self.t += 1
         for name, p in params.items():
             g = grads[name]

@@ -17,7 +17,7 @@ import pytest
 
 from conftest import FIXTURE_CSV, MICRO_DEFAULTS
 
-from slimrnn import cli
+from slimrnn import cli, training
 from slimrnn.training import EpochMetrics, MetricsReport
 
 
@@ -323,6 +323,18 @@ class TestSweep:
         assert [row["value"] for row in payload["rows"]] == [4, 8]
         assert (out_dir / "manifest.json").is_file()
         assert "Positive" in out and "Overall" in out
+
+    def test_bad_last_value_exits_before_any_training(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(training, "train", lambda *args, **kw: calls.append(args))
+        out_dir = tmp_path / "sweep"
+        code, _, err = run_cli(["sweep", "--config", write_config(tmp_path),
+                                "--data", str(FIXTURE_CSV), "--out", str(out_dir),
+                                "--axis", "optimizer", "--values", "adam,adamw"])
+        assert code == cli.EXIT_CONFIG
+        assert "adamw" in err and "Traceback" not in err
+        assert calls == []
+        assert not (out_dir / "sweep.json").exists()
 
     def test_bad_axis(self, tmp_path):
         config_path = write_config(tmp_path)

@@ -115,7 +115,7 @@ def test_row_step_equals_whole_table_step(kind):
         g_table[step] = rng.normal(size=(len(step), 3))
         grads = {"table": g_table, "bias": rng.normal(size=4)}
         opt.apply_update(fast, {k: g.copy() for k, g in grads.items()},
-                         rows={"table": np.array(step)})
+                         {"table": max(step) + 1})
         ref.apply_update(slow, grads)
         for name in fast:
             assert np.array_equal(fast[name], slow[name]), name
@@ -126,42 +126,77 @@ def test_row_step_equals_whole_table_step(kind):
             assert np.array_equal(slots[name], ref_slots[name]), name
 
 
-def test_rows_for_unknown_tensor_rejected():
-    with pytest.raises(ShapeError):
-        SGD(0.1).apply_update({"w": np.zeros(3)}, {"w": np.zeros(3)},
-                              rows={"q": np.array([0])})
-
-
-@pytest.mark.parametrize("bad", [np.array([3]), np.array([-1, 0])])
-def test_rows_outside_the_tensor_rejected(bad):
-    with pytest.raises(ShapeError):
-        SGD(0.1).apply_update({"w": np.zeros(3)}, {"w": np.zeros(3)}, rows={"w": bad})
+@st.composite
+def mixed_step_runs(draw):
+    """Steps on a [n_rows, 3] table, each either whole (no end given, any
+    row may be nonzero) or a prefix step (zero from a drawn end on), plus a
+    clip norm that fires on some of them."""
+    n_rows = draw(st.integers(1, 20))
+    seed = draw(st.integers(0, 2**32 - 1))
+    ends = draw(st.lists(st.one_of(st.none(), st.integers(0, n_rows)), min_size=1, max_size=8))
+    max_norm = draw(st.sampled_from([0.0, 0.5, 1e3]))
+    return n_rows, seed, ends, max_norm
 
 
 @pytest.mark.parametrize("kind", ["sgd", "rmsprop", "adam"])
-@pytest.mark.parametrize("first_rows", [True, False])
-def test_rows_named_on_some_steps_only_rejected(kind, first_rows):
-    # Slots stepped whole may be nonzero past any row end, and slots stepped
-    # by rows would miss their rows' moves in a whole step that followed.
-    opt = make_optimizer(kind, 0.1)
-    params, grads = {"w": np.ones((4, 2))}, {"w": np.ones((4, 2))}
-    with_rows = {"w": np.array([1])}
-    opt.apply_update(params, grads, with_rows if first_rows else None)
-    with pytest.raises(ShapeError, match="every step or on none"):
-        opt.apply_update(params, grads, None if first_rows else with_rows)
+@given(mixed_step_runs())
+@settings(max_examples=40, deadline=None)
+def test_mixed_whole_and_prefix_steps_equal_dense_reference(kind, run):
+    # A whole step grows the slots to the full table, zero-filled, so whole
+    # and prefix steps may follow each other in any order.
+    n_rows, seed, ends, max_norm = run
+    rng = np.random.default_rng(seed)
+    start = {"table": rng.normal(size=(n_rows, 3)), "bias": rng.normal(size=4)}
+    fast = {k: p.copy() for k, p in start.items()}
+    slow = {k: p.copy() for k, p in start.items()}
+    opt, ref = make_optimizer(kind, 0.05), DenseReference(kind, 0.05)
+    for end in ends:
+        grads = {"table": rng.normal(size=(n_rows, 3)), "bias": rng.normal(size=4)}
+        given_ends = {}
+        if end is not None:
+            grads["table"][end:] = 0.0
+            given_ends = {"table": end}
+        dense = {k: g.copy() for k, g in grads.items()}
+        assert clip_by_global_norm(grads, max_norm, given_ends) == clip_by_global_norm(
+            dense, max_norm)
+        opt.apply_update(fast, grads, given_ends)
+        ref.apply_update(slow, dense)
+        for name in fast:
+            assert fast[name].tobytes() == slow[name].tobytes(), name
+    for slots, ref_slots in ((getattr(opt, "m", {}), ref.m), (getattr(opt, "v", {}), ref.v)):
+        for name in slots:
+            full = np.zeros_like(ref_slots[name])
+            full[:len(slots[name])] = slots[name]
+            assert full.tobytes() == ref_slots[name].tobytes(), name
+
+
+def test_end_for_unknown_tensor_rejected():
+    with pytest.raises(ShapeError):
+        SGD(0.1).apply_update({"w": np.zeros(3)}, {"w": np.zeros(3)}, {"q": 0})
+    with pytest.raises(ShapeError):
+        clip_by_global_norm({"w": np.zeros(3)}, 1.0, {"q": 0})
+
+
+@pytest.mark.parametrize("bad", [4, -1])
+def test_end_outside_the_tensor_rejected(bad):
+    with pytest.raises(ShapeError, match="outside"):
+        SGD(0.1).apply_update({"w": np.zeros(3)}, {"w": np.zeros(3)}, {"w": bad})
+    with pytest.raises(ShapeError, match="outside"):
+        clip_by_global_norm({"w": np.zeros(3)}, 1.0, {"w": bad})
 
 
 @pytest.mark.parametrize("kind", ["sgd", "rmsprop", "adam"])
 def test_row_step_visits_only_leading_rows(kind):
-    # Rows past the last one given are neither read nor written: NaN put
-    # there in the gradient (which the caller promised is zero) goes nowhere.
+    # Rows from the largest end given on any step are neither read nor
+    # written: NaN put there in the gradient (which the caller promised is
+    # zero) goes nowhere.
     opt = make_optimizer(kind, 0.1)
     params = {"w": np.ones((6, 2))}
     for step in ([0, 2], [1], [3, 0]):
         grads = {"w": np.zeros((6, 2))}
         grads["w"][step] = 1.0
         grads["w"][4:] = np.nan
-        opt.apply_update(params, grads, {"w": np.array(step)})
+        opt.apply_update(params, grads, {"w": max(step) + 1})
     assert np.isfinite(params["w"][:4]).all()
     assert (params["w"][4:] == 1.0).all()
     for slots in (getattr(opt, "m", {}), getattr(opt, "v", {})):
@@ -241,13 +276,13 @@ class TestClipByGlobalNorm:
         assert grads["a"][0] / grads["b"][0] == pytest.approx(0.75)
 
     @pytest.mark.parametrize("max_norm", [0.05, 100.0, 0.0])
-    def test_row_sets_scale_like_whole_tensors(self, max_norm):
+    def test_row_ends_scale_like_whole_tensors(self, max_norm):
         rng = np.random.default_rng(6)
         table = np.zeros((40, 3))
         table[[2, 17, 30]] = rng.normal(size=(3, 3))
         grads = {"table": table, "bias": rng.normal(size=5)}
         ref = {k: g.copy() for k, g in grads.items()}
-        norm = clip_by_global_norm(grads, max_norm, rows={"table": np.array([2, 17, 30])})
+        norm = clip_by_global_norm(grads, max_norm, {"table": 31})
         assert norm == clip_by_global_norm(ref, max_norm)
         for name in grads:
             assert grads[name].tobytes() == ref[name].tobytes(), name
@@ -257,20 +292,25 @@ class TestClipByGlobalNorm:
         ((3001, 37), [0, 5, 998, 1500, 1501, 2093]),
         ((2000, 128), list(range(1500)) + [1999]),
     ])
-    def test_deep_row_sets_scale_like_whole_tensors(self, max_norm, shape, rows):
+    def test_deep_row_ends_scale_like_whole_tensors(self, max_norm, shape, rows):
         # Tables many pairwise levels deep, written sparsely or in a dense prefix.
         rng = np.random.default_rng(8)
         grads = {"table": row_sparse(*shape, rows, seed=8), "bias": rng.normal(size=5)}
         ref = {k: g.copy() for k, g in grads.items()}
-        norm = clip_by_global_norm(grads, max_norm, rows={"table": np.array(rows)})
+        norm = clip_by_global_norm(grads, max_norm, {"table": max(rows) + 1})
         assert norm == clip_by_global_norm(ref, max_norm)
         for name in grads:
             assert grads[name].tobytes() == ref[name].tobytes(), name
 
-    def test_rows_of_a_non_contiguous_gradient_rejected(self):
+    @pytest.mark.parametrize("ends", [{}, {"t": 2}])
+    def test_non_contiguous_gradient_clips_like_its_copy(self, ends):
+        # Squares are summed in C order, so a strided view gets the norm of
+        # its contiguous copy and is scaled in place.
         g = np.zeros((6, 4))[:, ::2]
-        with pytest.raises(ShapeError, match="C-contiguous"):
-            clip_by_global_norm({"t": g}, 1.0, rows={"t": np.array([1])})
+        g[:2] = np.arange(4.0).reshape(2, 2) + 1.0
+        copy = np.ascontiguousarray(g)
+        assert clip_by_global_norm({"t": g}, 1.0, ends) == clip_by_global_norm({"t": copy}, 1.0)
+        assert g.tobytes() == copy.tobytes()
 
     def test_noop_under_threshold(self):
         grads = {"a": np.array([0.3, 0.4])}

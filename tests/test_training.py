@@ -88,6 +88,14 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict(json.loads(json.dumps({"seed": 1, key: value})))
         assert key in str(err.value)
 
+    @pytest.mark.parametrize("key,value", [
+        ("optimizer", "adamw"), ("lr", 0.0), ("lr", -1.0),
+    ])
+    def test_rejects_unknown_optimizer_and_non_positive_lr(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(seed=1, **{key: value})
+        assert key in str(err.value)
+
     def test_from_dict_accepts_json_numbers_and_lists(self):
         config = ExperimentConfig.from_dict(
             {"seed": 1, "lr": 1, "clip_norm": None, "extra_dense_dims": [8, 4]})
@@ -353,3 +361,15 @@ class TestSweep:
     def test_empty_values_rejected(self, separable_dataset):
         with pytest.raises(ConfigError):
             run_sweep(micro_config(), "lr", [], separable_dataset)
+
+    @pytest.mark.parametrize("axis,values", [
+        ("optimizer", ["adam", "adamw"]), ("variant", ["lstm0", "lstm1", "lstm9"]),
+        ("lr", ["0.01", "-1"]),
+    ])
+    def test_bad_last_value_rejected_before_any_training(
+            self, separable_dataset, monkeypatch, axis, values):
+        calls = []
+        monkeypatch.setattr(training, "train", lambda *args, **kw: calls.append(args))
+        with pytest.raises(ConfigError):
+            run_sweep(micro_config(), axis, values, separable_dataset)
+        assert calls == []
