@@ -33,6 +33,7 @@ of Appleyard et al. 2016, arXiv 1604.01946).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -329,16 +330,24 @@ def init_params(variant: Variant, d: int, n: int, rng: Rng,
     if d < 1 or n < 1:
         raise ConfigError(f"dimensions must be positive, got d={d}, n={n}")
     s_in, s_rec = 1.0 / np.sqrt(d), 1.0 / np.sqrt(n)
-    tensors = {}
-    for name in param_names(variant):
-        kind = name.split("_")[0]
-        shape = _expected_shape(name, d, n)
-        if kind == "W":
-            tensors[name] = rng.uniform(shape, -s_in, s_in)
-        elif kind in ("U", "u"):
-            tensors[name] = rng.uniform(shape, -s_rec, s_rec)
-        else:
+    scale = {"W": s_in, "U": s_rec, "u": s_rec}
+    shapes = {name: _expected_shape(name, d, n) for name in param_names(variant)}
+    # One draw for every weight, in name order, then each slice is scaled the
+    # way rng.uniform(shape, -s, s) scales its draws: the same bits as one
+    # draw per tensor, for one call's overhead.
+    flat = rng.uniform(sum(math.prod(shape) for name, shape in shapes.items()
+                           if name.split("_")[0] in scale))
+    tensors, start = {}, 0
+    for name, shape in shapes.items():
+        s = scale.get(name.split("_")[0])
+        if s is None:
             tensors[name] = np.zeros(shape)
+            continue
+        t = flat[start:start + math.prod(shape)]
+        start += t.size
+        t *= s - -s
+        t += -s
+        tensors[name] = t.reshape(shape)
     if "b_f" in tensors:
         tensors["b_f"] += forget_bias
     return CellParams(variant, d, n, tensors, alpha=alpha)

@@ -241,10 +241,10 @@ def check_model(seeds: Sequence[int], tol: float = 1e-4,
             model.zero_grads()
             model.backward(dp)
 
-            names = [name for name, _ in model.named_params()]
-            arrays = [arr for _, arr in model.named_params()]
+            names, arrays = zip(*model.named_params())
             numeric = finite_diff(loss, arrays, eps)
-            analytic = [model.grads[name] for name in names]
+            grads = model.grads
+            analytic = [grads[name] for name in names]
             smooth = np.array([up == taken == down
                                for up, down in zip(stepped[::2], stepped[1::2])])
             smooth = np.split(smooth, np.cumsum([arr.size for arr in arrays])[:-1])

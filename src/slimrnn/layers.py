@@ -2,11 +2,12 @@
 
 Every layer is batch-major: sequences travel as [B, T, features] and
 vectors as [B, features]. Each layer caches what its backward pass needs on
-forward, accumulates parameter gradients into its ``grads`` dict (across
-calls, until zero_grads()), and returns the gradient w.r.t. its input. The
-recurrent and conv layers release their caches in backward, so a batch's
-activations are freed before the optimizer step; each backward needs a
-forward of its own. The recurrent layers hand the cells time-major
+forward, accumulates parameter gradients into its ``grads`` dict across
+calls, and returns the gradient w.r.t. its input. Layers do not zero their
+own gradients: the model zeroes all of them in one loop
+(SentimentModel.zero_grads). The recurrent and conv layers release their
+caches in backward, so a batch's activations are freed before the optimizer
+step; each backward needs a forward of its own. The recurrent layers hand the cells time-major
 [T, B, features] views. The embedding's gradient is row-sparse: it keeps a
 row end, past which every row is zero, and the model hands it to clipping
 and the optimizer as ``row_ends``.
@@ -43,9 +44,9 @@ class Embedding:
     """Token-id lookup table [V, e]: ids of any shape gain a trailing e axis.
 
     Backward writes only the looked-up rows of the table gradient, so the
-    layer keeps ``row_end``, one past the highest row written since
-    zero_grads, and zero_grads clears just the rows before it; every row
-    from it on stays exactly zero. The gradient is allocated zeroed
+    layer keeps ``row_end``, one past the highest row written since the
+    model's zero_grads, which clears just the rows before it and resets it;
+    every row from it on stays exactly zero. The gradient is allocated zeroed
     (``np.zeros``, not ``zeros_like``, which writes every page), so rows
     never reached need not occupy memory.
     """
@@ -58,10 +59,6 @@ class Embedding:
 
     def params(self):
         return {"table": self.table}
-
-    def zero_grads(self):
-        self.grads["table"][:self.row_end] = 0.0
-        self.row_end = 0
 
     def forward(self, ids: np.ndarray) -> np.ndarray:
         ids = np.asarray(ids)
@@ -118,26 +115,20 @@ class Dropout:
 
 
 class Conv1D:
-    """Valid cross-correlation, stride 1: kernels [F, k, C] over inputs
-    [B, L, C], computed as one GEMM over im2col rows [B * L_out, k * C].
-    The input, not its k times larger im2col copy, is kept for backward."""
+    """Valid cross-correlation, stride 1, then ReLU: kernels [F, k, C] over
+    inputs [B, L, C], computed as one GEMM over im2col rows
+    [B * L_out, k * C]. The input, not its k times larger im2col copy, is
+    kept for backward."""
 
-    def __init__(self, kernels: np.ndarray, bias: np.ndarray, activation: str = "relu"):
-        if activation not in ("relu", "none"):
-            raise ConfigError(f"conv activation must be relu or none, got {activation!r}")
+    def __init__(self, kernels: np.ndarray, bias: np.ndarray):
         self.kernels = kernels
         self.bias = bias
-        self.activation = activation
         self.grads = {"kernels": np.zeros_like(kernels), "bias": np.zeros_like(bias)}
         self._x = None
         self._z = None
 
     def params(self):
         return {"kernels": self.kernels, "bias": self.bias}
-
-    def zero_grads(self):
-        for g in self.grads.values():
-            g[:] = 0.0
 
     @staticmethod
     def _im2col(x: np.ndarray, k: int) -> np.ndarray:
@@ -155,11 +146,11 @@ class Conv1D:
         self._x = x
         z = self._im2col(x, k) @ self.kernels.reshape(F, k * C).T + self.bias
         self._z = z.reshape(x.shape[0], -1, F)
-        return np.maximum(self._z, 0.0) if self.activation == "relu" else self._z
+        return np.maximum(self._z, 0.0)
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         F, k, C = self.kernels.shape
-        dz = d_out * (self._z > 0) if self.activation == "relu" else d_out
+        dz = d_out * (self._z > 0)
         B, L_out, _ = dz.shape
         dz_rows = dz.reshape(B * L_out, F)
         self.grads["kernels"] += (dz_rows.T @ self._im2col(self._x, k)).reshape(F, k, C)
@@ -225,10 +216,6 @@ class Dense:
     def params(self):
         return {"weights": self.weights, "bias": self.bias}
 
-    def zero_grads(self):
-        for g in self.grads.values():
-            g[:] = 0.0
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.weights.shape[1]:
             raise ShapeError(f"dense: input {x.shape}, expected [B, {self.weights.shape[1]}]")
@@ -267,10 +254,6 @@ class Recurrent:
     def params(self):
         return dict(self.cell.tensors)
 
-    def zero_grads(self):
-        for g in self.grads.values():
-            g[:] = 0.0
-
     def forward(self, xs: np.ndarray) -> np.ndarray:
         hs, self._cache = sequence_forward(self.cell, xs.transpose(1, 0, 2))
         return hs.transpose(1, 0, 2)
@@ -305,10 +288,6 @@ class Bidirectional:
         out.update({f"bwd.{k}": v for k, v in self.bwd.tensors.items()})
         return out
 
-    def zero_grads(self):
-        for g in self.grads.values():
-            g[:] = 0.0
-
     def forward(self, xs: np.ndarray) -> np.ndarray:
         xs_t = xs.transpose(1, 0, 2)
         hs_f, cache_f = sequence_forward(self.fwd, xs_t)
@@ -330,6 +309,23 @@ class Bidirectional:
         return (d_xs_f + d_xs_b[::-1]).transpose(1, 0, 2)
 
 
+class LastStep:
+    """The final timestep of [B, T, F], as [B, F]; backward puts the
+    gradient back at step T - 1 and zeros everywhere else."""
+
+    def __init__(self):
+        self._in_shape = None
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self._in_shape = x.shape
+        return x[:, -1]
+
+    def backward(self, d_out: np.ndarray) -> np.ndarray:
+        d_x = np.zeros(self._in_shape)
+        d_x[:, -1] = d_out
+        return d_x
+
+
 def _dense_init(out_dim: int, in_dim: int, rng: Rng, activation: str) -> Dense:
     s = 1.0 / np.sqrt(in_dim)
     return Dense(rng.uniform((out_dim, in_dim), -s, s), np.zeros(out_dim), activation)
@@ -343,31 +339,38 @@ class SentimentModel:
     dense/dropout trio, sigmoid head reading the tail's final timestep.
     lstm-then-cnn runs the variant cell directly on embeddings and convolves
     its hidden states instead. Sizes, rates and switches are read from the
-    experiment config; its training fields play no part here.
+    experiment config (which has already checked them); its training fields
+    play no part here.
+
+    The constructor fixes the structure once: the sequence chain between
+    spatial dropout and the dense stack, which forward runs in order and
+    backward in reverse, and the parameter and gradient name tables, in the
+    order embedding, conv, rnn, tail, dense*, head for both positions.
+    Clipping sums squares tensor by tensor in that order.
     """
 
     def __init__(self, config: ExperimentConfig, rng: Rng):
         self.config = c = config
         self.variant = Variant.parse(c.variant)
-        self._validate_lengths(c)
+        cnn_first = c.lstm_position == CNN_THEN_LSTM
 
         s_e = 0.05  # embedding init range, matching common framework defaults
         self.embedding = Embedding(rng.uniform((c.vocab_size, c.embed_dim), -s_e, s_e))
         self.spatial_dropout = Dropout(c.spatial_dropout, mode="spatial")
 
-        conv_channels = c.embed_dim if c.lstm_position == CNN_THEN_LSTM else c.hidden
+        conv_channels = c.embed_dim if cnn_first else c.hidden
         s_k = 1.0 / np.sqrt(c.kernel_size * conv_channels)
         self.conv = Conv1D(
             rng.uniform((c.conv_filters, c.kernel_size, conv_channels), -s_k, s_k),
-            np.zeros(c.conv_filters), activation="relu")
+            np.zeros(c.conv_filters))
         self.pool = MaxPool1D(c.pool_size)
 
-        rnn_in = c.conv_filters if c.lstm_position == CNN_THEN_LSTM else c.embed_dim
+        rnn_in = c.conv_filters if cnn_first else c.embed_dim
         self.rnn = Recurrent(init_params(
             self.variant, rnn_in, c.hidden, rng.derive(1),
             alpha=c.alpha, forget_bias=c.forget_bias))
 
-        tail_in = c.hidden if c.lstm_position == CNN_THEN_LSTM else c.conv_filters
+        tail_in = c.hidden if cnn_first else c.conv_filters
         if c.bidirectional_tail:
             self.tail = Bidirectional(
                 init_params(Variant.LSTM0, tail_in, c.hidden, rng.derive(2),
@@ -389,40 +392,27 @@ class SentimentModel:
                 feat = width
 
         self.head = _dense_init(1, feat, rng.derive(5), "sigmoid")
-        self._tail_T = None
 
-    @staticmethod
-    def _validate_lengths(c: ExperimentConfig) -> None:
-        conv_out = c.maxlen - c.kernel_size + 1  # the rnn preserves length
-        if conv_out < 1:
-            chain = "embedding->conv" if c.lstm_position == CNN_THEN_LSTM else "rnn->conv"
-            raise ConfigError(
-                f"{chain}: sequence length {c.maxlen} shorter than kernel_size "
-                f"{c.kernel_size}")
-        if conv_out // c.pool_size < 1:
-            raise ConfigError(
-                f"conv->pool: conv output length {conv_out} < pool_size {c.pool_size}")
+        encoders = ([self.conv, self.pool, self.rnn] if cnn_first
+                    else [self.rnn, self.conv, self.pool])
+        tail = [] if self.tail is None else [self.tail]
+        self._chain = encoders + tail + [LastStep()]
 
-    def _ordered_layers(self):
-        layers = [("embedding", self.embedding), ("conv", self.conv), ("rnn", self.rnn)]
-        if self.tail is not None:
-            layers.append(("tail", self.tail))
-        layers.extend((f"dense{k}", d) for k, d in enumerate(self.extra_dense))
-        layers.append(("head", self.head))
-        return layers
+        named = [("embedding", self.embedding), ("conv", self.conv), ("rnn", self.rnn)]
+        named += [("tail", layer) for layer in tail]
+        named += [(f"dense{k}", layer) for k, layer in enumerate(self.extra_dense)]
+        named.append(("head", self.head))
+        self._params = [(f"{prefix}.{name}", arr) for prefix, layer in named
+                        for name, arr in sorted(layer.params().items())]
+        self._grads = {f"{prefix}.{name}": g for prefix, layer in named
+                       for name, g in layer.grads.items()}
 
     def named_params(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for prefix, layer in self._ordered_layers():
-            out.extend((f"{prefix}.{name}", arr) for name, arr in sorted(layer.params().items()))
-        return out
+        return list(self._params)
 
     @property
     def grads(self) -> dict[str, np.ndarray]:
-        out = {}
-        for prefix, layer in self._ordered_layers():
-            out.update({f"{prefix}.{name}": arr for name, arr in layer.grads.items()})
-        return out
+        return dict(self._grads)
 
     @property
     def row_ends(self) -> dict[str, int]:
@@ -431,11 +421,14 @@ class SentimentModel:
         return {"embedding.table": self.embedding.row_end}
 
     def zero_grads(self) -> None:
-        for _, layer in self._ordered_layers():
-            layer.zero_grads()
+        """Zero every gradient up to its row end, then reset the row end."""
+        ends = self.row_ends
+        for name, g in self._grads.items():
+            g[:ends.get(name, len(g))] = 0.0
+        self.embedding.row_end = 0
 
     def param_count(self) -> int:
-        return sum(arr.size for _, arr in self.named_params())
+        return sum(arr.size for _, arr in self._params)
 
     def forward(self, ids: np.ndarray, training: bool = False,
                 rng: Rng | None = None):
@@ -447,45 +440,22 @@ class SentimentModel:
         single = ids.ndim == 1
         x = self.embedding.forward(ids[None] if single else ids)
         x = self.spatial_dropout.forward(x, rng, training)
-        if self.config.lstm_position == CNN_THEN_LSTM:
-            x = self.conv.forward(x)
-            x = self.pool.forward(x)
-            x = self.rnn.forward(x)
-        else:
-            x = self.rnn.forward(x)
-            x = self.conv.forward(x)
-            x = self.pool.forward(x)
-        if self.tail is not None:
-            x = self.tail.forward(x)
-        self._tail_T = x.shape[1]
-        feat = x[:, -1]  # final timestep
+        for layer in self._chain:
+            x = layer.forward(x)
         for dense, drop in zip(self.extra_dense, self.extra_dropout):
-            feat = dense.forward(feat)
-            feat = drop.forward(feat, rng, training)
-        p = self.head.forward(feat)[:, 0]
+            x = drop.forward(dense.forward(x), rng, training)
+        p = self.head.forward(x)[:, 0]
         return float(p[0]) if single else p
 
     def backward(self, d_loss) -> dict[str, np.ndarray]:
         """Backpropagate d(loss)/d(probability), one value per batch row (a
         float after a single-sequence forward); returns the grads dict."""
-        d_feat = self.head.backward(np.asarray(d_loss, dtype=np.float64).reshape(-1, 1))
+        d = self.head.backward(np.asarray(d_loss, dtype=np.float64).reshape(-1, 1))
         for dense, drop in zip(reversed(self.extra_dense), reversed(self.extra_dropout)):
-            d_feat = drop.backward(d_feat)
-            d_feat = dense.backward(d_feat)
-        d_seq = np.zeros((d_feat.shape[0], self._tail_T, d_feat.shape[1]))
-        d_seq[:, -1] = d_feat
-        if self.tail is not None:
-            d_seq = self.tail.backward(d_seq)
-        if self.config.lstm_position == CNN_THEN_LSTM:
-            d_seq = self.rnn.backward(d_seq)
-            d_seq = self.pool.backward(d_seq)
-            d_seq = self.conv.backward(d_seq)
-        else:
-            d_seq = self.pool.backward(d_seq)
-            d_seq = self.conv.backward(d_seq)
-            d_seq = self.rnn.backward(d_seq)
-        d_seq = self.spatial_dropout.backward(d_seq)
-        self.embedding.backward(d_seq)
+            d = dense.backward(drop.backward(d))
+        for layer in reversed(self._chain):
+            d = layer.backward(d)
+        self.embedding.backward(self.spatial_dropout.backward(d))
         return self.grads
 
     def expected_param_count(self) -> int:

@@ -31,13 +31,6 @@ class IngestReport:
     skipped_rows: int = 0
     class_counts: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "total_rows": self.total_rows,
-            "skipped_rows": self.skipped_rows,
-            "class_counts": dict(sorted(self.class_counts.items())),
-        }
-
 
 def ingest_csv(path: str, text_column: str = "text",
                label_column: str = "sentiment") -> tuple[list[RawRecord], IngestReport]:

@@ -36,7 +36,9 @@ EVAL_CHUNK = 32
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs besides the data itself, the model's sizes and
-    switches included. ``seed`` is mandatory."""
+    switches included. ``seed`` is mandatory. Every field is checked at
+    construction, so a bad value raises ConfigError before any data is read
+    or any model is built."""
 
     seed: int
     variant: str = "lstm0"
@@ -81,6 +83,33 @@ class ExperimentConfig:
             raise ConfigError(
                 f"clip_norm must be null or finite and > 0, got {self.clip_norm}")
         object.__setattr__(self, "extra_dense_dims", tuple(self.extra_dense_dims))
+        if self.vocab_size < 2:
+            raise ConfigError(
+                f"vocab_size must be >= 2 (the padding id and one word), got {self.vocab_size}")
+        for key in ("embed_dim", "conv_filters", "kernel_size", "pool_size", "hidden",
+                    "maxlen"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if not all(width >= 1 for width in self.extra_dense_dims):
+            raise ConfigError(
+                f"extra_dense_dims entries must be >= 1, got {list(self.extra_dense_dims)}")
+        if not 0.0 < self.split_ratio < 1.0:
+            raise ConfigError(f"split_ratio must be in (0, 1), got {self.split_ratio}")
+        for key in ("spatial_dropout", "dense_dropout"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ConfigError(f"{key} must be in [0, 1), got {getattr(self, key)}")
+        # For every variant, so a variant sweep cannot fail at its lstm6 run.
+        if not -1.0 < self.alpha < 1.0:
+            raise ConfigError(f"alpha must be in (-1, 1), got {self.alpha}")
+        conv_out = self.maxlen - self.kernel_size + 1  # the rnn preserves length
+        if conv_out < 1:
+            chain = "embedding->conv" if self.lstm_position == CNN_THEN_LSTM else "rnn->conv"
+            raise ConfigError(
+                f"{chain}: sequence length {self.maxlen} shorter than kernel_size "
+                f"{self.kernel_size}")
+        if conv_out // self.pool_size < 1:
+            raise ConfigError(
+                f"conv->pool: conv output length {conv_out} < pool_size {self.pool_size}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

@@ -205,6 +205,28 @@ class TestInitParams:
         assert np.all(params.tensors["b_c"] == 0.0)
         assert np.all(params.tensors["b_f"] == 1.0)
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_one_draw_equals_per_tensor_draws(self, variant):
+        """The weights are drawn in one call, bit-identical to one uniform
+        draw per tensor in param_names order, and the stream ends up at the
+        same position."""
+        d, n = 5, 3
+        drawn_once, drawn_each = Rng(17), Rng(17)
+        params = init_params(variant, d, n, drawn_once, forget_bias=0.5)
+        s_in, s_rec = 1 / np.sqrt(d), 1 / np.sqrt(n)
+        for name in param_names(variant):
+            kind = name.split("_")[0]
+            if kind == "W":
+                expected = drawn_each.uniform((n, d), -s_in, s_in)
+            elif kind == "U":
+                expected = drawn_each.uniform((n, n), -s_rec, s_rec)
+            elif kind == "u":
+                expected = drawn_each.uniform(n, -s_rec, s_rec)
+            else:
+                expected = np.full(n, 0.5 if name == "b_f" else 0.0)
+            assert params.tensors[name].tobytes() == expected.tobytes(), name
+        assert drawn_once.uniform(4).tobytes() == drawn_each.uniform(4).tobytes()
+
     def test_forget_bias_only_where_gate_has_bias(self):
         params = init_params(Variant.LSTM2, 5, 3, Rng(1), forget_bias=1.0)
         assert "b_f" not in params.tensors

@@ -161,6 +161,21 @@ class TestTrain:
         assert code == cli.EXIT_CONFIG
         assert "clip_norm" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("overrides", [
+        {"vocab_size": 1}, {"embed_dim": 0}, {"kernel_size": 0}, {"pool_size": 0},
+        {"maxlen": 0}, {"maxlen": -5}, {"extra_dense_dims": [0], "extra_dense": True},
+        {"extra_dense_dims": [-1], "extra_dense": True}, {"split_ratio": 1.5},
+        {"spatial_dropout": 1.0}, {"alpha": 1.5}, {"maxlen": 2},
+    ], ids=lambda overrides: ",".join(f"{k}={v}" for k, v in overrides.items()))
+    def test_out_of_range_config_value(self, tmp_path, overrides):
+        config_path = write_config(tmp_path, **overrides)
+        code, _, err = run_cli(["train", "--config", config_path,
+                                "--data", str(FIXTURE_CSV),
+                                "--out", str(tmp_path / "run")])
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_data_file(self, tmp_path):
         config_path = write_config(tmp_path)
         code, _, err = run_cli(["train", "--config", config_path,
@@ -333,6 +348,23 @@ class TestSweep:
                                 "--axis", "optimizer", "--values", "adam,adamw"])
         assert code == cli.EXIT_CONFIG
         assert "adamw" in err and "Traceback" not in err
+        assert calls == []
+        assert not (out_dir / "sweep.json").exists()
+
+    @pytest.mark.parametrize("overrides, axis, values", [
+        ({}, "split", "0.3,0.5,1.5"),
+        ({"alpha": 1.5}, "variant", "lstm0,lstm1,lstm6"),
+    ])
+    def test_out_of_range_value_exits_before_any_training(self, tmp_path, monkeypatch,
+                                                           overrides, axis, values):
+        calls = []
+        monkeypatch.setattr(training, "train", lambda *args, **kw: calls.append(args))
+        out_dir = tmp_path / "sweep"
+        code, _, err = run_cli(["sweep", "--config", write_config(tmp_path, **overrides),
+                                "--data", str(FIXTURE_CSV), "--out", str(out_dir),
+                                "--axis", axis, "--values", values])
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("error: ") and "Traceback" not in err
         assert calls == []
         assert not (out_dir / "sweep.json").exists()
 

@@ -24,6 +24,7 @@ from slimrnn.layers import (
     Dense,
     Dropout,
     Embedding,
+    LastStep,
     MaxPool1D,
     Recurrent,
     SentimentModel,
@@ -57,9 +58,6 @@ class TestEmbedding:
         np.testing.assert_array_equal(emb.grads["table"][3], [0.0, 1.0])
         np.testing.assert_array_equal(emb.grads["table"][0], [0.0, 0.0])
         assert emb.row_end == 4
-        emb.zero_grads()
-        assert emb.row_end == 0
-        assert not emb.grads["table"].any()
 
 
 class TestDropout:
@@ -136,14 +134,14 @@ class TestConv1D:
         x = rng.uniform((2, 8, 3), -1, 1)
         kernels = rng.uniform((5, 2, 3), -1, 1)
         bias = rng.uniform(5, -1, 1)
-        conv = Conv1D(kernels, bias, activation="none")
+        conv = Conv1D(kernels, bias)
         out = conv.forward(x)
         for b in range(2):
-            np.testing.assert_allclose(out[b], naive_conv1d(x[b], kernels, bias),
-                                       atol=1e-12)
+            naive = naive_conv1d(x[b], kernels, bias)
+            np.testing.assert_allclose(out[b], np.maximum(naive, 0.0), atol=1e-12)
 
     def test_relu_clips(self):
-        conv = Conv1D(np.ones((1, 1, 1)), np.array([-10.0]), activation="relu")
+        conv = Conv1D(np.ones((1, 1, 1)), np.array([-10.0]))
         out = conv.forward(np.ones((1, 3, 1)))
         np.testing.assert_array_equal(out, np.zeros((1, 3, 1)))
 
@@ -156,8 +154,7 @@ class TestConv1D:
         def loss():
             return float(np.sum(conv.forward(x) * weight))
 
-        out = conv.forward(x)
-        conv.zero_grads()
+        conv.forward(x)
         d_x = conv.backward(weight)
         numeric = finite_diff(loss, [conv.kernels, conv.bias, x], 1e-6)
         assert relative_error(conv.grads["kernels"], numeric[0]).max() < 1e-6
@@ -220,7 +217,6 @@ class TestDense:
             return float(np.sum(dense.forward(x) * weight))
 
         dense.forward(x)
-        dense.zero_grads()
         d_x = dense.backward(weight)
         numeric = finite_diff(loss, [dense.weights, dense.bias, x], 1e-6)
         assert relative_error(dense.grads["weights"], numeric[0]).max() < 1e-6
@@ -244,6 +240,16 @@ def test_recurrent_wraps_sequence_forward():
     xs = Rng(8).uniform((2, 5, 3), -1, 1)  # [B, T, d]
     expected, _ = sequence_forward(cell, xs.transpose(1, 0, 2))
     np.testing.assert_array_equal(layer.forward(xs), expected.transpose(1, 0, 2))
+
+
+def test_last_step_round_trip():
+    layer = LastStep()
+    x = Rng(16).uniform((2, 4, 3))
+    np.testing.assert_array_equal(layer.forward(x), x[:, -1])
+    d_x = layer.backward(np.ones((2, 3)))
+    assert d_x.shape == x.shape
+    np.testing.assert_array_equal(d_x[:, -1], 1.0)
+    assert not d_x[:, :-1].any()
 
 
 class TestBidirectional:
@@ -275,7 +281,6 @@ class TestBidirectional:
             return float(np.sum(layer.forward(xs) * weight))
 
         layer.forward(xs)
-        layer.zero_grads()
         d_xs = layer.backward(weight)
         arrays = [xs] + [layer.fwd.tensors[k] for k in sorted(layer.fwd.tensors)]
         numeric = finite_diff(loss, arrays, 1e-6)
@@ -311,11 +316,14 @@ class TestSentimentModel:
         assert 0.0 < p < 1.0
         assert model.param_count() == model.expected_param_count()
 
-    def test_zero_grads_clears_every_gradient(self):
-        """zero_grads clears only the table rows before the row end; after
-        any backward, one or several, the whole table gradient is zero
-        again."""
-        model = self.build()
+    @pytest.mark.parametrize("position, tail, extra", itertools.product(
+        (CNN_THEN_LSTM, LSTM_THEN_CNN), (True, False), (False, True)))
+    def test_zero_grads_clears_every_gradient(self, position, tail, extra):
+        """zero_grads clears only the table rows before the row end and
+        resets the row end; after any backward, one or several, every
+        gradient is zero again."""
+        model = SentimentModel(replace(MICRO, lstm_position=position,
+                                       bidirectional_tail=tail, extra_dense=extra), Rng(20))
         rng = Rng(26)
         for backwards in (1, 2, 1, 3):
             written = set()
@@ -326,10 +334,49 @@ class TestSentimentModel:
                 written |= set(ids.ravel().tolist())
             assert model.row_ends == {"embedding.table": max(written) + 1}
             assert not model.grads["embedding.table"][max(written) + 1:].any()
+            for name, g in model.grads.items():
+                # Some are zero by structure (the reversed tail's output at
+                # the last step starts from h = c = 0); give every one an
+                # entry to clear.
+                if name != "embedding.table":
+                    g[-1] += 1.0
             model.zero_grads()
             for name, g in model.grads.items():
                 assert not g.any(), name
+            assert model.embedding.row_end == 0
             assert model.row_ends == {"embedding.table": 0}
+
+    @pytest.mark.parametrize("tail, extra", itertools.product((True, False), (False, True)))
+    def test_names_in_the_same_order_for_both_positions(self, tail, extra):
+        """Clipping sums squares tensor by tensor in name-table order, so
+        the order must not depend on where the variant cell sits."""
+        names = []
+        for position in (CNN_THEN_LSTM, LSTM_THEN_CNN):
+            model = SentimentModel(replace(MICRO, lstm_position=position,
+                                           bidirectional_tail=tail, extra_dense=extra),
+                                   Rng(29))
+            names.append(([name for name, _ in model.named_params()], list(model.grads)))
+        assert names[0] == names[1]
+        layers = ["embedding", "conv", "rnn"] + ["tail"] * tail
+        layers += [f"dense{k}" for k in range(len(MICRO.extra_dense_dims) * extra)] + ["head"]
+        for table in names[0]:
+            prefixes = [name.split(".")[0] for name in table]
+            assert list(dict.fromkeys(prefixes)) == layers
+
+    def test_returned_tables_are_copies(self):
+        model = self.build()
+        params, grads = model.named_params(), model.grads
+        names, grad_names = [name for name, _ in params], list(grads)
+        params.reverse()
+        params.append(("extra", np.zeros(1)))
+        del grads["head.bias"]
+        grads["extra"] = np.ones(1)
+        assert [name for name, _ in model.named_params()] == names
+        assert list(model.grads) == grad_names
+        model.forward(np.arange(9))
+        model.backward(1.0)
+        model.zero_grads()
+        assert not model.head.grads["bias"].any()
 
     def test_zero_head_weights_predict_constant(self):
         model = self.build()

@@ -96,6 +96,31 @@ class TestExperimentConfig:
             ExperimentConfig(seed=1, **{key: value})
         assert key in str(err.value)
 
+    @pytest.mark.parametrize("overrides, key", [
+        ({"vocab_size": 1}, "vocab_size"),
+        ({"embed_dim": 0}, "embed_dim"),
+        ({"conv_filters": 0}, "conv_filters"),
+        ({"kernel_size": 0}, "kernel_size"),
+        ({"pool_size": 0}, "pool_size"),
+        ({"hidden": 0}, "hidden"),
+        ({"maxlen": 0}, "maxlen"),
+        ({"maxlen": -5}, "maxlen"),
+        ({"extra_dense_dims": (8, 0)}, "extra_dense_dims"),
+        ({"extra_dense_dims": (-1,)}, "extra_dense_dims"),
+        ({"split_ratio": 0.0}, "split_ratio"),
+        ({"split_ratio": 1.0}, "split_ratio"),
+        ({"spatial_dropout": 1.0}, "spatial_dropout"),
+        ({"dense_dropout": -0.1}, "dense_dropout"),
+        ({"alpha": 1.5}, "alpha"),
+        ({"alpha": -1.0, "variant": "lstm6"}, "alpha"),
+        ({"maxlen": 2}, "kernel_size"),
+        ({"pool_size": 12}, "pool_size"),
+    ])
+    def test_rejects_out_of_range_sizes_and_rates(self, overrides, key):
+        with pytest.raises(ConfigError) as err:
+            micro_config(**overrides)
+        assert key in str(err.value)
+
     def test_from_dict_accepts_json_numbers_and_lists(self):
         config = ExperimentConfig.from_dict(
             {"seed": 1, "lr": 1, "clip_norm": None, "extra_dense_dims": [8, 4]})
@@ -364,7 +389,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("axis,values", [
         ("optimizer", ["adam", "adamw"]), ("variant", ["lstm0", "lstm1", "lstm9"]),
-        ("lr", ["0.01", "-1"]),
+        ("lr", ["0.01", "-1"]), ("split", ["0.3", "0.5", "1.5"]),
     ])
     def test_bad_last_value_rejected_before_any_training(
             self, separable_dataset, monkeypatch, axis, values):
