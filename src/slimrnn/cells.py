@@ -33,8 +33,7 @@ of Appleyard et al. 2016, arXiv 1604.01946).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -101,51 +100,35 @@ def _kind_slots(variant: Variant, kind: str) -> tuple[str, ...]:
     return gates + (("c",) if kind in CANDIDATE_KINDS else ())
 
 
-def _expected_shape(name: str, d: int, n: int) -> tuple[int, ...]:
-    kind = name.split("_")[0]
-    if kind == "W":
-        return (n, d)
-    if kind == "U":
-        return (n, n)
-    return (n,)  # "u" and "b"
-
-
 @dataclass
 class CellParams:
-    """Weights for one cell. ``tensors`` holds exactly the variant's names,
-    as views into ``buffers`` (one per kind the variant uses); ``columns``
-    gives the pre-activation columns each buffer's rows feed."""
+    """Weights for one cell, zero at construction. ``buffers`` holds one
+    array per kind the variant uses, ``tensors`` exactly the variant's names
+    as row-block views into them, and ``columns`` the pre-activation columns
+    each buffer's rows feed. Writers (init, checkpoint loads) fill the views."""
 
     variant: Variant
     input_dim: int
     hidden_dim: int
-    tensors: dict[str, np.ndarray]
+    _: KW_ONLY
     alpha: float = DEFAULT_ALPHA  # used by LSTM6 only
     buffers: dict[str, np.ndarray] = field(init=False, repr=False)
     columns: dict[str, slice] = field(init=False, repr=False)
+    tensors: dict[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        expected = param_names(self.variant)
-        got = list(self.tensors)
-        if sorted(got) != sorted(expected):
-            raise ConfigError(
-                f"{self.variant.value} expects tensors {sorted(expected)}, got {sorted(got)}"
-            )
-        for name, arr in self.tensors.items():
-            shape = _expected_shape(name, self.input_dim, self.hidden_dim)
-            if arr.shape != shape:
-                raise ConfigError(
-                    f"{self.variant.value} tensor {name} has shape {arr.shape}, expected {shape}"
-                )
+        d, n = self.input_dim, self.hidden_dim
+        if d < 1 or n < 1:
+            raise ConfigError(f"dimensions must be positive, got d={d}, n={n}")
         if self.variant is Variant.LSTM6 and not -1.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (-1, 1), got {self.alpha}")
-        n, slots = self.hidden_dim, _slots(self.variant)
+        slots = _slots(self.variant)
+        row = {"W": (d,), "U": (n,), "u": (), "b": ()}
         self.buffers, self.columns = {}, {}
         for kind in KINDS:
             owned = _kind_slots(self.variant, kind)
             if owned:
-                self.buffers[kind] = np.concatenate(
-                    [self.tensors[f"{kind}_{slot}"] for slot in owned])
+                self.buffers[kind] = np.zeros((len(owned) * n, *row[kind]))
                 first = slots.index(owned[0]) * n
                 self.columns[kind] = slice(first, first + len(owned) * n)
         self.tensors = self.views(self.buffers)
@@ -327,27 +310,21 @@ def init_params(variant: Variant, d: int, n: int, rng: Rng,
     """Uniform init in [-s, s]: s = 1/sqrt(d) for input weights, 1/sqrt(n) for
     recurrent and pointwise weights. Biases start at zero except the forget
     gate's, which starts at ``forget_bias`` where the variant has one."""
-    if d < 1 or n < 1:
-        raise ConfigError(f"dimensions must be positive, got d={d}, n={n}")
+    params = CellParams(variant, d, n, alpha=alpha)
     s_in, s_rec = 1.0 / np.sqrt(d), 1.0 / np.sqrt(n)
     scale = {"W": s_in, "U": s_rec, "u": s_rec}
-    shapes = {name: _expected_shape(name, d, n) for name in param_names(variant)}
+    drawn = [(view, scale[name[0]]) for name, view in params.tensors.items()
+             if name[0] in scale]
     # One draw for every weight, in name order, then each slice is scaled the
     # way rng.uniform(shape, -s, s) scales its draws: the same bits as one
     # draw per tensor, for one call's overhead.
-    flat = rng.uniform(sum(math.prod(shape) for name, shape in shapes.items()
-                           if name.split("_")[0] in scale))
-    tensors, start = {}, 0
-    for name, shape in shapes.items():
-        s = scale.get(name.split("_")[0])
-        if s is None:
-            tensors[name] = np.zeros(shape)
-            continue
-        t = flat[start:start + math.prod(shape)]
-        start += t.size
-        t *= s - -s
-        t += -s
-        tensors[name] = t.reshape(shape)
-    if "b_f" in tensors:
-        tensors["b_f"] += forget_bias
-    return CellParams(variant, d, n, tensors, alpha=alpha)
+    flat = rng.uniform(sum(view.size for view, _ in drawn))
+    start = 0
+    for view, s in drawn:
+        view[...] = flat[start:start + view.size].reshape(view.shape)
+        start += view.size
+        view *= s - -s
+        view += -s
+    if "b_f" in params.tensors:
+        params.tensors["b_f"] += forget_bias
+    return params

@@ -12,6 +12,7 @@ import csv
 import datetime
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -206,6 +207,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ConfigError(f"--tol must be a finite number above 0, got {args.tol}")
     calibration = calibrate_oracle()
     if not calibration.passed:
         for line in calibration.lines():

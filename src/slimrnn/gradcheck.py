@@ -19,6 +19,10 @@ from .errors import NumericError
 from .rng import Rng
 
 DEFAULT_EPS = 1e-6
+# check_variant draws each problem's sizes uniformly from 1..these bounds.
+CELL_MAX_D, CELL_MAX_N, CELL_MAX_T, CELL_MAX_B = 6, 5, 4, 3
+# calibrate_oracle's bound on closed-form derivatives, at DEFAULT_EPS.
+CALIBRATION_TOL = 1e-8
 # The end-to-end model check uses a larger step: its loss sums MODEL_BATCH
 # O(1) terms while some true gradients sit near 1e-8, so the roundoff term
 # (machine epsilon * |loss| / step) must be pushed further below them than
@@ -124,16 +128,13 @@ def _merge_worst(per_seed: list[list[ParamCheck]]) -> list[ParamCheck]:
 
 
 def _random_cell_params(variant: Variant, d: int, n: int, rng: Rng) -> CellParams:
-    from .cells import _expected_shape, param_names
+    params = CellParams(variant, d, n)
+    for view in params.tensors.values():
+        view[...] = rng.uniform(view.shape, -0.7, 0.7)
+    return params
 
-    tensors = {name: rng.uniform(_expected_shape(name, d, n), -0.7, 0.7)
-               for name in param_names(variant)}
-    return CellParams(variant, d, n, tensors)
 
-
-def check_variant(variant: Variant, seeds: Sequence[int], tol: float = 1e-5,
-                  eps: float = DEFAULT_EPS, max_d: int = 6, max_n: int = 5,
-                  max_t: int = 4) -> GradReport:
+def check_variant(variant: Variant, seeds: Sequence[int], tol: float = 1e-5) -> GradReport:
     """Gradient-check one cell variant over several random problem instances.
 
     The loss is sum_t <d_hs[t], h_t> for a random weighting d_hs, so every
@@ -143,10 +144,10 @@ def check_variant(variant: Variant, seeds: Sequence[int], tol: float = 1e-5,
     per_seed = []
     for seed in seeds:
         rng = Rng(seed)
-        d = 1 + int(rng.uniform(()) * max_d)
-        n = 1 + int(rng.uniform(()) * max_n)
-        T = 1 + int(rng.uniform(()) * max_t)
-        B = 1 + int(rng.uniform(()) * 3)
+        d = 1 + int(rng.uniform(()) * CELL_MAX_D)
+        n = 1 + int(rng.uniform(()) * CELL_MAX_N)
+        T = 1 + int(rng.uniform(()) * CELL_MAX_T)
+        B = 1 + int(rng.uniform(()) * CELL_MAX_B)
         params = _random_cell_params(variant, d, n, rng)
         xs = rng.uniform((T, B, d), -1.0, 1.0)
         init = CellState(rng.uniform((B, n), -0.5, 0.5), rng.uniform((B, n), -0.5, 0.5))
@@ -161,7 +162,7 @@ def check_variant(variant: Variant, seeds: Sequence[int], tol: float = 1e-5,
 
         names = sorted(params.tensors)
         arrays = [params.tensors[name] for name in names] + [xs, init.h, init.c]
-        numeric = finite_diff(loss, arrays, eps)
+        numeric = finite_diff(loss, arrays)
         analytic = [grads[name] for name in names] + [d_xs, d_init.h, d_init.c]
         labels = names + ["xs", "init.h", "init.c"]
         per_seed.append([_compare(lbl, a, num)
@@ -197,8 +198,7 @@ def _branches(model) -> bytes:
     return b"".join(t.tobytes() for t in taken)
 
 
-def check_model(seeds: Sequence[int], tol: float = 1e-4,
-                eps: float = MODEL_EPS) -> GradReport:
+def check_model(seeds: Sequence[int], tol: float = 1e-4) -> GradReport:
     """End-to-end check of the full classification model on a micro
     instance, on a batch of MODEL_BATCH sequences: every cell variant at the
     default switches, and every switch combination for SWITCHED_VARIANTS.
@@ -207,7 +207,7 @@ def check_model(seeds: Sequence[int], tol: float = 1e-4,
     summed binary cross-entropy against fixed labels. Parameters are redrawn
     at O(1) scale after the build: training-grade inits leave this micro
     model with gradients near 1e-12, underneath the central-difference
-    resolution floor (machine epsilon times |loss| over eps, about 1e-11),
+    resolution floor (machine epsilon times |loss| over MODEL_EPS, about 1e-11),
     where relative error is noise. The redraw keeps every gradient well
     above that floor while exercising the same backward wiring; the extra
     dense layers are 6 and 4 wide because through narrower ReLU layers the
@@ -242,7 +242,7 @@ def check_model(seeds: Sequence[int], tol: float = 1e-4,
             model.backward(dp)
 
             names, arrays = zip(*model.named_params())
-            numeric = finite_diff(loss, arrays, eps)
+            numeric = finite_diff(loss, arrays, MODEL_EPS)
             grads = model.grads
             analytic = [grads[name] for name in names]
             smooth = np.array([up == taken == down
@@ -255,42 +255,36 @@ def check_model(seeds: Sequence[int], tol: float = 1e-4,
     return GradReport("model", tol, _merge_worst(per_seed))
 
 
-def check_module(target: str, seeds: Sequence[int], tol: float = 1e-5,
-                 eps: float | None = None) -> GradReport:
+def check_module(target: str, seeds: Sequence[int], tol: float = 1e-5) -> GradReport:
     """Check one named target: a variant name or "model".
 
-    Failures are data (report.passed is False), never exceptions. Leaving
-    ``eps`` unset picks the step suited to the target.
+    Failures are data (report.passed is False), never exceptions.
     """
     if target.lower() == "model":
-        return check_model(seeds, tol=max(tol, 1e-4), eps=eps or MODEL_EPS)
-    return check_variant(Variant.parse(target), seeds, tol=tol,
-                         eps=eps or DEFAULT_EPS)
+        return check_model(seeds, tol=max(tol, 1e-4))
+    return check_variant(Variant.parse(target), seeds, tol=tol)
 
 
-def check_all(seeds: Sequence[int], tol: float = 1e-5,
-              eps: float | None = None) -> list[GradReport]:
+def check_all(seeds: Sequence[int], tol: float = 1e-5) -> list[GradReport]:
     """All seven variants plus the end-to-end model check."""
-    reports = [check_variant(v, seeds, tol=tol, eps=eps or DEFAULT_EPS)
-               for v in Variant]
-    reports.append(check_model(list(seeds)[:3], tol=max(tol, 1e-4),
-                               eps=eps or MODEL_EPS))
+    reports = [check_variant(v, seeds, tol=tol) for v in Variant]
+    reports.append(check_model(list(seeds)[:3], tol=max(tol, 1e-4)))
     return reports
 
 
-def calibrate_oracle(eps: float = DEFAULT_EPS, tol: float = 1e-8) -> GradReport:
+def calibrate_oracle() -> GradReport:
     """Validate the oracle itself on closed-form derivatives before use."""
     from .numeric import sigmoid, sigmoid_grad, tanh_grad
 
     entries = []
     w = np.array([3.0])
-    num = finite_diff(lambda: float(w[0] ** 2), [w], eps)[0]
+    num = finite_diff(lambda: float(w[0] ** 2), [w])[0]
     entries.append(_compare("quadratic", np.array([6.0]), num))
 
     x = np.array([0.3, -1.2, 2.0])
-    num = finite_diff(lambda: float(np.sum(sigmoid(x))), [x], eps)[0]
+    num = finite_diff(lambda: float(np.sum(sigmoid(x))), [x])[0]
     entries.append(_compare("sigmoid", sigmoid_grad(sigmoid(x)), num))
 
-    num = finite_diff(lambda: float(np.sum(np.tanh(x))), [x], eps)[0]
+    num = finite_diff(lambda: float(np.sum(np.tanh(x))), [x])[0]
     entries.append(_compare("tanh", tanh_grad(np.tanh(x)), num))
-    return GradReport("oracle-calibration", tol, entries)
+    return GradReport("oracle-calibration", CALIBRATION_TOL, entries)

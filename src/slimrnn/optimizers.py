@@ -150,16 +150,12 @@ class Optimizer:
 
 
 class SGD(Optimizer):
-    kind = "sgd"
-
     def _rule(self, p, g):
         p -= self.lr * g
 
 
 class RMSprop(Optimizer):
     """Gradient scaled by a decaying RMS of its own history."""
-
-    kind = "rmsprop"
 
     def __init__(self, lr: float, rho: float = 0.9, eps: float = 1e-8):
         super().__init__(lr)
@@ -179,8 +175,6 @@ class RMSprop(Optimizer):
 class Adam(Optimizer):
     """Bias-corrected first/second moment estimates; eps sits outside the
     square root."""
-
-    kind = "adam"
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):

@@ -135,13 +135,6 @@ class LabeledDataset:
     def __len__(self) -> int:
         return len(self.labels)
 
-    @property
-    def class_counts(self) -> dict[str, int]:
-        return {
-            "negative": int(np.sum(self.labels == 0)),
-            "positive": int(np.sum(self.labels == 1)),
-        }
-
 
 def encode_dataset(records: list[RawRecord], vocab: Vocabulary,
                    maxlen: int) -> LabeledDataset:

@@ -231,13 +231,7 @@ class MetricsReport:
     final: EvalResult | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "train_size": self.train_size,
-            "val_size": self.val_size,
-            "epochs": [asdict(e) for e in self.epochs],
-            "final": self.final.as_dict() if self.final else None,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
@@ -361,18 +355,7 @@ class SweepResult:
     reports: list[MetricsReport]
 
     def as_dict(self) -> dict:
-        return {
-            "axis": self.axis,
-            "rows": [
-                {
-                    "value": row.value,
-                    "positive_accuracy": row.positive_accuracy,
-                    "negative_accuracy": row.negative_accuracy,
-                    "overall_accuracy": row.overall_accuracy,
-                }
-                for row in self.rows
-            ],
-        }
+        return {"axis": self.axis, "rows": [asdict(row) for row in self.rows]}
 
     def format_table(self) -> str:
         header = (self.axis, "Positive", "Negative", "Overall")

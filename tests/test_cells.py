@@ -25,12 +25,20 @@ from slimrnn.cells import (
 from slimrnn.rng import Rng
 
 
+def cell(variant: Variant, d: int, n: int, values: dict, **kw) -> CellParams:
+    """A fresh cell with each given value written through its named view."""
+    params = CellParams(variant, d, n, **kw)
+    for name, value in values.items():
+        params.tensors[name][...] = value
+    return params
+
+
 def scalar_lstm0() -> CellParams:
-    return CellParams(Variant.LSTM0, 1, 1, {
-        "W_i": np.array([[0.5]]), "U_i": np.array([[0.4]]), "b_i": np.array([0.1]),
-        "W_f": np.array([[0.3]]), "U_f": np.array([[0.2]]), "b_f": np.array([0.6]),
-        "W_o": np.array([[0.7]]), "U_o": np.array([[0.3]]), "b_o": np.array([0.2]),
-        "W_c": np.array([[0.8]]), "U_c": np.array([[0.5]]), "b_c": np.array([0.05]),
+    return cell(Variant.LSTM0, 1, 1, {
+        "W_i": 0.5, "U_i": 0.4, "b_i": 0.1,
+        "W_f": 0.3, "U_f": 0.2, "b_f": 0.6,
+        "W_o": 0.7, "U_o": 0.3, "b_o": 0.2,
+        "W_c": 0.8, "U_c": 0.5, "b_c": 0.05,
     })
 
 
@@ -63,10 +71,8 @@ class TestScalarOracleForward:
         assert cache.c_hat[0, 0, 0] == pytest.approx(0.8004990217606297, abs=1e-15)
 
     def test_lstm6_constant_gates_and_update(self):
-        params = CellParams(Variant.LSTM6, 1, 1, {
-            "W_c": np.array([[0.8]]), "U_c": np.array([[0.5]]),
-            "b_c": np.array([0.05]),
-        }, alpha=0.59)
+        params = cell(Variant.LSTM6, 1, 1, {"W_c": 0.8, "U_c": 0.5, "b_c": 0.05},
+                      alpha=0.59)
         hs, cache = sequence_forward(params, XS1, STATE0())
         # i = 1, f = alpha, o = 1 are constants, so no gates are cached
         assert cache.gates is None
@@ -132,27 +138,35 @@ class TestVariantStructure:
             with pytest.raises(ConfigError):
                 Variant.parse(bad)
 
-    def test_cell_params_validation(self):
-        good = {name: np.zeros((2, 3)) if name.startswith("W")
-                else np.zeros((2, 2)) if name.startswith("U") else np.zeros(2)
-                for name in param_names(Variant.LSTM1)}
-        CellParams(Variant.LSTM1, 3, 2, good)
-        with pytest.raises(ConfigError):
-            CellParams(Variant.LSTM1, 3, 2, dict(good, W_i=np.zeros((2, 3))))
-        missing = dict(good)
-        del missing["b_i"]
-        with pytest.raises(ConfigError):
-            CellParams(Variant.LSTM1, 3, 2, missing)
-        bad_shape = dict(good, U_f=np.zeros((3, 2)))
-        with pytest.raises(ConfigError):
-            CellParams(Variant.LSTM1, 3, 2, bad_shape)
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_fresh_cell_holds_zero_views_of_its_names(self, variant):
+        d, n = 3, 2
+        params = CellParams(variant, d, n)
+        assert list(params.tensors) == param_names(variant)
+        shapes = {"W": (n, d), "U": (n, n), "u": (n,), "b": (n,)}
+        for name, view in params.tensors.items():
+            assert view.shape == shapes[name[0]], name
+            assert view.flags.c_contiguous and view.base is params.buffers[name[0]], name
+            assert not view.any(), name
+
+    def test_rejects_bad_dims(self):
+        for d, n in ((0, 2), (3, 0), (-1, 2)):
+            with pytest.raises(ConfigError):
+                CellParams(Variant.LSTM1, d, n)
+
+    def test_tensor_dict_is_not_an_argument(self):
+        tensors = {"W_c": np.ones((2, 3)), "U_c": np.ones((2, 2)), "b_c": np.ones(2)}
+        with pytest.raises(TypeError):
+            CellParams(Variant.LSTM6, 3, 2, tensors)
+        with pytest.raises(TypeError):
+            CellParams(Variant.LSTM6, 3, 2, 0.5)  # alpha is keyword-only
 
     def test_lstm6_alpha_bounds(self):
-        tensors = {"W_c": np.zeros((2, 3)), "U_c": np.zeros((2, 2)), "b_c": np.zeros(2)}
-        CellParams(Variant.LSTM6, 3, 2, tensors, alpha=-0.5)
+        assert CellParams(Variant.LSTM6, 3, 2, alpha=-0.5).alpha == -0.5
         for alpha in (1.0, -1.0, 2.0):
             with pytest.raises(ConfigError):
-                CellParams(Variant.LSTM6, 3, 2, dict(tensors), alpha=alpha)
+                CellParams(Variant.LSTM6, 3, 2, alpha=alpha)
+        CellParams(Variant.LSTM0, 3, 2, alpha=2.0)  # only LSTM6 reads alpha
 
 
 class TestCountParams:
@@ -309,13 +323,6 @@ class TestStackedLayout:
         lstm6 = init_params(Variant.LSTM6, 3, 2, Rng(15))
         assert lstm6.columns == {"W": slice(0, 2), "U": slice(0, 2), "b": slice(0, 2)}
 
-    def test_construction_copies_given_tensors(self):
-        given = {name: np.full(shape, 0.5) for name, shape in (
-            ("W_c", (2, 3)), ("U_c", (2, 2)), ("b_c", (2,)))}
-        params = CellParams(Variant.LSTM6, 3, 2, dict(given))
-        params.tensors["b_c"][:] = 1.0
-        assert np.all(given["b_c"] == 0.5)
-
 
 @given(st.integers(0, 10_000), st.sampled_from([v for v in Variant if v != Variant.LSTM6]))
 @settings(max_examples=120, deadline=None)
@@ -323,11 +330,9 @@ def test_gates_strictly_inside_unit_interval(seed, variant):
     rng = Rng(seed)
     d = 1 + int(rng.uniform(()) * 5)
     n = 1 + int(rng.uniform(()) * 5)
-    from slimrnn.cells import _expected_shape
-
-    tensors = {name: rng.uniform(_expected_shape(name, d, n), -1.0, 1.0)
-               for name in param_names(variant)}
-    params = CellParams(variant, d, n, tensors)
+    params = CellParams(variant, d, n)
+    for view in params.tensors.values():  # param_names order
+        view[...] = rng.uniform(view.shape, -1.0, 1.0)
     x = rng.uniform(d, -1.0, 1.0)
     h = rng.uniform(n, -1.0, 1.0)
     for gate in step_gates(params, x, h):
@@ -336,9 +341,7 @@ def test_gates_strictly_inside_unit_interval(seed, variant):
 
 def test_lstm6_decay_with_zero_candidate():
     n = 4
-    params = CellParams(Variant.LSTM6, 2, n, {
-        "W_c": np.zeros((n, 2)), "U_c": np.zeros((n, n)), "b_c": np.zeros(n),
-    }, alpha=DEFAULT_ALPHA)
+    params = CellParams(Variant.LSTM6, 2, n, alpha=DEFAULT_ALPHA)  # zero candidate
     c0 = Rng(2).uniform(n, -1.0, 1.0)
     init = CellState(np.zeros((1, n)), c0[None].copy())
     xs = Rng(3).uniform((12, 1, 2), -1.0, 1.0)

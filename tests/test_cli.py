@@ -385,3 +385,13 @@ class TestGradcheckCommand:
     def test_unknown_scope(self):
         code, _, _ = run_cli(["gradcheck", "lstm9"])
         assert code == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-5"])
+    def test_tolerance_must_be_finite_and_positive(self, monkeypatch, tol):
+        calls = []
+        for name in ("calibrate_oracle", "check_all", "check_module"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name, **kw: calls.append(name))
+        code, out, err = run_cli(["gradcheck", "lstm6", f"--tol={tol}"])
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("error: ") and "--tol" in err and "Traceback" not in err
+        assert out == "" and calls == []
