@@ -24,11 +24,12 @@ hidden states [T, B, n]. A step's pre-activation is [B, width], one n-wide
 column block per slot: i, f, o, c, or only c for LSTM6. A variant keeps its
 weights in one buffer per parameter kind (W, U, u, b), its slots' blocks
 stacked along axis 0 in that same order, and ``CellParams.tensors`` holds
-row-block views into those buffers. Each kind feeds a contiguous run of
-columns, derived from GATE_TERMS: the gate blocks when the variant lists the
-kind, plus the candidate block for W, U and b. So a sequence costs one input
-GEMM for all steps, then one recurrent GEMM per step (the fused-gate layout
-of Appleyard et al. 2016, arXiv 1604.01946).
+row-block views into those buffers; its gradients share that layout. A
+variant's layout is built once, at import. Each kind feeds a contiguous run
+of columns, derived from GATE_TERMS: the gate blocks when the variant lists
+the kind, plus the candidate block for W, U and b. So a sequence costs one
+input GEMM for all steps, then one recurrent GEMM per step (the fused-gate
+layout of Appleyard et al. 2016, arXiv 1604.01946).
 """
 
 from __future__ import annotations
@@ -89,23 +90,35 @@ def param_names(variant: Variant) -> list[str]:
     return names + ["W_c", "U_c", "b_c"]
 
 
-def _slots(variant: Variant) -> tuple[str, ...]:
-    """The pre-activation's column blocks, in order."""
-    return (*GATES, "c") if GATE_TERMS[variant] else ("c",)
+def _layout(variant: Variant):
+    """The pre-activation's n-wide column block count; (kind, first column
+    block, block count) for each kind the variant uses, the buffer's rows
+    stacked in that column order; and (name, kind, row block) in
+    param_names order."""
+    slots = (*GATES, "c") if GATE_TERMS[variant] else ("c",)
+    kinds, rows = [], {}
+    for kind in KINDS:
+        owned = GATES if kind in GATE_TERMS[variant] else ()
+        owned += ("c",) if kind in CANDIDATE_KINDS else ()
+        if owned:
+            kinds.append((kind, slots.index(owned[0]), len(owned)))
+            rows.update({f"{kind}_{slot}": (kind, k) for k, slot in enumerate(owned)})
+    return (len(slots), tuple(kinds),
+            tuple((name, *rows[name]) for name in param_names(variant)))
 
 
-def _kind_slots(variant: Variant, kind: str) -> tuple[str, ...]:
-    """The slots one parameter kind feeds, in buffer row order."""
-    gates = GATES if kind in GATE_TERMS[variant] else ()
-    return gates + (("c",) if kind in CANDIDATE_KINDS else ())
+_LAYOUTS = {variant: _layout(variant) for variant in Variant}  # built once
 
 
-@dataclass
+@dataclass(eq=False)
 class CellParams:
-    """Weights for one cell, zero at construction. ``buffers`` holds one
-    array per kind the variant uses, ``tensors`` exactly the variant's names
-    as row-block views into them, and ``columns`` the pre-activation columns
-    each buffer's rows feed. Writers (init, checkpoint loads) fill the views."""
+    """Weights and gradients for one cell, zero at construction, compared
+    by identity. ``buffers`` holds one array per kind the variant uses,
+    ``tensors`` exactly the variant's names as row-block views into them,
+    ``columns`` the pre-activation columns each buffer's rows feed, and
+    ``grad_buffers`` and ``grads`` the same for the gradients, which
+    sequence_backward adds into. Writers (init, checkpoint loads) fill the
+    views."""
 
     variant: Variant
     input_dim: int
@@ -115,6 +128,8 @@ class CellParams:
     buffers: dict[str, np.ndarray] = field(init=False, repr=False)
     columns: dict[str, slice] = field(init=False, repr=False)
     tensors: dict[str, np.ndarray] = field(init=False, repr=False)
+    grad_buffers: dict[str, np.ndarray] = field(init=False, repr=False)
+    grads: dict[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         d, n = self.input_dim, self.hidden_dim
@@ -122,16 +137,13 @@ class CellParams:
             raise ConfigError(f"dimensions must be positive, got d={d}, n={n}")
         if self.variant is Variant.LSTM6 and not -1.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (-1, 1), got {self.alpha}")
-        slots = _slots(self.variant)
+        _, kinds, names = _LAYOUTS[self.variant]
         row = {"W": (d,), "U": (n,), "u": (), "b": ()}
-        self.buffers, self.columns = {}, {}
-        for kind in KINDS:
-            owned = _kind_slots(self.variant, kind)
-            if owned:
-                self.buffers[kind] = np.zeros((len(owned) * n, *row[kind]))
-                first = slots.index(owned[0]) * n
-                self.columns[kind] = slice(first, first + len(owned) * n)
-        self.tensors = self.views(self.buffers)
+        self.buffers = {k: np.zeros((count * n, *row[k])) for k, _, count in kinds}
+        self.grad_buffers = {k: np.zeros(buf.shape) for k, buf in self.buffers.items()}
+        self.columns = {k: slice(first * n, (first + count) * n) for k, first, count in kinds}
+        self.tensors = {name: self.buffers[k][r * n:(r + 1) * n] for name, k, r in names}
+        self.grads = {name: self.grad_buffers[k][r * n:(r + 1) * n] for name, k, r in names}
 
     @property
     def gated(self) -> bool:
@@ -140,16 +152,7 @@ class CellParams:
     @property
     def width(self) -> int:
         """Pre-activation columns per step."""
-        return len(_slots(self.variant)) * self.hidden_dim
-
-    def views(self, buffers: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Name -> row block of per-kind buffers laid out like ``self.buffers``."""
-        n = self.hidden_dim
-        out = {}
-        for kind, buf in buffers.items():
-            for k, slot in enumerate(_kind_slots(self.variant, kind)):
-                out[f"{kind}_{slot}"] = buf[k * n:(k + 1) * n]
-        return {name: out[name] for name in param_names(self.variant)}
+        return _LAYOUTS[self.variant][0] * self.hidden_dim
 
 
 @dataclass
@@ -224,20 +227,15 @@ def sequence_forward(params: CellParams, xs: np.ndarray,
     return h[1:], SequenceCache(xs, h, c, gates, c_hat)
 
 
-def zero_grads(params: CellParams) -> dict[str, np.ndarray]:
-    """Zero gradients under params.tensors' names and shapes, as views into
-    per-kind buffers like the parameters'."""
-    return params.views({kind: np.zeros_like(b) for kind, b in params.buffers.items()})
-
-
 def sequence_backward(params: CellParams, cache: SequenceCache,
                       d_hs: np.ndarray):
     """Reverse-mode gradients of sum_t <d_hs[t], h_t> for d_hs [T, B, n].
 
-    Returns (grads, d_xs, d_init) where grads mirrors params.tensors, d_xs is
-    [T, B, d] and d_init is a CellState holding dL/dh_0 and dL/dc_0. For
-    LSTM6 the gates are constants, so only the candidate path receives
-    gradient.
+    Adds the parameter gradients into params.grad_buffers (so params.grads),
+    never zeroing them: two calls add up, as in Conv1D and Dense. Returns
+    (d_xs, d_init) where d_xs is [T, B, d] and d_init is a CellState holding
+    dL/dh_0 and dL/dc_0. For LSTM6 the gates are constants, so only the
+    candidate path receives gradient.
     """
     T, n = len(cache), params.hidden_dim
     B = cache.x.shape[1]
@@ -283,15 +281,14 @@ def sequence_backward(params: CellParams, cache: SequenceCache,
     flat = d_pre.reshape(T * B, params.width)
     x_flat = cache.x.reshape(T * B, params.input_dim)
     h_flat = cache.h[:-1].reshape(T * B, n)
-    grads = {
-        "W": flat[:, cols["W"]].T @ x_flat,
-        "U": flat[:, cols["U"]].T @ h_flat,
-        "b": flat[:, cols["b"]].sum(axis=0),
-    }
+    grads = params.grad_buffers
+    grads["W"] += flat[:, cols["W"]].T @ x_flat
+    grads["U"] += flat[:, cols["U"]].T @ h_flat
+    grads["b"] += flat[:, cols["b"]].sum(axis=0)
     if "u" in buf:
-        grads["u"] = (flat[:, cols["u"]] * np.tile(h_flat, 3)).sum(axis=0)
+        grads["u"] += (flat[:, cols["u"]] * np.tile(h_flat, 3)).sum(axis=0)
     d_xs = (flat[:, cols["W"]] @ buf["W"]).reshape(T, B, params.input_dim)
-    return params.views(grads), d_xs, CellState(h=dh, c=dc_next)
+    return d_xs, CellState(h=dh, c=dc_next)
 
 
 def count_params(variant: Variant, d: int, n: int) -> int:

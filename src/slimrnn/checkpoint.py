@@ -3,13 +3,14 @@
 Every tensor is serialized as base64 over its little-endian float64 bytes,
 so a save/load round trip restores weights bit for bit on any platform.
 
-Neither direction holds a tensor's whole text next to its array. A save
-streams each tensor's base64 into the file SAVE_CHUNK_BYTES of raw bytes at
-a time, writing exactly the text ``json.dumps(checkpoint_payload(...),
-sort_keys=True, indent=2) + "\\n"``. A load decodes each blob LOAD_CHUNK_CHARS
-characters at a time, strictly (any character outside the base64 alphabet,
-or misplaced padding, is an error), straight into the new model's own
-array, and drops the blob's text once it is decoded.
+The text is one JSON object (``format_version``, ``config``, ``params`` as
+name -> {shape, base64 data}, ``vocabulary`` or null) dumped with sorted keys
+and indent 2, plus a newline. Neither direction holds a tensor's whole text
+next to its array. A save streams each tensor's base64 into the file
+SAVE_CHUNK_BYTES of raw bytes at a time. A load decodes each blob
+LOAD_CHUNK_CHARS characters at a time, strictly (any character outside the
+base64 alphabet, or misplaced padding, is an error), straight into the new
+model's own array, and drops the blob's text once it is decoded.
 """
 
 from __future__ import annotations
@@ -40,28 +41,16 @@ def _le_bytes(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype="<f8").reshape(-1).view(np.uint8)
 
 
-def _payload(model, config: ExperimentConfig, vocab: Vocabulary | None, data) -> dict:
-    payload = {
+def _payload(model, config: ExperimentConfig, vocab: Vocabulary | None) -> dict:
+    """The checkpoint object, each tensor's data still its array."""
+    return {
         "format_version": FORMAT_VERSION,
         "config": config.to_dict(),
-        "params": {name: {"shape": list(arr.shape), "data": data(arr)}
+        "params": {name: {"shape": list(arr.shape), "data": arr}
                    for name, arr in model.named_params()},
-        "vocabulary": None,
+        "vocabulary": None if vocab is None else {"capacity": vocab.capacity,
+                                                  "word_to_id": vocab.word_to_id},
     }
-    if vocab is not None:
-        payload["vocabulary"] = {
-            "capacity": vocab.capacity,
-            "word_to_id": vocab.word_to_id,
-        }
-    return payload
-
-
-def checkpoint_payload(model, config: ExperimentConfig,
-                       vocab: Vocabulary | None = None) -> dict:
-    """The checkpoint as one JSON-ready dict, every tensor's base64 text in
-    memory. ``save_checkpoint`` writes the same text without building it."""
-    return _payload(model, config, vocab,
-                    lambda arr: base64.b64encode(_le_bytes(arr)).decode("ascii"))
 
 
 def _write_base64(handle, arr: np.ndarray) -> None:
@@ -99,7 +88,7 @@ def save_checkpoint(path: str, model, config: ExperimentConfig,
                     vocab: Vocabulary | None = None) -> None:
     """Write the checkpoint atomically: a failed write keeps the old file."""
     with atomic_write(path) as handle:
-        _write_json(handle, _payload(model, config, vocab, lambda arr: arr))
+        _write_json(handle, _payload(model, config, vocab))
         handle.write("\n")
 
 

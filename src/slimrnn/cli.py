@@ -37,8 +37,7 @@ EXIT_NUMERIC = 3
 
 SEED_ENV = "SLIMRNN_SEED"
 
-GRADCHECK_SCOPES = ("all", "model", "lstm0", "lstm1", "lstm2", "lstm3",
-                    "lstm4", "lstm5", "lstm6")
+GRADCHECK_SCOPES = ("all", "model", *(v.value.lower() for v in Variant))
 DEFAULT_GRADCHECK_SEEDS = tuple(range(10))
 
 
@@ -87,6 +86,15 @@ def _load_dataset(path: str, config: ExperimentConfig, vocab=None):
         vocab = build_vocab([r.text for r in binary], capacity=config.vocab_size)
     dataset = encode_dataset(binary, vocab, config.maxlen)
     return dataset, vocab, report
+
+
+def _make_out_dir(path: str) -> str:
+    """Made before any work, so a path that cannot be one fails at once."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from None
+    return path
 
 
 def _file_sha256(path: str) -> str:
@@ -153,10 +161,9 @@ def cmd_train(args) -> int:
     started = _utc_now()
     config = _resolve_config(args)
     dataset, vocab, ingest = _load_dataset(args.data, config)
+    out_dir = _make_out_dir(args.out)
     model, report = train(config, dataset)
 
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
     ckpt.save_checkpoint(os.path.join(out_dir, "checkpoint.json"), model, config, vocab)
     metrics = {"manifest": "manifest.json"} | report.as_dict()
     _write_json(os.path.join(out_dir, "metrics.json"), metrics)
@@ -180,10 +187,10 @@ def cmd_eval(args) -> int:
     if vocab is None:
         raise DataError(f"checkpoint {args.checkpoint} carries no vocabulary; cannot tokenize")
     dataset, _, _ = _load_dataset(args.data, config, vocab=vocab)
+    _make_out_dir(args.out)
     result = evaluate(model, dataset)
     report = MetricsReport(config=config.to_dict(), train_size=0,
                            val_size=len(dataset), final=result)
-    os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "eval_metrics.json"), report.as_dict())
     print(_eval_table(result))
     return EXIT_OK
@@ -194,10 +201,9 @@ def cmd_sweep(args) -> int:
     config = _resolve_config(args)
     dataset, _, ingest = _load_dataset(args.data, config)
     values = [v for v in (s.strip() for s in args.values.split(",")) if v]
+    out_dir = _make_out_dir(args.out)
     result = run_sweep(config, args.axis, values, dataset)
 
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "sweep.json"),
                 {"manifest": "manifest.json"} | result.as_dict())
     _write_manifest(out_dir, config, args.data, ingest.total_rows, started,

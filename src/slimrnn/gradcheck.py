@@ -158,12 +158,12 @@ def check_variant(variant: Variant, seeds: Sequence[int], tol: float = 1e-5) -> 
             return float(np.sum(d_hs * hs))
 
         hs, cache = sequence_forward(params, xs, init)
-        grads, d_xs, d_init = sequence_backward(params, cache, d_hs)
+        d_xs, d_init = sequence_backward(params, cache, d_hs)
 
         names = sorted(params.tensors)
         arrays = [params.tensors[name] for name in names] + [xs, init.h, init.c]
         numeric = finite_diff(loss, arrays)
-        analytic = [grads[name] for name in names] + [d_xs, d_init.h, d_init.c]
+        analytic = [params.grads[name] for name in names] + [d_xs, d_init.h, d_init.c]
         labels = names + ["xs", "init.h", "init.c"]
         per_seed.append([_compare(lbl, a, num)
                          for lbl, a, num in zip(labels, analytic, numeric)])

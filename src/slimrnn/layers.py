@@ -1,16 +1,16 @@
 """Non-recurrent layers, the bidirectional wrapper, and model assembly.
 
-Every layer is batch-major: sequences travel as [B, T, features] and
-vectors as [B, features]. Each layer caches what its backward pass needs on
-forward, accumulates parameter gradients into its ``grads`` dict across
-calls, and returns the gradient w.r.t. its input. Layers do not zero their
-own gradients: the model zeroes all of them in one loop
-(SentimentModel.zero_grads). The recurrent and conv layers release their
-caches in backward, so a batch's activations are freed before the optimizer
-step; each backward needs a forward of its own. The recurrent layers hand the cells time-major
-[T, B, features] views. The embedding's gradient is row-sparse: it keeps a
-row end, past which every row is zero, and the model hands it to clipping
-and the optimizer as ``row_ends``.
+Every layer is batch-major: sequences travel as [B, T, features] and vectors
+as [B, features]. Each layer caches what its backward pass needs on forward,
+accumulates parameter gradients into its ``grads`` dict across calls (the
+recurrent layers' are their cells' own), and returns the gradient w.r.t. its
+input. Layers do not zero their own gradients: the model zeroes all of them
+in one loop (SentimentModel.zero_grads). The recurrent and conv layers
+release their caches in backward, so a batch's activations are freed before
+the optimizer step; each backward needs a forward of its own. The recurrent
+layers hand the cells time-major [T, B, features] views. The embedding's
+gradient is row-sparse: it keeps a row end, past which every row is zero,
+and the model hands it to clipping and the optimizer as ``row_ends``.
 """
 
 from __future__ import annotations
@@ -23,11 +23,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .cells import (
     CellParams,
     Variant,
-    count_params,
     init_params,
     sequence_backward,
     sequence_forward,
-    zero_grads as cell_zero_grads,
 )
 from .errors import ConfigError, DataError, ShapeError
 from .numeric import sigmoid, sigmoid_grad
@@ -248,7 +246,7 @@ class Recurrent:
 
     def __init__(self, cell: CellParams):
         self.cell = cell
-        self.grads = cell_zero_grads(cell)
+        self.grads = cell.grads
         self._cache = None
 
     def params(self):
@@ -259,11 +257,14 @@ class Recurrent:
         return hs.transpose(1, 0, 2)
 
     def backward(self, d_hs: np.ndarray) -> np.ndarray:
-        grads, d_xs, _ = sequence_backward(self.cell, self._cache, d_hs.transpose(1, 0, 2))
+        d_xs, _ = sequence_backward(self.cell, self._cache, d_hs.transpose(1, 0, 2))
         self._cache = None
-        for name, g in grads.items():
-            self.grads[name] += g
         return d_xs.transpose(1, 0, 2)
+
+
+def _halves(fwd: dict, bwd: dict) -> dict:
+    """One table of both cells' entries, prefixed "fwd." and "bwd."."""
+    return {f"fwd.{k}": v for k, v in fwd.items()} | {f"bwd.{k}": v for k, v in bwd.items()}
 
 
 class Bidirectional:
@@ -279,14 +280,11 @@ class Bidirectional:
                 f"bidirectional halves disagree on width: {fwd.hidden_dim} vs {bwd.hidden_dim}")
         self.fwd = fwd
         self.bwd = bwd
-        self.grads = {f"fwd.{k}": v for k, v in cell_zero_grads(fwd).items()}
-        self.grads.update({f"bwd.{k}": v for k, v in cell_zero_grads(bwd).items()})
+        self.grads = _halves(fwd.grads, bwd.grads)
         self._caches = None
 
     def params(self):
-        out = {f"fwd.{k}": v for k, v in self.fwd.tensors.items()}
-        out.update({f"bwd.{k}": v for k, v in self.bwd.tensors.items()})
-        return out
+        return _halves(self.fwd.tensors, self.bwd.tensors)
 
     def forward(self, xs: np.ndarray) -> np.ndarray:
         xs_t = xs.transpose(1, 0, 2)
@@ -300,12 +298,8 @@ class Bidirectional:
         cache_f, cache_b = self._caches
         self._caches = None
         d_t = d_out.transpose(1, 0, 2)
-        grads_f, d_xs_f, _ = sequence_backward(self.fwd, cache_f, d_t[:, :, :n])
-        grads_b, d_xs_b, _ = sequence_backward(self.bwd, cache_b, d_t[::-1, :, n:])
-        for name, g in grads_f.items():
-            self.grads[f"fwd.{name}"] += g
-        for name, g in grads_b.items():
-            self.grads[f"bwd.{name}"] += g
+        d_xs_f, _ = sequence_backward(self.fwd, cache_f, d_t[:, :, :n])
+        d_xs_b, _ = sequence_backward(self.bwd, cache_b, d_t[::-1, :, n:])
         return (d_xs_f + d_xs_b[::-1]).transpose(1, 0, 2)
 
 
@@ -427,9 +421,6 @@ class SentimentModel:
             g[:ends.get(name, len(g))] = 0.0
         self.embedding.row_end = 0
 
-    def param_count(self) -> int:
-        return sum(arr.size for _, arr in self._params)
-
     def forward(self, ids: np.ndarray, training: bool = False,
                 rng: Rng | None = None):
         """Probabilities [B] for ids [B, T]; a single sequence ids [T] is a
@@ -457,23 +448,3 @@ class SentimentModel:
             d = layer.backward(d)
         self.embedding.backward(self.spatial_dropout.backward(d))
         return self.grads
-
-    def expected_param_count(self) -> int:
-        """Closed-form total, cross-checkable against param_count()."""
-        c = self.config
-        total = c.vocab_size * c.embed_dim
-        conv_channels = c.embed_dim if c.lstm_position == CNN_THEN_LSTM else c.hidden
-        total += c.conv_filters * c.kernel_size * conv_channels + c.conv_filters
-        rnn_in = c.conv_filters if c.lstm_position == CNN_THEN_LSTM else c.embed_dim
-        total += count_params(self.variant, rnn_in, c.hidden)
-        tail_in = c.hidden if c.lstm_position == CNN_THEN_LSTM else c.conv_filters
-        feat = tail_in
-        if c.bidirectional_tail:
-            total += 2 * count_params(Variant.LSTM0, tail_in, c.hidden)
-            feat = 2 * c.hidden
-        if c.extra_dense:
-            for width in c.extra_dense_dims:
-                total += width * feat + width
-                feat = width
-        total += feat + 1  # head
-        return total

@@ -86,29 +86,29 @@ class TestScalarOracleBackward:
     def test_single_step_gradients(self):
         params = scalar_lstm0()
         hs, cache = sequence_forward(params, XS1, STATE0())
-        grads, d_xs, d_init = sequence_backward(params, cache, np.array([[[1.0]]]))
+        d_xs, d_init = sequence_backward(params, cache, np.array([[[1.0]]]))
         expect = {
             "W_c": 0.10652968598533682, "U_c": 0.05326484299266841,
             "b_c": 0.10652968598533682, "W_i": 0.07360223056334388,
             "b_f": 0.025353085863836097, "b_o": 0.12441130430597236,
         }
         for name, value in expect.items():
-            got = grads[name].ravel()[0]
+            got = params.grads[name].ravel()[0]
             assert got == pytest.approx(value, abs=1e-15), name
         assert d_xs[0, 0, 0] == pytest.approx(0.21671870284327288, abs=1e-15)
         assert d_init.h[0, 0] == pytest.approx(0.12509974368256488, abs=1e-15)
         assert d_init.c[0, 0] == pytest.approx(0.3142330615428789, abs=1e-15)
 
     def test_two_step_gradients_accumulate(self):
-        params = scalar_lstm0()
+        two, one = scalar_lstm0(), scalar_lstm0()
         xs = np.array([[[1.0]], [[1.0]]])
-        hs, cache = sequence_forward(params, xs, STATE0())
-        grads_two, _, _ = sequence_backward(params, cache, np.array([[[0.0]], [[1.0]]]))
-        hs1, cache1 = sequence_forward(params, XS1, STATE0())
-        grads_one, _, _ = sequence_backward(params, cache1, np.array([[[1.0]]]))
+        hs, cache = sequence_forward(two, xs, STATE0())
+        sequence_backward(two, cache, np.array([[[0.0]], [[1.0]]]))
+        hs1, cache1 = sequence_forward(one, XS1, STATE0())
+        sequence_backward(one, cache1, np.array([[[1.0]]]))
         # the second step alone contributes exactly the one-step gradient of
         # a cell started from (h1, c1), plus what flows through h1/c1
-        assert grads_two["W_c"][0, 0] != pytest.approx(grads_one["W_c"][0, 0])
+        assert two.grads["W_c"][0, 0] != pytest.approx(one.grads["W_c"][0, 0])
         assert hs.shape == (2, 1, 1)
 
 
@@ -148,6 +148,21 @@ class TestVariantStructure:
             assert view.shape == shapes[name[0]], name
             assert view.flags.c_contiguous and view.base is params.buffers[name[0]], name
             assert not view.any(), name
+        # gradients: the same names, shapes and layout, in buffers of their own
+        assert list(params.grads) == param_names(variant)
+        for name, view in params.grads.items():
+            kind = name[0]
+            assert view.shape == shapes[kind], name
+            assert view.flags.c_contiguous and view.base is params.grad_buffers[kind], name
+            assert params.grad_buffers[kind].shape == params.buffers[kind].shape, name
+            assert not np.shares_memory(view, params.buffers[kind]), name
+            assert not view.any(), name
+
+    def test_cells_compare_by_identity(self):
+        a = init_params(Variant.LSTM0, 2, 2, Rng(0))
+        b = init_params(Variant.LSTM0, 2, 2, Rng(0))
+        assert a == a
+        assert a != b  # equal values, two cells; comparing them must not raise
 
     def test_rejects_bad_dims(self):
         for d, n in ((0, 2), (3, 0), (-1, 2)):
@@ -255,10 +270,28 @@ class TestSequenceApi:
         hs, cache = sequence_forward(params, xs)
         assert hs.shape == (7, 2, 4)
         assert len(cache) == 7
-        grads, d_xs, d_init = sequence_backward(params, cache, np.ones((7, 2, 4)))
+        d_xs, d_init = sequence_backward(params, cache, np.ones((7, 2, 4)))
         assert d_xs.shape == (7, 2, 3)
         assert d_init.h.shape == d_init.c.shape == (2, 4)
-        assert all(grads[name].shape == params.tensors[name].shape for name in grads)
+        assert list(params.grads) == list(params.tensors)
+        assert all(params.grads[name].shape == params.tensors[name].shape
+                   for name in params.grads)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_backward_adds_into_grads(self, variant):
+        """sequence_backward accumulates: a second call on the same cache
+        doubles every gradient, bit for bit, and leaves the weights alone."""
+        params = init_params(variant, 3, 4, Rng(5))
+        weights = {name: view.copy() for name, view in params.tensors.items()}
+        _, cache = sequence_forward(params, Rng(6).uniform((5, 2, 3), -1, 1))
+        d_hs = Rng(7).uniform((5, 2, 4), -1, 1)
+        sequence_backward(params, cache, d_hs)
+        once = {name: g.copy() for name, g in params.grads.items()}
+        sequence_backward(params, cache, d_hs)
+        for name, g in params.grads.items():
+            assert once[name].any(), name
+            assert g.tobytes() == (2.0 * once[name]).tobytes(), name
+            assert params.tensors[name].tobytes() == weights[name].tobytes(), name
 
     def test_rejects_empty_sequence(self):
         params = init_params(Variant.LSTM0, 3, 4, Rng(5))
@@ -282,8 +315,9 @@ class TestSequenceApi:
         params = init_params(Variant.LSTM6, 2, 3, Rng(8))
         xs = Rng(9).uniform((4, 1, 2), -1, 1)
         hs, cache = sequence_forward(params, xs)
-        grads, _, _ = sequence_backward(params, cache, np.ones((4, 1, 3)))
-        assert set(grads) == {"W_c", "U_c", "b_c"}
+        sequence_backward(params, cache, np.ones((4, 1, 3)))
+        assert set(params.grads) == {"W_c", "U_c", "b_c"}
+        assert all(g.any() for g in params.grads.values())
 
     def test_batch_rows_are_independent(self):
         for variant in Variant:

@@ -21,6 +21,21 @@ from slimrnn import (
 )
 
 
+def checkpoint_payload(model, config: ExperimentConfig, vocab=None) -> dict:
+    """The checkpoint as one JSON-ready dict, every tensor's base64 text in
+    memory: json.dumps of it (sorted keys, indent 2) plus a newline is the
+    text save_checkpoint must write."""
+    return {
+        "format_version": checkpoint.FORMAT_VERSION,
+        "config": config.to_dict(),
+        "params": {name: {"shape": list(arr.shape),
+                          "data": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")}
+                   for name, arr in model.named_params()},
+        "vocabulary": None if vocab is None else {"capacity": vocab.capacity,
+                                                  "word_to_id": vocab.word_to_id},
+    }
+
+
 @pytest.fixture(scope="module")
 def trained():
     config = micro_config(vocab_size=12, epochs=2)
@@ -72,7 +87,7 @@ def test_save_is_atomic(trained, tmp_path, monkeypatch):
     path = tmp_path / "checkpoint.json"
     save_checkpoint(str(path), model, config, vocab)
     before = path.read_bytes()
-    payload = checkpoint.checkpoint_payload(model, config, vocab)
+    payload = checkpoint_payload(model, config, vocab)
     assert before == (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
 
     real_b64encode = base64.b64encode
@@ -224,7 +239,7 @@ def reference(tmp_path_factory):
 
 def test_reference_save_matches_json_dumps(reference):
     model, config, vocab, path = reference
-    payload = checkpoint.checkpoint_payload(model, config, vocab)
+    payload = checkpoint_payload(model, config, vocab)
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     table = payload["params"]["embedding.table"]["data"]
     assert len(table) > 10 * checkpoint.SAVE_CHUNK_BYTES  # spans many chunks

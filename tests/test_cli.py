@@ -371,12 +371,40 @@ class TestSweep:
     def test_bad_axis(self, tmp_path):
         config_path = write_config(tmp_path)
         code, _, _ = run_cli(["sweep", "--config", config_path,
-                              "--data", str(FIXTURE_CSV),
+                              "--data", str(FIXTURE_CSV), "--out", str(tmp_path / "sweep"),
                               "--axis", "kernel_size", "--values", "3,5"])
         assert code == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+def test_out_that_cannot_be_a_directory_fails_before_any_work(
+        command, trained_run, tmp_path, monkeypatch):
+    calls = []
+    record = lambda *args, **kw: calls.append(args)  # noqa: E731
+    monkeypatch.setattr(cli, "train", record)
+    monkeypatch.setattr(training, "train", record)
+    monkeypatch.setattr(cli, "evaluate", record)
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file, not a directory\n")
+    data = ["--data", str(FIXTURE_CSV), "--out", str(blocker)]
+    argv = {
+        "train": ["train", "--config", write_config(tmp_path)] + data,
+        "eval": ["eval", "--checkpoint", str(trained_run[0] / "checkpoint.json")] + data,
+        "sweep": ["sweep", "--config", write_config(tmp_path)] + data
+                 + ["--axis", "batch_size", "--values", "4,8"],
+    }[command]
+    code, out, err = run_cli(argv)
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("error: ") and str(blocker) in err and "Traceback" not in err
+    assert calls == [] and out == ""
+    assert blocker.read_text() == "a file, not a directory\n"
+
+
 class TestGradcheckCommand:
+    def test_scopes_follow_the_variants(self):
+        assert cli.GRADCHECK_SCOPES == ("all", "model", "lstm0", "lstm1", "lstm2",
+                                        "lstm3", "lstm4", "lstm5", "lstm6")
+
     def test_single_scope_passes(self):
         code, out, _ = run_cli(["gradcheck", "lstm6"])
         assert code == cli.EXIT_OK

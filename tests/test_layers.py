@@ -16,7 +16,7 @@ from slimrnn import (
     ShapeError,
     Variant,
 )
-from slimrnn.cells import init_params, sequence_forward
+from slimrnn.cells import count_params, init_params, sequence_forward
 from slimrnn.gradcheck import finite_diff, relative_error
 from slimrnn.layers import (
     Bidirectional,
@@ -34,6 +34,31 @@ from slimrnn.training import bce_loss
 MICRO = ExperimentConfig(seed=0, vocab_size=30, embed_dim=5, conv_filters=4,
                          kernel_size=3, pool_size=2, hidden=3, maxlen=9,
                          spatial_dropout=0.0, dense_dropout=0.0)
+
+
+def param_count(model: SentimentModel) -> int:
+    return sum(arr.size for _, arr in model.named_params())
+
+
+def expected_param_count(config: ExperimentConfig) -> int:
+    """Closed-form total for the model ``config`` builds, to check the
+    model's tensors against."""
+    c = config
+    cnn_first = c.lstm_position == CNN_THEN_LSTM
+    total = c.vocab_size * c.embed_dim
+    conv_channels = c.embed_dim if cnn_first else c.hidden
+    total += c.conv_filters * c.kernel_size * conv_channels + c.conv_filters
+    rnn_in = c.conv_filters if cnn_first else c.embed_dim
+    total += count_params(Variant.parse(c.variant), rnn_in, c.hidden)
+    feat = c.hidden if cnn_first else c.conv_filters
+    if c.bidirectional_tail:
+        total += 2 * count_params(Variant.LSTM0, feat, c.hidden)
+        feat = 2 * c.hidden
+    if c.extra_dense:
+        for width in c.extra_dense_dims:
+            total += width * feat + width
+            feat = width
+    return total + feat + 1  # head
 
 
 class TestEmbedding:
@@ -252,6 +277,19 @@ def test_last_step_round_trip():
     assert not d_x[:, :-1].any()
 
 
+def test_recurrent_layers_hold_their_cells_gradients():
+    cell = init_params(Variant.LSTM5, 3, 4, Rng(7))
+    assert Recurrent(cell).grads is cell.grads
+    fwd = init_params(Variant.LSTM0, 3, 2, Rng(9))
+    bwd = init_params(Variant.LSTM0, 3, 2, Rng(10))
+    layer = Bidirectional(fwd, bwd)
+    assert list(layer.grads) == ([f"fwd.{k}" for k in fwd.grads]
+                                 + [f"bwd.{k}" for k in bwd.grads])
+    for name in fwd.grads:
+        assert layer.grads[f"fwd.{name}"] is fwd.grads[name]
+        assert layer.grads[f"bwd.{name}"] is bwd.grads[name]
+
+
 class TestBidirectional:
     def test_forward_matches_manual_composition(self):
         fwd = init_params(Variant.LSTM0, 3, 2, Rng(9))
@@ -305,16 +343,16 @@ class TestSentimentModel:
             config = replace(MICRO, variant=variant.value.lower(),
                              lstm_position=position, extra_dense=extra)
             model = SentimentModel(config, Rng(21))
-            assert model.param_count() == model.expected_param_count(), (
+            assert param_count(model) == expected_param_count(config), (
                 variant, position, extra)
 
     def test_unidirectional_option(self):
-        model = SentimentModel(replace(MICRO, variant="lstm2", bidirectional_tail=False),
-                               Rng(22))
+        config = replace(MICRO, variant="lstm2", bidirectional_tail=False)
+        model = SentimentModel(config, Rng(22))
         assert model.tail is None
         p = model.forward(np.arange(9) % 30)
         assert 0.0 < p < 1.0
-        assert model.param_count() == model.expected_param_count()
+        assert param_count(model) == expected_param_count(config)
 
     @pytest.mark.parametrize("position, tail, extra", itertools.product(
         (CNN_THEN_LSTM, LSTM_THEN_CNN), (True, False), (False, True)))
@@ -345,6 +383,26 @@ class TestSentimentModel:
                 assert not g.any(), name
             assert model.embedding.row_end == 0
             assert model.row_ends == {"embedding.table": 0}
+
+    @pytest.mark.parametrize("position, extra", itertools.product(
+        (CNN_THEN_LSTM, LSTM_THEN_CNN), (False, True)))
+    def test_reverse_tail_gradients_that_are_exactly_zero(self, position, extra):
+        """Pins a known bug. The head reads the tail's output at step T-1,
+        where the reverse cell has run a single step from h = c = 0; so
+        nothing reaches its recurrent weights (h_prev = 0) or its forget
+        gate (c_prev = 0), and those tensors never train. ROADMAP item 3's
+        tail fix must flip this test."""
+        model = SentimentModel(replace(MICRO, lstm_position=position,
+                                       extra_dense=extra), Rng(20))
+        rng = Rng(30)
+        ids = (rng.uniform((4, 9)) * 30).astype(np.int64)
+        model.forward(ids)
+        model.backward(rng.uniform(4, -1.0, 1.0))
+        grads = model.tail.bwd.grads
+        for name in ("U_i", "U_f", "U_o", "U_c", "W_f", "b_f"):
+            assert not grads[name].any(), name
+        for name in ("W_i", "W_o", "W_c", "b_i", "b_o", "b_c"):
+            assert grads[name].any(), name
 
     @pytest.mark.parametrize("tail, extra", itertools.product((True, False), (False, True)))
     def test_names_in_the_same_order_for_both_positions(self, tail, extra):
