@@ -15,6 +15,7 @@ and the model hands it to clipping and the optimizer as ``row_ends``.
 
 from __future__ import annotations
 
+import mmap
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -38,20 +39,36 @@ CNN_THEN_LSTM = "cnn-then-lstm"
 LSTM_THEN_CNN = "lstm-then-cnn"
 
 
+def _mapped_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """Zeros in private anonymous pages of their own: a page takes memory
+    only once written, and every page goes back to the system with the
+    array. ``np.zeros`` keeps neither promise for a large array. Once glibc
+    has freed a block that size, it serves the next from its heap and zeroes
+    every page, so how much of the array is resident depends on what the
+    process allocated before. (A shared mapping, ``mmap``'s default, would
+    take memory for every page read as well.)"""
+    if not hasattr(mmap, "MAP_PRIVATE"):  # Windows: no private anonymous maps
+        return np.zeros(shape, dtype)
+    dtype = np.dtype(dtype)
+    size = int(np.prod(shape))
+    pages = mmap.mmap(-1, max(size * dtype.itemsize, 1), flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(pages, dtype, size).reshape(shape)
+
+
 class Embedding:
     """Token-id lookup table [V, e]: ids of any shape gain a trailing e axis.
 
     Backward writes only the looked-up rows of the table gradient, so the
     layer keeps ``row_end``, one past the highest row written since the
     model's zero_grads, which clears just the rows before it and resets it;
-    every row from it on stays exactly zero. The gradient is allocated zeroed
-    (``np.zeros``, not ``zeros_like``, which writes every page), so rows
-    never reached need not occupy memory.
+    every row from it on stays exactly zero. The gradient lives in pages
+    mapped for it alone (``_mapped_zeros``), so rows never reached occupy no
+    memory.
     """
 
     def __init__(self, table: np.ndarray):
         self.table = table
-        self.grads = {"table": np.zeros(table.shape, table.dtype)}
+        self.grads = {"table": _mapped_zeros(table.shape, table.dtype)}
         self.row_end = 0
         self._ids = None
 

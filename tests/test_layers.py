@@ -1,6 +1,8 @@
 """Layer-by-layer behavior, plus assembly checks on the whole model."""
 
 import itertools
+import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -83,6 +85,40 @@ class TestEmbedding:
         np.testing.assert_array_equal(emb.grads["table"][3], [0.0, 1.0])
         np.testing.assert_array_equal(emb.grads["table"][0], [0.0, 0.0])
         assert emb.row_end == 4
+
+    def test_gradient_takes_no_heap_memory(self):
+        """The reference-size gradient (20 MB) is zero, writable and mapped
+        apart from the heap, even after a block its size has been freed."""
+        table = np.zeros((20000, 128))
+        np.ones(table.shape)  # freed at once
+        tracemalloc.start()
+        try:
+            emb = Embedding(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        grad = emb.grads["table"]
+        assert grad.shape == table.shape and grad.dtype == table.dtype
+        assert grad.flags.writeable and grad.flags.c_contiguous and not grad.any()
+        assert Embedding(np.zeros((0, 3))).grads["table"].shape == (0, 3)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc")
+    def test_gradient_pages_take_memory_only_once_written(self):
+        """Reading the whole reference-size gradient keeps it out of resident
+        memory; writing 100 rows brings in about their 100 KB."""
+        def resident() -> int:
+            with open("/proc/self/statm") as handle:
+                return int(handle.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+        mb = 1 << 20
+        table = np.zeros((20000, 128))
+        before = resident()
+        emb = Embedding(table)
+        assert emb.grads["table"].sum() == 0.0
+        assert resident() - before < 2 * mb
+        emb.forward(np.arange(100))
+        emb.backward(np.ones((100, 128)))
+        assert resident() - before < 3 * mb
 
 
 class TestDropout:
