@@ -26,6 +26,7 @@ from .training import (
     MetricsReport,
     evaluate,
     run_sweep,
+    sweep_configs,
     train,
 )
 from . import checkpoint as ckpt
@@ -199,8 +200,9 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     started = _utc_now()
     config = _resolve_config(args)
-    dataset, _, ingest = _load_dataset(args.data, config)
     values = [v for v in (s.strip() for s in args.values.split(",")) if v]
+    sweep_configs(config, args.axis, values)  # ConfigError before --out is made
+    dataset, _, ingest = _load_dataset(args.data, config)
     out_dir = _make_out_dir(args.out)
     result = run_sweep(config, args.axis, values, dataset)
 

@@ -16,7 +16,10 @@ import numpy as np
 
 from .cells import CellParams, CellState, Variant, sequence_backward, sequence_forward
 from .errors import NumericError
+from .layers import CNN_THEN_LSTM, LSTM_THEN_CNN
+from .numeric import sigmoid, sigmoid_grad, tanh_grad
 from .rng import Rng
+from .training import ExperimentConfig, bce_loss
 
 DEFAULT_EPS = 1e-6
 # check_variant draws each problem's sizes uniformly from 1..these bounds.
@@ -30,6 +33,9 @@ CALIBRATION_TOL = 1e-8
 # of ReLU and max-pool.
 MODEL_EPS = 1e-4
 MODEL_BATCH = 3
+# check_all runs the model check on this many of its seeds, the first ones;
+# check_model itself, as ``slimrnn gradcheck model`` calls it, uses them all.
+MODEL_SEEDS_IN_ALL = 3
 # check_model runs these variants under every architecture switch: lstm0
 # has W, U and b in each gate, lstm5 is the one with both u and b.
 SWITCHED_VARIANTS = (Variant.LSTM0, Variant.LSTM5)
@@ -174,9 +180,6 @@ def _model_configs() -> list:
     """The micro model at every variant with the default switches, then
     every other combination of lstm_position, extra_dense and
     bidirectional_tail for SWITCHED_VARIANTS."""
-    from .layers import CNN_THEN_LSTM, LSTM_THEN_CNN
-    from .training import ExperimentConfig
-
     micro = ExperimentConfig(seed=0, vocab_size=20, embed_dim=4, conv_filters=3,
                              kernel_size=2, pool_size=2, hidden=3, maxlen=6,
                              spatial_dropout=0.0, dense_dropout=0.0,
@@ -217,8 +220,6 @@ def check_model(seeds: Sequence[int], tol: float = 1e-4) -> GradReport:
     derivative; it is left out and counted in the entry's ``kinks``. Entries
     are named "<parameter> [<variant> <lstm_position> tail<0|1> dense<0|1>]".
     """
-    from .training import bce_loss
-
     per_seed = []
     for seed in seeds:
         for k, config in enumerate(_model_configs()):
@@ -266,16 +267,15 @@ def check_module(target: str, seeds: Sequence[int], tol: float = 1e-5) -> GradRe
 
 
 def check_all(seeds: Sequence[int], tol: float = 1e-5) -> list[GradReport]:
-    """All seven variants plus the end-to-end model check."""
+    """All seven variants on every seed, plus the end-to-end model check on
+    the first MODEL_SEEDS_IN_ALL seeds."""
     reports = [check_variant(v, seeds, tol=tol) for v in Variant]
-    reports.append(check_model(list(seeds)[:3], tol=max(tol, 1e-4)))
+    reports.append(check_model(list(seeds)[:MODEL_SEEDS_IN_ALL], tol=max(tol, 1e-4)))
     return reports
 
 
 def calibrate_oracle() -> GradReport:
     """Validate the oracle itself on closed-form derivatives before use."""
-    from .numeric import sigmoid, sigmoid_grad, tanh_grad
-
     entries = []
     w = np.array([3.0])
     num = finite_diff(lambda: float(w[0] ** 2), [w])[0]

@@ -2,8 +2,12 @@
 
 Parameters and gradients travel as dicts keyed by tensor name. All three
 rules update the parameter arrays in place and are deterministic given
-(state, grads). Slot tensors are allocated lazily per name, so an optimizer
-binds to whatever parameter set it first sees.
+(state, grads). A rule's per-tensor state lives in one table,
+``Optimizer.slots``: on a tensor's first step the rule's ``SLOTS`` arrays
+(0 for SGD, 1 for RMSprop, 2 for Adam) are allocated at the tensor's full
+shape in pages mapped for them alone (``numeric.mapped_zeros``), so an
+optimizer binds to whatever parameter set it first sees, and a slot page
+takes memory only once a row in it is stepped.
 
 A caller may give, per tensor, a row end: every row (index along axis 0)
 of the gradient from that end on is zero. A tensor not named ends at its
@@ -12,10 +16,9 @@ largest end given for that tensor on any step so far, because slots keep a
 row moving after its gradient returns to zero. Every rule is elementwise,
 and a row past that end has a zero gradient and zero slots, so its update
 is exactly 0 (``p - lr * 0.0 == p`` for SGD, which has no slots): the
-result is bit-identical to updating the whole tensor. Slots are stored
-only up to that end and grow, zero-filled, when it does. Vocabulary ids
-are ranked by frequency, so the rows an embedding gradient touches sit
-near the start of the table.
+result is bit-identical to updating the whole tensor, and whole and prefix
+steps mix freely. Vocabulary ids are ranked by frequency, so the rows an
+embedding gradient touches sit near the start of the table.
 
 Clipping sums each tensor's squares up to its end only, in the pairwise
 order numpy's whole-tensor ``np.sum`` uses, so the norm keeps every bit
@@ -29,11 +32,16 @@ import math
 import numpy as np
 
 from .errors import ConfigError, ShapeError
+from .numeric import mapped_zeros
 
 # numpy's pairwise summation (``pairwise_sum`` in its loops): a run of more
 # than this many elements is split in two and each half summed alone; a run
 # of at most this many is summed directly.
 PAIRWISE_BLOCK = 128
+
+RHO = 0.9  # RMSprop: decay of the mean squared gradient
+BETA1, BETA2 = 0.9, 0.999  # Adam: decays of the first and second moments
+EPS = 1e-8  # RMSprop and Adam: added to the root, outside the square root
 
 
 def _prefix_sum_of_squares(flat: np.ndarray, n: int, end: int) -> float:
@@ -98,13 +106,17 @@ def clip_by_global_norm(grads: dict[str, np.ndarray], max_norm: float,
 
 
 class Optimizer:
+    SLOTS = 0  # per-tensor state arrays the rule keeps
+
     def __init__(self, lr: float):
         if not 0.0 < lr < math.inf:
             raise ConfigError(f"lr must be positive and finite, got {lr}")
         self.lr = lr
         self.t = 0
-        # Per tensor stepped so far: the largest row end of any step.
+        # Per tensor stepped so far: the largest row end of any step, and
+        # the rule's SLOTS arrays at the tensor's full shape.
         self.row_end: dict[str, int] = {}
+        self.slots: dict[str, list[np.ndarray]] = {}
 
     def apply_update(self, params: dict[str, np.ndarray],
                      grads: dict[str, np.ndarray],
@@ -119,34 +131,23 @@ class Optimizer:
             if p.shape != grads[name].shape:
                 raise ShapeError(
                     f"{name}: param {p.shape} vs grad {grads[name].shape}")
+            slots = self.slots.get(name)
+            if slots and slots[0].shape != p.shape:
+                raise ShapeError(
+                    f"{name}: param {p.shape} vs its optimizer slots {slots[0].shape}")
         ends = _row_ends(grads, ends)
         self.t += 1
         for name, p in params.items():
+            slots = self.slots.get(name)
+            if slots is None:
+                slots = self.slots[name] = [mapped_zeros(p.shape, p.dtype)
+                                            for _ in range(self.SLOTS)]
             end = self.row_end[name] = max(ends[name], self.row_end.get(name, 0))
-            p = p[:end]
-            self._rule(p, grads[name][:end], *self._slots(name, p))
-
-    def _slots(self, name: str, p: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The rule's slots for ``p``, the part of tensor ``name`` this step
-        updates."""
-        return ()
+            self._rule(p[:end], grads[name][:end], *(s[:end] for s in slots))
 
     def _rule(self, p, g, *slots) -> None:
         """Update p (and the slots) in place from g, elementwise."""
         raise NotImplementedError
-
-    def _slot(self, store: dict, name: str, like: np.ndarray) -> np.ndarray:
-        """A slot shaped like ``like``: the tensor's leading rows up to its
-        row end, the only slot rows that can be nonzero. The slot grows,
-        zero-filled, as the row end does. The end rarely grows once the
-        frequent words have been seen, so copies are few."""
-        slot = store.get(name)
-        if slot is None or slot.shape != like.shape:
-            grown = np.zeros(like.shape, like.dtype)
-            if slot is not None:
-                grown[:len(slot)] = slot
-            store[name] = slot = grown
-        return slot
 
 
 class SGD(Optimizer):
@@ -157,45 +158,28 @@ class SGD(Optimizer):
 class RMSprop(Optimizer):
     """Gradient scaled by a decaying RMS of its own history."""
 
-    def __init__(self, lr: float, rho: float = 0.9, eps: float = 1e-8):
-        super().__init__(lr)
-        self.rho = rho
-        self.eps = eps
-        self.v: dict[str, np.ndarray] = {}
-
-    def _slots(self, name, p):
-        return (self._slot(self.v, name, p),)
+    SLOTS = 1
 
     def _rule(self, p, g, v):
-        v *= self.rho
-        v += (1.0 - self.rho) * g * g
-        p -= self.lr * g / (np.sqrt(v) + self.eps)
+        v *= RHO
+        v += (1.0 - RHO) * g * g
+        p -= self.lr * g / (np.sqrt(v) + EPS)
 
 
 class Adam(Optimizer):
     """Bias-corrected first/second moment estimates; eps sits outside the
     square root."""
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
-        super().__init__(lr)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
-
-    def _slots(self, name, p):
-        return (self._slot(self.m, name, p), self._slot(self.v, name, p))
+    SLOTS = 2
 
     def _rule(self, p, g, m, v):
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * g * g
-        p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 OPTIMIZERS = {"sgd": SGD, "rmsprop": RMSprop, "adam": Adam}

@@ -374,19 +374,25 @@ class SweepResult:
         return "\n".join([fmt(header), rule, *map(fmt, body)])
 
 
-def run_sweep(base: ExperimentConfig, axis: str, values: list,
-              dataset: LabeledDataset) -> SweepResult:
-    """Train once per value, everything else (seed included) held fixed. A
-    bad value raises ConfigError before the first run starts."""
+def sweep_configs(base: ExperimentConfig, axis: str,
+                  values: list) -> list[tuple[object, ExperimentConfig]]:
+    """Each value, coerced, with its config built and checked: a bad axis,
+    an empty list or a bad value anywhere raises ConfigError here."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; pick one of {', '.join(SWEEP_AXES)}")
     if not values:
         raise ConfigError("sweep needs at least one value")
     values = [coerce_axis_value(axis, raw) for raw in values]
-    configs = [replace(base, **{_AXIS_FIELD[axis]: value}) for value in values]
+    return [(value, replace(base, **{_AXIS_FIELD[axis]: value})) for value in values]
+
+
+def run_sweep(base: ExperimentConfig, axis: str, values: list,
+              dataset: LabeledDataset) -> SweepResult:
+    """Train once per value, everything else (seed included) held fixed. A
+    bad value raises ConfigError before the first run starts."""
     rows = []
     reports = []
-    for value, config in zip(values, configs):
+    for value, config in sweep_configs(base, axis, values):
         report = train(config, dataset)[1]  # let each model go before the next is built
         final = report.final
         rows.append(SweepRow(value, final.positive_accuracy,

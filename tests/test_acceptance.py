@@ -38,7 +38,7 @@ from slimrnn import (
     train,
 )
 from slimrnn.cells import init_params, sequence_forward
-from slimrnn.gradcheck import check_all
+from slimrnn.gradcheck import MODEL_SEEDS_IN_ALL, check_all
 
 
 def record(slug: str, ok: bool, detail: str) -> None:
@@ -54,7 +54,8 @@ def test_gradient_suite():
     worst = max(r.max_rel_err for r in reports)
     ok = all(r.passed for r in reports) and elapsed < 120.0
     failed = [r.target for r in reports if not r.passed]
-    detail = (f"7 cells at 1e-5 plus model at 1e-4, 10 seeds, "
+    detail = (f"7 cells at 1e-5 on seeds 0-9 plus model at 1e-4 on seeds "
+              f"0-{MODEL_SEEDS_IN_ALL - 1}, "
               f"worst rel err {worst:.2e}, {elapsed:.1f}s")
     if failed:
         detail += f", failed: {failed}"

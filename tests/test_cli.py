@@ -349,7 +349,7 @@ class TestSweep:
         assert code == cli.EXIT_CONFIG
         assert "adamw" in err and "Traceback" not in err
         assert calls == []
-        assert not (out_dir / "sweep.json").exists()
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("overrides, axis, values", [
         ({}, "split", "0.3,0.5,1.5"),
@@ -370,10 +370,22 @@ class TestSweep:
 
     def test_bad_axis(self, tmp_path):
         config_path = write_config(tmp_path)
+        out_dir = tmp_path / "sweep"
         code, _, _ = run_cli(["sweep", "--config", config_path,
-                              "--data", str(FIXTURE_CSV), "--out", str(tmp_path / "sweep"),
+                              "--data", str(FIXTURE_CSV), "--out", str(out_dir),
                               "--axis", "kernel_size", "--values", "3,5"])
         assert code == cli.EXIT_CONFIG
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("values", [",", " , ,"])
+    def test_empty_values_exit_before_making_out(self, tmp_path, values):
+        out_dir = tmp_path / "sweep"
+        code, _, err = run_cli(["sweep", "--config", write_config(tmp_path),
+                                "--data", str(FIXTURE_CSV), "--out", str(out_dir),
+                                "--axis", "variant", "--values", values])
+        assert code == cli.EXIT_CONFIG
+        assert "at least one value" in err and "Traceback" not in err
+        assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "sweep"])

@@ -8,6 +8,7 @@ First-step oracles, derived by hand from the update equations:
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -23,6 +24,11 @@ from slimrnn.optimizers import _prefix_sum_of_squares, make_optimizer
 # one gradient and never another, row 4 comes and goes, and rows 3, 5, 6,
 # 8 and 10 never get one.
 ROW_STEPS = ([1, 4, 7], [4, 9], [2], [7, 11, 4], [0], [9, 2, 4])
+
+
+def dense_slots(ref: DenseReference, name: str) -> list[np.ndarray]:
+    """The reference's slots for ``name``, in the order the rule keeps them."""
+    return [store[name] for store in (ref.m, ref.v) if name in store]
 
 
 def test_sgd_first_step():
@@ -46,7 +52,7 @@ def test_adam_first_step():
 def test_rmsprop_two_steps_match_scalar_recurrence():
     lr, rho, eps = 0.05, 0.9, 1e-8
     w = {"w": np.array([2.0])}
-    opt = RMSprop(lr, rho=rho, eps=eps)
+    opt = RMSprop(lr)
     wv, v = 2.0, 0.0
     for g in (1.0, -0.5, 0.25):
         opt.apply_update(w, {"w": np.array([g])})
@@ -89,8 +95,8 @@ def test_slot_state_keyed_by_name():
     opt = Adam(0.01)
     params = {"a": np.array([1.0]), "b": np.array([2.0])}
     opt.apply_update(params, {"a": np.array([1.0]), "b": np.array([0.0])})
-    assert "a" in opt.m and "b" in opt.m
-    assert opt.m["a"][0] != 0.0 and opt.m["b"][0] == 0.0
+    assert opt.slots.keys() == {"a", "b"}
+    assert opt.slots["a"][0][0] != 0.0 and opt.slots["b"][0][0] == 0.0
 
 
 def test_shape_and_key_mismatches():
@@ -120,10 +126,10 @@ def test_row_step_equals_whole_table_step(kind):
         for name in fast:
             assert np.array_equal(fast[name], slow[name]), name
             assert fast[name].tobytes() == slow[name].tobytes(), name
-    for slots, ref_slots in ((getattr(opt, "m", {}), ref.m), (getattr(opt, "v", {}), ref.v)):
-        assert slots.keys() == ref_slots.keys()
-        for name in slots:
-            assert np.array_equal(slots[name], ref_slots[name]), name
+    for name, slots in opt.slots.items():
+        assert len(slots) == len(dense_slots(ref, name)) == opt.SLOTS
+        for slot, ref_slot in zip(slots, dense_slots(ref, name)):
+            assert np.array_equal(slot, ref_slot), name
 
 
 @st.composite
@@ -142,8 +148,8 @@ def mixed_step_runs(draw):
 @given(mixed_step_runs())
 @settings(max_examples=40, deadline=None)
 def test_mixed_whole_and_prefix_steps_equal_dense_reference(kind, run):
-    # A whole step grows the slots to the full table, zero-filled, so whole
-    # and prefix steps may follow each other in any order.
+    # Slots are full size from a tensor's first step, so whole and prefix
+    # steps may follow each other in any order.
     n_rows, seed, ends, max_norm = run
     rng = np.random.default_rng(seed)
     start = {"table": rng.normal(size=(n_rows, 3)), "bias": rng.normal(size=4)}
@@ -163,11 +169,10 @@ def test_mixed_whole_and_prefix_steps_equal_dense_reference(kind, run):
         ref.apply_update(slow, dense)
         for name in fast:
             assert fast[name].tobytes() == slow[name].tobytes(), name
-    for slots, ref_slots in ((getattr(opt, "m", {}), ref.m), (getattr(opt, "v", {}), ref.v)):
-        for name in slots:
-            full = np.zeros_like(ref_slots[name])
-            full[:len(slots[name])] = slots[name]
-            assert full.tobytes() == ref_slots[name].tobytes(), name
+    for name, slots in opt.slots.items():
+        assert len(slots) == len(dense_slots(ref, name))
+        for slot, ref_slot in zip(slots, dense_slots(ref, name)):
+            assert slot.tobytes() == ref_slot.tobytes(), name
 
 
 def test_end_for_unknown_tensor_rejected():
@@ -199,9 +204,41 @@ def test_row_step_visits_only_leading_rows(kind):
         opt.apply_update(params, grads, {"w": max(step) + 1})
     assert np.isfinite(params["w"][:4]).all()
     assert (params["w"][4:] == 1.0).all()
-    for slots in (getattr(opt, "m", {}), getattr(opt, "v", {})):
-        assert not slots or slots["w"].shape == (4, 2)  # stored up to the row end
+    for slot in opt.slots["w"]:
+        assert (slot[4:] == 0.0).all()
     assert opt.row_end == {"w": 4}
+
+
+@pytest.mark.parametrize("kind", ["rmsprop", "adam"])
+@pytest.mark.parametrize("shape", [(3, 4), (2, 2)])
+def test_tensor_that_changes_shape_rejected(kind, shape):
+    opt = make_optimizer(kind, 0.1)
+    opt.apply_update({"w": np.ones((3, 2))}, {"w": np.ones((3, 2))})
+    with pytest.raises(ShapeError) as err:
+        opt.apply_update({"w": np.ones(shape)}, {"w": np.ones(shape)})
+    assert str(shape) in str(err.value) and "(3, 2)" in str(err.value)
+    assert opt.t == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc")
+def test_slot_pages_take_memory_only_once_stepped():
+    """Whatever block the heap freed before, three Adam steps on the first
+    100 rows of a reference-size table bring in about their 200 KB of
+    slots, not the two 20 MB slot arrays."""
+    def resident() -> int:
+        with open("/proc/self/statm") as handle:
+            return int(handle.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+    mb = 1 << 20
+    params = {"table": np.zeros((20000, 128))}
+    grads = {"table": np.zeros((20000, 128))}
+    grads["table"][:100] = 1.0
+    block = np.ones(20 * mb // 8)
+    del block
+    opt = Adam(0.1)
+    before = resident()
+    for _ in range(3):
+        opt.apply_update(params, grads, {"table": 100})
+    assert resident() - before < 2 * mb
 
 
 def test_make_optimizer():
