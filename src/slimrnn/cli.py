@@ -55,6 +55,8 @@ def _read_config_file(path: str) -> dict:
             raw = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot open config {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):

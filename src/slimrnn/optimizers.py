@@ -113,8 +113,9 @@ class Optimizer:
             raise ConfigError(f"lr must be positive and finite, got {lr}")
         self.lr = lr
         self.t = 0
-        # Per tensor stepped so far: the largest row end of any step, and
-        # the rule's SLOTS arrays at the tensor's full shape.
+        # Per tensor stepped so far: its shape at the first step, the largest
+        # row end of any step, and the rule's SLOTS arrays at that shape.
+        self.shapes: dict[str, tuple[int, ...]] = {}
         self.row_end: dict[str, int] = {}
         self.slots: dict[str, list[np.ndarray]] = {}
 
@@ -131,15 +132,15 @@ class Optimizer:
             if p.shape != grads[name].shape:
                 raise ShapeError(
                     f"{name}: param {p.shape} vs grad {grads[name].shape}")
-            slots = self.slots.get(name)
-            if slots and slots[0].shape != p.shape:
-                raise ShapeError(
-                    f"{name}: param {p.shape} vs its optimizer slots {slots[0].shape}")
+            first = self.shapes.get(name, p.shape)
+            if first != p.shape:
+                raise ShapeError(f"{name}: param {p.shape} vs its first step's {first}")
         ends = _row_ends(grads, ends)
         self.t += 1
         for name, p in params.items():
             slots = self.slots.get(name)
             if slots is None:
+                self.shapes[name] = p.shape
                 slots = self.slots[name] = [mapped_zeros(p.shape, p.dtype)
                                             for _ in range(self.SLOTS)]
             end = self.row_end[name] = max(ends[name], self.row_end.get(name, 0))

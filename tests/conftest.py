@@ -1,6 +1,7 @@
 """Shared fixtures: the bundled CSV corpus, a separable synthetic token
 dataset, and a micro experiment config sized for fast runs."""
 
+import mmap
 from pathlib import Path
 
 import numpy as np
@@ -99,3 +100,13 @@ class DenseReference:
             v += (1.0 - self.beta2) * g * g
             p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
+
+def assert_in_mapped_pages(arr: np.ndarray) -> None:
+    """Where private anonymous maps exist, ``arr``'s memory is an
+    ``mmap.mmap`` (``numeric.mapped_zeros``), not an ``np.zeros`` block:
+    follow ``.base`` to the buffer ``np.frombuffer`` wrapped."""
+    if not hasattr(mmap, "MAP_PRIVATE"):
+        return
+    while isinstance(arr, np.ndarray) and arr.base is not None:
+        arr = arr.base
+    assert isinstance(arr, memoryview) and isinstance(arr.obj, mmap.mmap), type(arr)

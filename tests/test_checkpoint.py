@@ -1,6 +1,7 @@
 """Checkpoint serialization: bit-exact restore and malformed-file handling."""
 
 import base64
+import io
 import json
 import tracemalloc
 
@@ -107,14 +108,18 @@ def test_save_is_atomic(trained, tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.json"]
 
 
+@pytest.mark.parametrize("inline_chars", [checkpoint.INLINE_CHARS, 4],
+                         ids=["inline", "streamed"])
 @pytest.mark.parametrize("save_bytes, load_chars", [(3, 4), (6, 8), (9, 4), (3, 12)])
 def test_chunk_sizes_do_not_change_the_file_or_the_weights(trained, tmp_path, monkeypatch,
-                                                          save_bytes, load_chars):
+                                                          save_bytes, load_chars,
+                                                          inline_chars):
     model, config, vocab, _ = trained
     reference = tmp_path / "reference.json"
     save_checkpoint(str(reference), model, config, vocab)
     monkeypatch.setattr(checkpoint, "SAVE_CHUNK_BYTES", save_bytes)
     monkeypatch.setattr(checkpoint, "LOAD_CHUNK_CHARS", load_chars)
+    monkeypatch.setattr(checkpoint, "INLINE_CHARS", inline_chars)
     path = tmp_path / "chunked.json"
     save_checkpoint(str(path), model, config, vocab)
     assert path.read_bytes() == reference.read_bytes()
@@ -170,22 +175,102 @@ def test_tampered_shape_detected(trained, tmp_path):
         load_checkpoint(str(path))
 
 
+# A streamed blob is decoded from the file; an inline one, or one with a
+# JSON escape (such as the NUL that starts a placeholder), from the parsed text.
+@pytest.mark.parametrize("inline_chars", [checkpoint.INLINE_CHARS, 4],
+                         ids=["inline", "streamed"])
 @pytest.mark.parametrize("tamper", [
     lambda data: data[: len(data) // 2],  # truncated
     lambda data: data[:4] + "!" + data[5:],  # outside the alphabet, same length
     lambda data: data[:4] + "A===" + data[8:],  # padding inside the data
     lambda data: data[:-4] + "AAAA",  # 3 bytes where the last quantum holds fewer
-], ids=["truncated", "bad-character", "inner-padding", "overlong-tail"])
-def test_tampered_blob_detected(trained, tmp_path, tamper):
+    lambda data: data[:4] + "\u00e9" + data[5:],  # a non-ASCII character
+    lambda data: "\0" + data[1:],  # looks like a placeholder
+], ids=["truncated", "bad-character", "inner-padding", "overlong-tail", "non-ascii",
+        "placeholder"])
+def test_tampered_blob_detected(trained, tmp_path, monkeypatch, tamper, inline_chars):
     model, config, vocab, _ = trained
     path = tmp_path / "tampered.json"
     save_checkpoint(str(path), model, config, vocab)
     payload = json.loads(path.read_text())
     blob = payload["params"]["head.weights"]
     blob["data"] = tamper(blob["data"])
-    path.write_text(json.dumps(payload))
+    path.write_bytes(json.dumps(payload, ensure_ascii=False).encode())
+    monkeypatch.setattr(checkpoint, "INLINE_CHARS", inline_chars)
     with pytest.raises(DataError):
         load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("damage", [
+    lambda text, at: text[:at],
+    lambda text, at: text[:at] + b"\xff" + text[at + 1:],
+], ids=["file-truncated", "not-utf8"])
+def test_file_damaged_inside_a_streamed_blob(trained, tmp_path, monkeypatch, damage):
+    model, config, vocab, _ = trained
+    path = tmp_path / "damaged.json"
+    save_checkpoint(str(path), model, config, vocab)
+    text = path.read_bytes()
+    start = text.index(b'"data": "', text.index(b'"embedding.table"')) + len(b'"data": "')
+    path.write_bytes(damage(text, start + 100))
+    monkeypatch.setattr(checkpoint, "INLINE_CHARS", 4)
+    with pytest.raises(DataError):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("limits", [(None, None), (8, 16)], ids=["default", "small-chunks"])
+@pytest.mark.parametrize("rewrite", [
+    lambda text: json.dumps(json.loads(text)).encode(),
+    lambda text: text.replace(b"/", b"\\/"),
+    lambda text: text.replace(b"A", b"\\u0041"),
+], ids=["compact", "escaped-slash", "escaped-A"])
+def test_rewritten_file_loads_the_same_weights(trained, tmp_path, monkeypatch,
+                                               rewrite, limits):
+    """The same JSON written differently decodes to the same bytes, whether
+    each blob is streamed, kept inline for its escapes, or read again after
+    its first chunks were dropped."""
+    model, config, vocab, _ = trained
+    path = tmp_path / "rewritten.json"
+    save_checkpoint(str(path), model, config, vocab)
+    path.write_bytes(rewrite(path.read_bytes()))
+    if limits[0] is not None:
+        monkeypatch.setattr(checkpoint, "LOAD_CHUNK_CHARS", limits[0])
+        monkeypatch.setattr(checkpoint, "INLINE_CHARS", limits[1])
+    restored, _, vocab2 = load_checkpoint(str(path))
+    assert vocab2.word_to_id == vocab.word_to_id
+    for (name, a), (_, b) in zip(model.named_params(), restored.named_params()):
+        assert a.tobytes() == b.tobytes(), name
+
+
+def test_skeleton_replaces_only_long_plain_data_values(monkeypatch):
+    """Only the value of a "data" key that is long enough and has no escape
+    becomes a placeholder, and its span covers its characters exactly."""
+    text = (b'{"data": "AAAAAAAA", "a\\"b\\"data": "BBBBBBBB", "abcd": "CCCCCCCC", '
+            b'"x": ["data", "DDDDDDDD"], "y": {"data": "EE"}, "z": {"data" :\n"F\\/FFFFFF"}, '
+            b'"w": {"data" :\n "GGGGGGGGGG"}}')
+    monkeypatch.setattr(checkpoint, "LOAD_CHUNK_CHARS", 4)
+    monkeypatch.setattr(checkpoint, "INLINE_CHARS", 4)
+    skeleton, spans = checkpoint._skeleton(io.BytesIO(text), "T")
+    assert json.loads(skeleton) == {
+        "data": "\0T0", "a\"b\"data": "BBBBBBBB", "abcd": "CCCCCCCC",
+        "x": ["data", "DDDDDDDD"], "y": {"data": "EE"}, "z": {"data": "F/FFFFFF"},
+        "w": {"data": "\0T1"}}
+    assert [text[at:at + n] for at, n in spans.values()] == [b"AAAAAAAA", b"GGGGGGGGGG"]
+
+
+def test_words_with_quotes_and_backslashes_round_trip(trained, tmp_path, monkeypatch):
+    """Escaped quotes and backslashes, and words that spell a "data" key,
+    do not end a string early or start a streamed blob."""
+    model, config, _, _ = trained
+    words = ['"data": "', "\\", 'x\\"', "data", '\\"data\\"']
+    vocab = Vocabulary({word: i for i, word in enumerate(words, 1)}, capacity=12)
+    path = tmp_path / "words.json"
+    save_checkpoint(str(path), model, config, vocab)
+    monkeypatch.setattr(checkpoint, "LOAD_CHUNK_CHARS", 4)
+    monkeypatch.setattr(checkpoint, "INLINE_CHARS", 4)
+    restored, _, vocab2 = load_checkpoint(str(path))
+    assert vocab2.word_to_id == vocab.word_to_id
+    for (name, a), (_, b) in zip(model.named_params(), restored.named_params()):
+        assert a.tobytes() == b.tobytes(), name
 
 
 def test_unusual_but_valid_weights_round_trip(tmp_path):
@@ -260,12 +345,22 @@ def test_save_streams_every_tensor(reference, tmp_path):
     assert peak < 4 * MB, peak / MB
 
 
+def test_skeleton_holds_no_blob(reference):
+    """Reading the reference file into its skeleton holds the vocabulary's
+    text and a chunk or two, never the 27 MB table blob."""
+    _, _, _, path = reference
+    with open(path, "rb") as handle:
+        (_, spans), peak = traced_peak(lambda: checkpoint._skeleton(handle, "t"))
+    assert max(n for _, n in spans.values()) > 10 * checkpoint.LOAD_CHUNK_CHARS
+    assert peak < 4 * MB, peak / MB
+
+
 def test_load_decodes_in_place(reference):
+    """The load holds neither the file's text nor a blob's: about the new
+    model's parameters and a few chunks."""
     model, _, _, path = reference
-    text = path.stat().st_size
-    blobs = sum(len(blob["data"]) for blob in json.loads(path.read_text())["params"].values())
     (loaded, _, _), peak = traced_peak(lambda: load_checkpoint(str(path)))
-    live = nbytes(arr for _, arr in loaded.named_params()) + nbytes(loaded.grads.values())
-    assert peak <= text + blobs + live + 2 * MB, (peak / MB, (text + blobs + live) / MB)
+    params = nbytes(arr for _, arr in loaded.named_params())
+    assert peak <= params + 8 * MB, (peak / MB, params / MB)
     for (name, a), (_, b) in zip(model.named_params(), loaded.named_params()):
         assert a.tobytes() == b.tobytes(), name

@@ -176,6 +176,16 @@ class TestTrain:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
+    def test_config_that_is_not_utf8(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_bytes(b'{"seed": 7, "variant": "lstm\xff"}')
+        code, _, err = run_cli(["train", "--config", str(config_path),
+                                "--data", str(FIXTURE_CSV),
+                                "--out", str(tmp_path / "run")])
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_data_file(self, tmp_path):
         config_path = write_config(tmp_path)
         code, _, err = run_cli(["train", "--config", config_path,
@@ -311,13 +321,17 @@ class TestEval:
         (lambda p: TestEval._insert_character(p), cli.EXIT_DATA),
         (lambda p: {**p, "vocabulary": {"capacity": 40, "word_to_id": []}}, cli.EXIT_DATA),
         (lambda p: {**p, "config": 5}, cli.EXIT_CONFIG),
+        (lambda p: json.dumps(p).encode().replace(b'"format_version"', b'"\xff"'),
+         cli.EXIT_DATA),
     ], ids=["top-level-list", "params-number", "shape-string", "shape-nested",
-            "shape-float", "non-base64-character", "word_to_id-list", "config-number"])
+            "shape-float", "non-base64-character", "word_to_id-list", "config-number",
+            "not-utf8"])
     def test_malformed_checkpoint(self, trained_run, tmp_path, corrupt, code):
         out_dir, _ = trained_run
         payload = json.loads((out_dir / "checkpoint.json").read_text())
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(corrupt(payload)))
+        text = corrupt(payload)
+        path.write_bytes(text if isinstance(text, bytes) else json.dumps(text).encode())
         got, _, err = run_cli(["eval", "--checkpoint", str(path),
                                "--data", str(FIXTURE_CSV), "--out", str(tmp_path)])
         assert got == code

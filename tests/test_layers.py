@@ -8,6 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import assert_in_mapped_pages
+
 from slimrnn import (
     CNN_THEN_LSTM,
     LSTM_THEN_CNN,
@@ -114,6 +116,7 @@ class TestEmbedding:
         table = np.zeros((20000, 128))
         before = resident()
         emb = Embedding(table)
+        assert_in_mapped_pages(emb.grads["table"])
         assert emb.grads["table"].sum() == 0.0
         assert resident() - before < 2 * mb
         emb.forward(np.arange(100))

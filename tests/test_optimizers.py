@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DenseReference
+from conftest import DenseReference, assert_in_mapped_pages
 
 from slimrnn import SGD, Adam, ConfigError, RMSprop, ShapeError, clip_by_global_norm
 from slimrnn.optimizers import _prefix_sum_of_squares, make_optimizer
@@ -209,7 +209,7 @@ def test_row_step_visits_only_leading_rows(kind):
     assert opt.row_end == {"w": 4}
 
 
-@pytest.mark.parametrize("kind", ["rmsprop", "adam"])
+@pytest.mark.parametrize("kind", ["sgd", "rmsprop", "adam"])
 @pytest.mark.parametrize("shape", [(3, 4), (2, 2)])
 def test_tensor_that_changes_shape_rejected(kind, shape):
     opt = make_optimizer(kind, 0.1)
@@ -218,6 +218,7 @@ def test_tensor_that_changes_shape_rejected(kind, shape):
         opt.apply_update({"w": np.ones(shape)}, {"w": np.ones(shape)})
     assert str(shape) in str(err.value) and "(3, 2)" in str(err.value)
     assert opt.t == 1
+    assert opt.row_end == {"w": 3}
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc")
@@ -239,6 +240,8 @@ def test_slot_pages_take_memory_only_once_stepped():
     for _ in range(3):
         opt.apply_update(params, grads, {"table": 100})
     assert resident() - before < 2 * mb
+    for slot in opt.slots["table"]:
+        assert_in_mapped_pages(slot)
 
 
 def test_make_optimizer():
