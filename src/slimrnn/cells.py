@@ -189,7 +189,8 @@ def _add_step_terms(params: CellParams, a: np.ndarray, h: np.ndarray) -> np.ndar
     buf, cols = params.buffers, params.columns
     a[..., cols["U"]] += h @ buf["U"].T
     if "u" in buf:
-        a[..., cols["u"]] += np.tile(h, 3) * buf["u"]
+        u_h = h[..., None, :] * buf["u"].reshape(3, -1)  # [..., 3, n]
+        a[..., cols["u"]] += u_h.reshape(*h.shape[:-1], -1)
     a[..., cols["b"]] += buf["b"]
     return a
 
@@ -286,7 +287,8 @@ def sequence_backward(params: CellParams, cache: SequenceCache,
     grads["U"] += flat[:, cols["U"]].T @ h_flat
     grads["b"] += flat[:, cols["b"]].sum(axis=0)
     if "u" in buf:
-        grads["u"] += (flat[:, cols["u"]] * np.tile(h_flat, 3)).sum(axis=0)
+        du = flat[:, cols["u"]].reshape(T * B, 3, n) * h_flat[:, None, :]
+        grads["u"] += du.sum(axis=0).reshape(-1)
     d_xs = (flat[:, cols["W"]] @ buf["W"]).reshape(T, B, params.input_dim)
     return d_xs, CellState(h=dh, c=dc_next)
 

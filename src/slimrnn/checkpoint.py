@@ -7,19 +7,21 @@ The text is one JSON object (``format_version``, ``config``, ``params`` as
 name -> {shape, base64 data}, ``vocabulary`` or null) dumped with sorted keys
 and indent 2, plus a newline. Neither direction holds the file's text or a
 tensor's whole text. A save streams each tensor's base64 into the file
-SAVE_CHUNK_BYTES of raw bytes at a time. A load streams too: it reads the
-file once, LOAD_CHUNK_CHARS bytes at a time, into a skeleton, the JSON text
-with each long blob replaced by a placeholder and the blob's byte span in
-the file noted. It parses the skeleton, builds the model, and decodes each
-blob from its span, LOAD_CHUNK_CHARS characters at a time, strictly (any
-character outside the base64 alphabet, or misplaced padding, is an error),
-straight into the model's own array. A short blob, or one written with JSON
-escapes, is parsed with the skeleton and decoded from the parsed string.
+SAVE_CHUNK_BYTES of raw bytes at a time. A load reads the file twice,
+LOAD_CHUNK_CHARS bytes at a time: once to find each long blob's byte span,
+then to copy the rest into a skeleton, the JSON text with each long blob
+replaced by a placeholder. It parses the skeleton, builds the model, and
+decodes each blob from its span, LOAD_CHUNK_CHARS characters at a time,
+strictly (any character outside the base64 alphabet, or misplaced padding,
+is an error), straight into the model's own array. A short blob, or one
+written with JSON escapes, is parsed with the skeleton and decoded from the
+parsed string.
 """
 
 from __future__ import annotations
 
 import base64
+import io
 import json
 import secrets
 import sys
@@ -103,101 +105,64 @@ def save_checkpoint(path: str, model, config: ExperimentConfig,
         handle.write("\n")
 
 
-_JSON_WS = b" \t\n\r"
-
-
-def _after_data_key(state: int, gap: bytes) -> int:
-    """The key state after ``gap``, text between two strings: 1 right after
-    a ``"data"`` string, 2 once a colon has followed it (the next string is
-    its value), 0 on anything else."""
-    gap = gap.strip(_JSON_WS)
-    if state == 1 and gap[:1] == b":":
-        state, gap = 2, gap[1:]
-    return 0 if gap else state
+def _blob_spans(handle) -> list[tuple[int, int]]:
+    """Pass one: read the file, LOAD_CHUNK_CHARS bytes at a time and holding
+    no text, for the (offset, length) of each streamed blob: the value of a
+    ``"data"`` key of at least INLINE_CHARS characters and no escape, or one
+    that the file ends inside."""
+    spans, tail = [], b""  # tail: the last 4 bytes before the chunk
+    base = pos = key = 0  # base: the chunk's file offset
+    start = None  # file offset of the open string's first character
+    while chunk := handle.read(LOAD_CHUNK_CHARS):
+        while True:
+            if start is None:  # between strings
+                at = chunk.find(b'"', pos)
+                if key:  # 1 after a "data" string, 2 after its colon (a value follows)
+                    gap = chunk[pos:at if at >= 0 else None].strip(b" \t\n\r")
+                    if key == 1 and gap[:1] == b":":
+                        key, gap = 2, gap[1:]
+                    key = 0 if gap else key
+                if at < 0:
+                    break
+                start, escaped, pos = base + at + 1, False, at + 1
+            # in a string, which ends at the first quote not escaped
+            at = chunk.find(b'"', pos)
+            while (slash := chunk.find(b"\\", pos, at if at >= 0 else None)) >= 0:
+                escaped, pos = True, slash + 2  # skip the escaped character
+                if pos > at >= 0:
+                    at = chunk.find(b'"', pos)
+            if at < 0:
+                break
+            length = base + at - start
+            if key == 2 and not escaped and length >= INLINE_CHARS:
+                spans.append((start, length))
+            key = int(length == 4 and (tail + chunk[max(at - 4, 0):at])[-4:] == b"data")
+            start, pos = None, at + 1
+        base, pos = base + len(chunk), max(pos - len(chunk), 0)
+        tail = (tail + chunk[-4:])[-4:]
+    if start is not None and key == 2:  # the file ends inside a "data" value
+        spans.append((start, base - start))
+    return spans
 
 
 def _skeleton(handle, token: str) -> tuple[str, dict[str, tuple[int, int]]]:
-    """Read the checkpoint file once, LOAD_CHUNK_CHARS bytes at a time, into
-    (skeleton, spans).
-
-    The skeleton is the file's text with each streamed blob (the value of a
-    ``"data"`` key of at least INLINE_CHARS characters and no escape)
-    replaced by a placeholder string, ``"\\u0000"`` + ``token`` + a count.
-    ``spans`` maps each placeholder to the (offset, length) of the text it
-    replaced. A file cannot forge a placeholder, because ``token`` is drawn
-    anew for each load, and the NUL that starts one sets it apart from any
-    base64 text. String ends are found with ``bytearray.find``; of a
-    streamed blob only the current chunk is held.
-    """
-    text, spans, buf = bytearray(), {}, bytearray()
-    base = 0  # file offset of buf[0]; buf holds what is read but not yet moved on
-
-    def read() -> bool:
-        chunk = handle.read(LOAD_CHUNK_CHARS)
-        buf.extend(chunk)
-        return bool(chunk)
-
-    def take(n: int, keep: bool = True) -> None:
-        """Move buf[:n] into the skeleton, or drop it."""
-        nonlocal base
-        if keep:
-            text.extend(buf[:n])
-        del buf[:n]
-        base += n
-
-    pos = key = 0
-    while True:
-        quote = buf.find(b'"', pos)
-        if quote < 0:
-            key = key and _after_data_key(key, buf[pos:])
-            take(len(buf))
-            pos = 0
-            if read():
-                continue
-            return text.decode("utf-8"), spans
-        key = key and _after_data_key(key, buf[pos:quote])
-        stream = key == 2
-        if stream:
-            take(quote + 1)
-        begin = 0 if stream else quote + 1  # the string's first character in buf
-        offset, pos = base + begin, begin
-        while True:
-            end = buf.find(b'"', pos)
-            if stream and buf.find(b"\\", pos, len(buf) if end < 0 else end) >= 0:
-                stream = False  # an escape: keep the string inline
-                if base != offset:  # read the dropped part again
-                    handle.seek(offset)
-                    take(len(buf), keep=False)
-                    base, pos = offset, 0
-                    read()
-                    continue
-            if end >= 0:
-                start = end
-                while start > begin and buf[start - 1] == 0x5C:  # a backslash
-                    start -= 1
-                if (end - start) % 2 == 0:
-                    break
-                pos = end + 1
-                continue
-            if stream and base + len(buf) - offset >= INLINE_CHARS:
-                take(len(buf), keep=False)
-            else:
-                take(begin)
-                begin = 0
-            pos = len(buf)
-            if not read():  # the file ends inside the string
-                take(len(buf))
-                return text.decode("utf-8"), spans
-        length = base + end - offset
-        key = int(length == 4 and buf[end - 4:end] == b"data")
-        if stream and length >= INLINE_CHARS:
-            placeholder = f"\0{token}{len(spans)}"
-            spans[placeholder] = (offset, length)
-            text.extend(json.dumps(placeholder)[1:].encode("ascii"))
-            take(end + 1, keep=False)
-            pos = 0
-        else:
-            pos = end + 1
+    """Pass two: (skeleton, spans) of a seekable checkpoint file. The
+    skeleton is the file's text with each streamed blob replaced by a
+    placeholder string, ``"\\u0000"`` + ``token`` + a count; ``spans`` maps
+    each placeholder to the blob's (offset, length). A file cannot forge a
+    placeholder, because ``token`` is drawn anew for each load, and the NUL
+    that starts one sets it apart from any base64 text."""
+    blobs = _blob_spans(handle)
+    handle.seek(0)
+    text, spans = bytearray(), {}
+    for offset, length in blobs:
+        text += handle.read(offset - handle.tell())
+        placeholder = f"\0{token}{len(spans)}"
+        spans[placeholder] = (offset, length)
+        text += json.dumps(placeholder)[1:-1].encode("ascii")
+        handle.seek(offset + length)
+    text += handle.read()
+    return text.decode("utf-8"), spans
 
 
 def _decode_into(arr: np.ndarray, blob, name: str, handle,
@@ -263,6 +228,9 @@ def load_checkpoint(path: str):
     """
     try:
         handle = open(path, "rb")
+        if not handle.seekable():  # a pipe: held whole, since the load reads it twice
+            with handle:
+                handle = io.BytesIO(handle.read())
     except OSError as exc:
         raise DataError(f"cannot open checkpoint {path}: {exc}") from None
     with handle:

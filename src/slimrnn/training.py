@@ -101,6 +101,8 @@ class ExperimentConfig:
         # For every variant, so a variant sweep cannot fail at its lstm6 run.
         if not -1.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (-1, 1), got {self.alpha}")
+        if not math.isfinite(self.forget_bias):
+            raise ConfigError(f"forget_bias must be finite, got {self.forget_bias}")
         conv_out = self.maxlen - self.kernel_size + 1  # the rnn preserves length
         if conv_out < 1:
             chain = "embedding->conv" if self.lstm_position == CNN_THEN_LSTM else "rnn->conv"

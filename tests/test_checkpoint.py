@@ -3,6 +3,8 @@
 import base64
 import io
 import json
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -201,20 +203,33 @@ def test_tampered_blob_detected(trained, tmp_path, monkeypatch, tamper, inline_c
         load_checkpoint(str(path))
 
 
-@pytest.mark.parametrize("damage", [
-    lambda text, at: text[:at],
-    lambda text, at: text[:at] + b"\xff" + text[at + 1:],
-], ids=["file-truncated", "not-utf8"])
-def test_file_damaged_inside_a_streamed_blob(trained, tmp_path, monkeypatch, damage):
-    model, config, vocab, _ = trained
+@pytest.mark.parametrize("fixture, damage", [
+    pytest.param("trained", lambda text, at: text[:at], id="file-truncated"),
+    pytest.param("trained", lambda text, at: text[:at] + b"\xff" + text[at + 1:],
+                 id="not-utf8"),
+    pytest.param("reference", lambda text, at: text[:at], id="reference-file-truncated"),
+])
+def test_file_damaged_inside_a_streamed_blob(request, tmp_path, monkeypatch, fixture, damage):
+    """The load fails with DataError, and a file cut inside a blob is not
+    held: the reference file cut inside its 27 MB table stays under 4 MB."""
+    model, config, vocab = request.getfixturevalue(fixture)[:3]
     path = tmp_path / "damaged.json"
     save_checkpoint(str(path), model, config, vocab)
     text = path.read_bytes()
     start = text.index(b'"data": "', text.index(b'"embedding.table"')) + len(b'"data": "')
-    path.write_bytes(damage(text, start + 100))
-    monkeypatch.setattr(checkpoint, "INLINE_CHARS", 4)
-    with pytest.raises(DataError):
-        load_checkpoint(str(path))
+    # 100 characters into the micro table, or halfway into the reference one
+    at = start + 100 if fixture == "trained" else (start + text.index(b'"', start)) // 2
+    path.write_bytes(damage(text, at))
+    if fixture == "trained":
+        monkeypatch.setattr(checkpoint, "INLINE_CHARS", 4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError):
+            load_checkpoint(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * MB, peak / MB
 
 
 @pytest.mark.parametrize("limits", [(None, None), (8, 16)], ids=["default", "small-chunks"])
@@ -353,6 +368,25 @@ def test_skeleton_holds_no_blob(reference):
         (_, spans), peak = traced_peak(lambda: checkpoint._skeleton(handle, "t"))
     assert max(n for _, n in spans.values()) > 10 * checkpoint.LOAD_CHUNK_CHARS
     assert peak < 4 * MB, peak / MB
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("fixture", ["trained", "reference"])
+def test_load_from_a_pipe(request, tmp_path, fixture):
+    """A pipe cannot seek, so the load reads it whole first: it loads the
+    same weights as the file."""
+    model, config, vocab = request.getfixturevalue(fixture)[:3]
+    path, pipe = tmp_path / "checkpoint.json", tmp_path / "pipe"
+    save_checkpoint(str(path), model, config, vocab)
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=lambda: pipe.write_bytes(path.read_bytes()), daemon=True)
+    writer.start()
+    restored, _, vocab2 = load_checkpoint(str(pipe))
+    writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert vocab2.word_to_id == vocab.word_to_id
+    for (name, a), (_, b) in zip(model.named_params(), restored.named_params()):
+        assert a.tobytes() == b.tobytes(), name
 
 
 def test_load_decodes_in_place(reference):

@@ -166,6 +166,7 @@ class TestTrain:
         {"maxlen": 0}, {"maxlen": -5}, {"extra_dense_dims": [0], "extra_dense": True},
         {"extra_dense_dims": [-1], "extra_dense": True}, {"split_ratio": 1.5},
         {"spatial_dropout": 1.0}, {"alpha": 1.5}, {"maxlen": 2},
+        {"forget_bias": float("nan")}, {"forget_bias": float("inf")},
     ], ids=lambda overrides: ",".join(f"{k}={v}" for k, v in overrides.items()))
     def test_out_of_range_config_value(self, tmp_path, overrides):
         config_path = write_config(tmp_path, **overrides)

@@ -129,7 +129,7 @@ def test_branches_change_when_a_relu_or_pool_decision_does(layer):
 
 def test_check_module_dispatch():
     assert check_module("lstm3", seeds=[0]).target == "LSTM3"
-    model_report = check_module("model", seeds=[0], tol=1e-9)
+    model_report = check_module("model", seeds=[], tol=1e-9)  # seed 0 runs elsewhere
     assert model_report.tolerance == pytest.approx(1e-4)  # floor for the deep stack
 
 

@@ -115,6 +115,9 @@ class TestExperimentConfig:
         ({"alpha": -1.0, "variant": "lstm6"}, "alpha"),
         ({"maxlen": 2}, "kernel_size"),
         ({"pool_size": 12}, "pool_size"),
+        ({"forget_bias": float("nan")}, "forget_bias"),
+        ({"forget_bias": float("inf")}, "forget_bias"),
+        ({"forget_bias": -float("inf")}, "forget_bias"),
     ])
     def test_rejects_out_of_range_sizes_and_rates(self, overrides, key):
         with pytest.raises(ConfigError) as err:
