@@ -1,4 +1,4 @@
-"""Text files that appear whole or not at all."""
+"""Files that appear whole or not at all."""
 
 from __future__ import annotations
 
@@ -7,8 +7,9 @@ import os
 
 
 @contextlib.contextmanager
-def atomic_write(path: str, newline: str | None = None):
-    """Open ``path`` for writing text through a temporary file beside it.
+def atomic_write(path: str, newline: str | None = None, binary: bool = False):
+    """Open ``path`` for writing, UTF-8 text or (``binary``) bytes, through a
+    temporary file beside it.
 
     The temporary file replaces ``path`` (``os.replace``) only when the block
     exits cleanly; if the block raises, it is removed and any earlier file at
@@ -17,7 +18,8 @@ def atomic_write(path: str, newline: str | None = None):
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline=newline) as handle:
+        with (open(tmp, "wb") if binary
+              else open(tmp, "w", encoding="utf-8", newline=newline)) as handle:
             yield handle
         os.replace(tmp, path)
     except BaseException:

@@ -167,12 +167,12 @@ def cmd_train(args) -> int:
     out_dir = _make_out_dir(args.out)
     model, report = train(config, dataset)
 
-    ckpt.save_checkpoint(os.path.join(out_dir, "checkpoint.json"), model, config, vocab)
+    ckpt.save_checkpoint(os.path.join(out_dir, "checkpoint.bin"), model, config, vocab)
     metrics = {"manifest": "manifest.json"} | report.as_dict()
     _write_json(os.path.join(out_dir, "metrics.json"), metrics)
     _write_curves(os.path.join(out_dir, "curves.csv"), report)
     _write_manifest(out_dir, config, args.data, ingest.total_rows, started, {
-        "checkpoint": "checkpoint.json",
+        "checkpoint": "checkpoint.bin",
         "metrics": "metrics.json",
         "curves": "curves.csv",
     })
@@ -258,7 +258,7 @@ def build_parser() -> _Parser:
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a CSV")
-    p_eval.add_argument("--checkpoint", required=True, help="checkpoint JSON from train")
+    p_eval.add_argument("--checkpoint", required=True, help="checkpoint.bin from train")
     p_eval.add_argument("--data", required=True, help="CSV dataset")
     p_eval.add_argument("--out", default=".", help="directory for eval_metrics.json")
     p_eval.set_defaults(func=cmd_eval)

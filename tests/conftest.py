@@ -1,6 +1,9 @@
 """Shared fixtures: the bundled CSV corpus, a separable synthetic token
-dataset, and a micro experiment config sized for fast runs."""
+dataset, a micro experiment config sized for fast runs, and helpers that
+take a checkpoint file apart and put it back together."""
 
+import json
+import math
 import mmap
 from pathlib import Path
 
@@ -53,6 +56,26 @@ MICRO_DEFAULTS = dict(
 
 def micro_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**{**MICRO_DEFAULTS, **overrides})
+
+
+def split_checkpoint(data: bytes) -> tuple[dict, list[bytes]]:
+    """A checkpoint file's header and each tensor's bytes, in order, read by
+    the layout alone: 8 bytes of little-endian header length, the JSON
+    header, then 8 bytes per float64 of each ``params`` shape."""
+    length = int.from_bytes(data[:8], "little")
+    header, at, tensors = json.loads(data[8:8 + length]), 8 + length, []
+    for _, shape in header["params"]:
+        tensors.append(data[at:at + 8 * math.prod(shape)])
+        at += len(tensors[-1])
+    assert at == len(data)
+    return header, tensors
+
+
+def join_checkpoint(header, tensors) -> bytes:
+    """The checkpoint file for a header (a JSON value dumped with sorted
+    keys, or bytes taken as they are) and the tensors' bytes."""
+    text = header if isinstance(header, bytes) else json.dumps(header, sort_keys=True).encode()
+    return len(text).to_bytes(8, "little") + text + b"".join(tensors)
 
 
 @pytest.fixture

@@ -217,7 +217,7 @@ def test_checkpoint_round_trip(tmp_path):
     dataset = make_separable_dataset()
     config = micro_config(epochs=1)
     model, _ = train(config, dataset)
-    path = tmp_path / "checkpoint.json"
+    path = tmp_path / "checkpoint.bin"
     save_checkpoint(str(path), model, config)
     restored, _, _ = load_checkpoint(str(path))
 

@@ -1,19 +1,23 @@
 """Checkpoint serialization: bit-exact restore and malformed-file handling."""
 
-import base64
-import io
+import contextlib
+import hashlib
 import json
 import os
 import threading
 import tracemalloc
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import make_separable_dataset, micro_config
+from conftest import (join_checkpoint, make_separable_dataset, micro_config,
+                      split_checkpoint)
 
 from slimrnn import checkpoint
 from slimrnn import (
+    ConfigError,
     DataError,
     ExperimentConfig,
     Rng,
@@ -24,19 +28,18 @@ from slimrnn import (
 )
 
 
-def checkpoint_payload(model, config: ExperimentConfig, vocab=None) -> dict:
-    """The checkpoint as one JSON-ready dict, every tensor's base64 text in
-    memory: json.dumps of it (sorted keys, indent 2) plus a newline is the
-    text save_checkpoint must write."""
-    return {
-        "format_version": checkpoint.FORMAT_VERSION,
+def checkpoint_bytes(model, config: ExperimentConfig, vocab=None) -> bytes:
+    """The file save_checkpoint must write, built in memory: the header
+    through json.dumps (sorted keys), each tensor through ``tobytes``."""
+    params = list(model.named_params())
+    return join_checkpoint({
+        "format_version": 2,
         "config": config.to_dict(),
-        "params": {name: {"shape": list(arr.shape),
-                          "data": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")}
-                   for name, arr in model.named_params()},
+        "dtype": "<f8",
+        "params": [[name, list(arr.shape)] for name, arr in params],
         "vocabulary": None if vocab is None else {"capacity": vocab.capacity,
                                                   "word_to_id": vocab.word_to_id},
-    }
+    }, [arr.astype("<f8").tobytes() for _, arr in params])
 
 
 @pytest.fixture(scope="module")
@@ -48,9 +51,41 @@ def trained():
     return model, config, vocab, dataset
 
 
+@pytest.fixture
+def saved(trained, tmp_path):
+    """(header, tensors' bytes) of the trained model's checkpoint."""
+    model, config, vocab, _ = trained
+    path = tmp_path / "saved.bin"
+    save_checkpoint(str(path), model, config, vocab)
+    return split_checkpoint(path.read_bytes())
+
+
+def param_index(header, name: str) -> int:
+    return [n for n, _ in header["params"]].index(name)
+
+
+def load_bytes(tmp_path, data: bytes):
+    path = tmp_path / "edited.bin"
+    path.write_bytes(data)
+    return load_checkpoint(str(path))
+
+
+def load_from_pipe(tmp_path, data: bytes):
+    """load_checkpoint of a named pipe that a thread fills with ``data``."""
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=lambda: pipe.write_bytes(data), daemon=True)
+    writer.start()
+    try:
+        return load_checkpoint(str(pipe))
+    finally:
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+
+
 def test_round_trip_is_bit_exact(trained, tmp_path):
     model, config, vocab, dataset = trained
-    path = tmp_path / "checkpoint.json"
+    path = tmp_path / "checkpoint.bin"
     save_checkpoint(str(path), model, config, vocab)
     restored, config2, vocab2 = load_checkpoint(str(path))
 
@@ -67,221 +102,165 @@ def test_round_trip_is_bit_exact(trained, tmp_path):
 
 def test_round_trip_without_vocabulary(trained, tmp_path):
     model, config, _, _ = trained
-    path = tmp_path / "bare.json"
+    path = tmp_path / "bare.bin"
     save_checkpoint(str(path), model, config)
     _, _, vocab = load_checkpoint(str(path))
     assert vocab is None
 
 
-def test_payload_is_plain_json(trained, tmp_path):
-    model, config, vocab, _ = trained
-    path = tmp_path / "inspect.json"
-    save_checkpoint(str(path), model, config, vocab)
-    payload = json.loads(path.read_text())
-    assert payload["format_version"] == 1
-    assert payload["config"]["variant"] == config.variant
-    blob = payload["params"]["head.weights"]
-    assert blob["shape"] == [1, 8]  # bidirectional tail doubles hidden=4
-    assert isinstance(blob["data"], str)
+def test_header_is_plain_json(trained, saved):
+    model, config, _, _ = trained
+    header, tensors = saved
+    assert header["format_version"] == 2
+    assert header["dtype"] == "<f8"
+    assert header["config"]["variant"] == config.variant
+    assert header["params"] == [[name, list(arr.shape)] for name, arr in model.named_params()]
+    assert header["params"][-1] == ["head.weights", [1, 8]]  # bidirectional tail doubles hidden=4
+    assert tensors[-1] == dict(model.named_params())["head.weights"].astype("<f8").tobytes()
 
 
 def test_save_is_atomic(trained, tmp_path, monkeypatch):
+    """A write that fails inside a tensor keeps the old file and leaves no
+    temporary file behind."""
     model, config, vocab, _ = trained
-    path = tmp_path / "checkpoint.json"
+    path = tmp_path / "checkpoint.bin"
     save_checkpoint(str(path), model, config, vocab)
     before = path.read_bytes()
-    payload = checkpoint_payload(model, config, vocab)
-    assert before == (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+    assert before == checkpoint_bytes(model, config, vocab)
 
-    real_b64encode = base64.b64encode
-    chunks = []
+    real_atomic_write = checkpoint.atomic_write
+    writes = []
 
-    def failing(raw):
-        chunks.append(raw)
-        if len(chunks) == 5:  # conv.bias, the first tensor written, has 11
-            raise OSError("disk full")
-        return real_b64encode(raw)
+    @contextlib.contextmanager
+    def failing_atomic_write(target, **kwargs):
+        with real_atomic_write(target, **kwargs) as handle:
+            def write(data):
+                writes.append(data)
+                if len(writes) == 4:  # after the length, the header and the first tensor
+                    handle.write(bytes(data)[:5])
+                    raise OSError("disk full")
+                return handle.write(data)
+            yield types.SimpleNamespace(write=write)
 
-    monkeypatch.setattr(checkpoint, "SAVE_CHUNK_BYTES", 3)
-    monkeypatch.setattr(checkpoint.base64, "b64encode", failing)
-    with pytest.raises(OSError):
+    monkeypatch.setattr(checkpoint, "atomic_write", failing_atomic_write)
+    with pytest.raises(OSError, match="disk full"):
         save_checkpoint(str(path), model, config, vocab)
+    assert len(writes) == 4
     assert path.read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.json"]
-
-
-@pytest.mark.parametrize("inline_chars", [checkpoint.INLINE_CHARS, 4],
-                         ids=["inline", "streamed"])
-@pytest.mark.parametrize("save_bytes, load_chars", [(3, 4), (6, 8), (9, 4), (3, 12)])
-def test_chunk_sizes_do_not_change_the_file_or_the_weights(trained, tmp_path, monkeypatch,
-                                                          save_bytes, load_chars,
-                                                          inline_chars):
-    model, config, vocab, _ = trained
-    reference = tmp_path / "reference.json"
-    save_checkpoint(str(reference), model, config, vocab)
-    monkeypatch.setattr(checkpoint, "SAVE_CHUNK_BYTES", save_bytes)
-    monkeypatch.setattr(checkpoint, "LOAD_CHUNK_CHARS", load_chars)
-    monkeypatch.setattr(checkpoint, "INLINE_CHARS", inline_chars)
-    path = tmp_path / "chunked.json"
-    save_checkpoint(str(path), model, config, vocab)
-    assert path.read_bytes() == reference.read_bytes()
-    restored, _, _ = load_checkpoint(str(path))
-    for (_, a), (_, b) in zip(model.named_params(), restored.named_params()):
-        assert a.tobytes() == b.tobytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin"]
 
 
 def test_missing_file():
     with pytest.raises(DataError):
-        load_checkpoint("/no/such/checkpoint.json")
+        load_checkpoint("/no/such/checkpoint.bin")
 
 
-def test_not_json(tmp_path):
-    path = tmp_path / "junk.json"
-    path.write_text("not json {{{")
-    with pytest.raises(DataError):
-        load_checkpoint(str(path))
+def test_format_1_is_refused_by_name(saved, tmp_path):
+    """A format 1 file is one JSON document, so its first byte is ``{``."""
+    header, _ = saved
+    with pytest.raises(DataError, match="format 1, which is no longer read"):
+        load_bytes(tmp_path, json.dumps(header, sort_keys=True, indent=2).encode())
 
 
-def test_wrong_version(trained, tmp_path):
-    model, config, vocab, _ = trained
-    path = tmp_path / "version.json"
-    save_checkpoint(str(path), model, config, vocab)
-    payload = json.loads(path.read_text())
-    payload["format_version"] = 99
-    path.write_text(json.dumps(payload))
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: json.dumps(h).encode().replace(b'"dtype"', b'"\xff"'), "not UTF-8"),
+    (lambda h: b"not json {{{", "not valid JSON"),
+    (lambda h: [h], "not a JSON object"),
+    (lambda h: {**h, "dtype": ">f8"}, "dtype"),
+    (lambda h: {**h, "dtype": "<f4"}, "dtype"),
+    (lambda h: {k: v for k, v in h.items() if k != "config"}, "missing config"),
+    (lambda h: {**h, "params": 5}, "pairs"),
+    (lambda h: {**h, "params": [p + [0] for p in h["params"]]}, "pairs"),
+    (lambda h: {**h, "params": [[1, s] for _, s in h["params"]]}, "pairs"),
+], ids=["not-utf8", "not-json", "not-object", "big-endian", "float32", "no-config",
+        "params-number", "triples", "name-number"])
+def test_damaged_header_detected(saved, tmp_path, edit, message):
+    header, tensors = saved
+    with pytest.raises(DataError, match=message):
+        load_bytes(tmp_path, join_checkpoint(edit(header), tensors))
+
+
+def test_bad_config_is_a_config_error(saved, tmp_path):
+    header, tensors = saved
+    with pytest.raises(ConfigError):
+        load_bytes(tmp_path, join_checkpoint({**header, "config": 5}, tensors))
+
+
+def test_wrong_version(saved, tmp_path):
+    header, tensors = saved
     with pytest.raises(DataError) as err:
-        load_checkpoint(str(path))
+        load_bytes(tmp_path, join_checkpoint({**header, "format_version": 99}, tensors))
     assert "99" in str(err.value)
 
 
-def test_missing_tensor_detected(trained, tmp_path):
-    model, config, vocab, _ = trained
-    path = tmp_path / "missing.json"
-    save_checkpoint(str(path), model, config, vocab)
-    payload = json.loads(path.read_text())
-    del payload["params"]["rnn.W_c"]
-    path.write_text(json.dumps(payload))
+def test_missing_tensor_detected(saved, tmp_path):
+    header, tensors = saved
+    at = param_index(header, "rnn.W_c")
+    del header["params"][at], tensors[at]
     with pytest.raises(DataError) as err:
-        load_checkpoint(str(path))
+        load_bytes(tmp_path, join_checkpoint(header, tensors))
     assert "rnn.W_c" in str(err.value)
 
 
-def test_tampered_shape_detected(trained, tmp_path):
-    model, config, vocab, _ = trained
-    path = tmp_path / "shape.json"
-    save_checkpoint(str(path), model, config, vocab)
-    payload = json.loads(path.read_text())
-    payload["params"]["head.bias"]["shape"] = [2]
-    path.write_text(json.dumps(payload))
-    with pytest.raises(DataError):
-        load_checkpoint(str(path))
+@pytest.mark.parametrize("edit", [
+    lambda params, tensors: (params + [["extra", [1]]], tensors + [bytes(8)]),
+    lambda params, tensors: (params[1::-1] + params[2:], tensors[1::-1] + tensors[2:]),
+    lambda params, tensors: (params[:1] + params, tensors[:1] + tensors),
+], ids=["extra", "reordered", "repeated"])
+def test_names_must_match_the_model_in_order(saved, tmp_path, edit):
+    header, tensors = saved
+    params, tensors = edit(header["params"], tensors)
+    with pytest.raises(DataError, match="names in order"):
+        load_bytes(tmp_path, join_checkpoint({**header, "params": params}, tensors))
 
 
-# A streamed blob is decoded from the file; an inline one, or one with a
-# JSON escape (such as the NUL that starts a placeholder), from the parsed text.
-@pytest.mark.parametrize("inline_chars", [checkpoint.INLINE_CHARS, 4],
-                         ids=["inline", "streamed"])
-@pytest.mark.parametrize("tamper", [
-    lambda data: data[: len(data) // 2],  # truncated
-    lambda data: data[:4] + "!" + data[5:],  # outside the alphabet, same length
-    lambda data: data[:4] + "A===" + data[8:],  # padding inside the data
-    lambda data: data[:-4] + "AAAA",  # 3 bytes where the last quantum holds fewer
-    lambda data: data[:4] + "\u00e9" + data[5:],  # a non-ASCII character
-    lambda data: "\0" + data[1:],  # looks like a placeholder
-], ids=["truncated", "bad-character", "inner-padding", "overlong-tail", "non-ascii",
-        "placeholder"])
-def test_tampered_blob_detected(trained, tmp_path, monkeypatch, tamper, inline_chars):
-    model, config, vocab, _ = trained
-    path = tmp_path / "tampered.json"
-    save_checkpoint(str(path), model, config, vocab)
-    payload = json.loads(path.read_text())
-    blob = payload["params"]["head.weights"]
-    blob["data"] = tamper(blob["data"])
-    path.write_bytes(json.dumps(payload, ensure_ascii=False).encode())
-    monkeypatch.setattr(checkpoint, "INLINE_CHARS", inline_chars)
-    with pytest.raises(DataError):
-        load_checkpoint(str(path))
+# head.weights holds 8 floats. The file-size check catches only "too-large";
+# each other shape must fail a check on the shape itself.
+@pytest.mark.parametrize("shape, message", [
+    ([8, 1], "model expects"),
+    ([1.0, 8], "non-negative ints"),  # (1.0, 8) == (1, 8) in Python
+    ([-1, -8], "non-negative ints"),
+    ("ab", "non-negative ints"),
+    ([[1], 8], "non-negative ints"),
+    ([True, 8], "non-negative ints"),
+    ([2, 8], "header describes"),
+], ids=["transposed", "float", "negative", "string", "nested", "bool", "too-large"])
+def test_tampered_shape_detected(saved, tmp_path, shape, message):
+    header, tensors = saved
+    header["params"][param_index(header, "head.weights")][1] = shape
+    with pytest.raises(DataError, match=message):
+        load_bytes(tmp_path, join_checkpoint(header, tensors))
 
 
-@pytest.mark.parametrize("fixture, damage", [
-    pytest.param("trained", lambda text, at: text[:at], id="file-truncated"),
-    pytest.param("trained", lambda text, at: text[:at] + b"\xff" + text[at + 1:],
-                 id="not-utf8"),
-    pytest.param("reference", lambda text, at: text[:at], id="reference-file-truncated"),
+@pytest.mark.parametrize("source", [
+    "file",
+    pytest.param("pipe", marks=pytest.mark.skipif(not hasattr(os, "mkfifo"),
+                                                  reason="needs named pipes")),
 ])
-def test_file_damaged_inside_a_streamed_blob(request, tmp_path, monkeypatch, fixture, damage):
-    """The load fails with DataError, and a file cut inside a blob is not
-    held: the reference file cut inside its 27 MB table stays under 4 MB."""
-    model, config, vocab = request.getfixturevalue(fixture)[:3]
-    path = tmp_path / "damaged.json"
-    save_checkpoint(str(path), model, config, vocab)
-    text = path.read_bytes()
-    start = text.index(b'"data": "', text.index(b'"embedding.table"')) + len(b'"data": "')
-    # 100 characters into the micro table, or halfway into the reference one
-    at = start + 100 if fixture == "trained" else (start + text.index(b'"', start)) // 2
-    path.write_bytes(damage(text, at))
-    if fixture == "trained":
-        monkeypatch.setattr(checkpoint, "INLINE_CHARS", 4)
-    tracemalloc.start()
-    try:
-        with pytest.raises(DataError):
-            load_checkpoint(str(path))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * MB, peak / MB
+@pytest.mark.parametrize("damage", [
+    lambda data: data[:-1],
+    lambda data: data + b"\0",
+    lambda data: (1 << 62).to_bytes(8, "little") + data[8:],
+    lambda data: data[:5],
+], ids=["one-byte-short", "one-trailing-byte", "forged-header-length", "inside-length"])
+def test_wrong_byte_count_detected(saved, tmp_path, source, damage):
+    """A file checks its size against the header before the model is built;
+    a pipe cannot, and fails at the short read or the extra byte instead."""
+    data = damage(join_checkpoint(*saved))
+    with pytest.raises(DataError):
+        if source == "pipe":
+            load_from_pipe(tmp_path, data)
+        else:
+            load_bytes(tmp_path, data)
 
 
-@pytest.mark.parametrize("limits", [(None, None), (8, 16)], ids=["default", "small-chunks"])
-@pytest.mark.parametrize("rewrite", [
-    lambda text: json.dumps(json.loads(text)).encode(),
-    lambda text: text.replace(b"/", b"\\/"),
-    lambda text: text.replace(b"A", b"\\u0041"),
-], ids=["compact", "escaped-slash", "escaped-A"])
-def test_rewritten_file_loads_the_same_weights(trained, tmp_path, monkeypatch,
-                                               rewrite, limits):
-    """The same JSON written differently decodes to the same bytes, whether
-    each blob is streamed, kept inline for its escapes, or read again after
-    its first chunks were dropped."""
-    model, config, vocab, _ = trained
-    path = tmp_path / "rewritten.json"
-    save_checkpoint(str(path), model, config, vocab)
-    path.write_bytes(rewrite(path.read_bytes()))
-    if limits[0] is not None:
-        monkeypatch.setattr(checkpoint, "LOAD_CHUNK_CHARS", limits[0])
-        monkeypatch.setattr(checkpoint, "INLINE_CHARS", limits[1])
-    restored, _, vocab2 = load_checkpoint(str(path))
-    assert vocab2.word_to_id == vocab.word_to_id
-    for (name, a), (_, b) in zip(model.named_params(), restored.named_params()):
-        assert a.tobytes() == b.tobytes(), name
-
-
-def test_skeleton_replaces_only_long_plain_data_values(monkeypatch):
-    """Only the value of a "data" key that is long enough and has no escape
-    becomes a placeholder, and its span covers its characters exactly."""
-    text = (b'{"data": "AAAAAAAA", "a\\"b\\"data": "BBBBBBBB", "abcd": "CCCCCCCC", '
-            b'"x": ["data", "DDDDDDDD"], "y": {"data": "EE"}, "z": {"data" :\n"F\\/FFFFFF"}, '
-            b'"w": {"data" :\n "GGGGGGGGGG"}}')
-    monkeypatch.setattr(checkpoint, "LOAD_CHUNK_CHARS", 4)
-    monkeypatch.setattr(checkpoint, "INLINE_CHARS", 4)
-    skeleton, spans = checkpoint._skeleton(io.BytesIO(text), "T")
-    assert json.loads(skeleton) == {
-        "data": "\0T0", "a\"b\"data": "BBBBBBBB", "abcd": "CCCCCCCC",
-        "x": ["data", "DDDDDDDD"], "y": {"data": "EE"}, "z": {"data": "F/FFFFFF"},
-        "w": {"data": "\0T1"}}
-    assert [text[at:at + n] for at, n in spans.values()] == [b"AAAAAAAA", b"GGGGGGGGGG"]
-
-
-def test_words_with_quotes_and_backslashes_round_trip(trained, tmp_path, monkeypatch):
-    """Escaped quotes and backslashes, and words that spell a "data" key,
-    do not end a string early or start a streamed blob."""
+def test_words_with_quotes_and_backslashes_round_trip(trained, tmp_path):
+    """Escaped quotes, backslashes and non-ASCII words survive the header."""
     model, config, _, _ = trained
-    words = ['"data": "', "\\", 'x\\"', "data", '\\"data\\"']
+    words = ['"data": "', "\\", 'x\\"', "data", '\\"data\\"', "café", "ÿ "]
     vocab = Vocabulary({word: i for i, word in enumerate(words, 1)}, capacity=12)
-    path = tmp_path / "words.json"
+    path = tmp_path / "words.bin"
     save_checkpoint(str(path), model, config, vocab)
-    monkeypatch.setattr(checkpoint, "LOAD_CHUNK_CHARS", 4)
-    monkeypatch.setattr(checkpoint, "INLINE_CHARS", 4)
     restored, _, vocab2 = load_checkpoint(str(path))
     assert vocab2.word_to_id == vocab.word_to_id
     for (name, a), (_, b) in zip(model.named_params(), restored.named_params()):
@@ -296,13 +275,33 @@ def test_unusual_but_valid_weights_round_trip(tmp_path):
     table[0, 0] = 5e-324
     table[0, 1] = -0.0
     table[1, 0] = 1e308
-    path = tmp_path / "edge.json"
+    path = tmp_path / "edge.bin"
     save_checkpoint(str(path), model, config)
     restored, _, _ = load_checkpoint(str(path))
     got = dict(restored.named_params())["embedding.table"]
     assert got[0, 0] == 5e-324
     assert np.signbit(got[0, 1])
     assert got[1, 0] == 1e308
+
+
+GOLDEN = Path(__file__).parent / "data" / "micro_checkpoint.bin"
+GOLDEN_TENSORS_SHA256 = "e56f633efa38fff2fb99cfa7ec5d0db69d37fa82816c287f68994783d73f45c8"
+
+
+def test_golden_micro_checkpoint(tmp_path):
+    """The committed file was written by save_checkpoint from micro_config()'s
+    initial model, ``config.build(Rng(config.seed).derive(0))``, with the
+    vocabulary {"good": 1, "bad": 2, "café": 3} at capacity 40. It loads to
+    the same tensors and saves to the same bytes, so any change to the file
+    format shows here and has to be made on purpose."""
+    model, config, vocab = load_checkpoint(str(GOLDEN))
+    assert config == micro_config()
+    assert vocab.word_to_id == {"good": 1, "bad": 2, "café": 3}
+    tensors = b"".join(arr.astype("<f8").tobytes() for _, arr in model.named_params())
+    assert hashlib.sha256(tensors).hexdigest() == GOLDEN_TENSORS_SHA256
+    path = tmp_path / "again.bin"
+    save_checkpoint(str(path), model, config, vocab)
+    assert path.read_bytes() == GOLDEN.read_bytes()
 
 
 # -- the reference-size model: memory and bytes ------------------------------
@@ -332,18 +331,14 @@ def reference(tmp_path_factory):
     model = config.build(Rng(config.seed).derive(0))
     vocab = Vocabulary({f"w{i}": i for i in range(1, config.vocab_size)},
                        config.vocab_size)
-    path = tmp_path_factory.mktemp("reference") / "checkpoint.json"
+    path = tmp_path_factory.mktemp("reference") / "checkpoint.bin"
     save_checkpoint(str(path), model, config, vocab)
     return model, config, vocab, path
 
 
 def test_reference_save_matches_json_dumps(reference):
     model, config, vocab, path = reference
-    payload = checkpoint_payload(model, config, vocab)
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    table = payload["params"]["embedding.table"]["data"]
-    assert len(table) > 10 * checkpoint.SAVE_CHUNK_BYTES  # spans many chunks
-    assert path.read_bytes() == text.encode()
+    assert path.read_bytes() == checkpoint_bytes(model, config, vocab)
 
 
 def test_build_holds_one_copy_of_each_tensor():
@@ -356,42 +351,47 @@ def test_build_holds_one_copy_of_each_tensor():
 def test_save_streams_every_tensor(reference, tmp_path):
     model, config, vocab, _ = reference
     _, peak = traced_peak(
-        lambda: save_checkpoint(str(tmp_path / "c.json"), model, config, vocab))
+        lambda: save_checkpoint(str(tmp_path / "c.bin"), model, config, vocab))
     assert peak < 4 * MB, peak / MB
 
 
-def test_skeleton_holds_no_blob(reference):
-    """Reading the reference file into its skeleton holds the vocabulary's
-    text and a chunk or two, never the 27 MB table blob."""
-    _, _, _, path = reference
-    with open(path, "rb") as handle:
-        (_, spans), peak = traced_peak(lambda: checkpoint._skeleton(handle, "t"))
-    assert max(n for _, n in spans.values()) > 10 * checkpoint.LOAD_CHUNK_CHARS
+@pytest.mark.parametrize("damage", [
+    lambda data: data[:len(data) // 2],
+    lambda data: (1 << 62).to_bytes(8, "little") + data[8:],
+], ids=["truncated-inside-table", "forged-header-length"])
+def test_damaged_reference_file_fails_before_the_build(reference, tmp_path, damage):
+    """The size check comes before the model is built, so the reference
+    file cut short inside its 20 MB table, or with a header length past its
+    end, fails with DataError holding little more than the header."""
+    path = tmp_path / "damaged.bin"
+    path.write_bytes(damage(reference[3].read_bytes()))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError):
+            load_checkpoint(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < 4 * MB, peak / MB
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 @pytest.mark.parametrize("fixture", ["trained", "reference"])
 def test_load_from_a_pipe(request, tmp_path, fixture):
-    """A pipe cannot seek, so the load reads it whole first: it loads the
-    same weights as the file."""
+    """A pipe cannot seek or report its size; the load reads it in order
+    and gets the same weights as from the file."""
     model, config, vocab = request.getfixturevalue(fixture)[:3]
-    path, pipe = tmp_path / "checkpoint.json", tmp_path / "pipe"
+    path = tmp_path / "checkpoint.bin"
     save_checkpoint(str(path), model, config, vocab)
-    os.mkfifo(pipe)
-    writer = threading.Thread(target=lambda: pipe.write_bytes(path.read_bytes()), daemon=True)
-    writer.start()
-    restored, _, vocab2 = load_checkpoint(str(pipe))
-    writer.join(timeout=60)
-    assert not writer.is_alive()
+    restored, _, vocab2 = load_from_pipe(tmp_path, path.read_bytes())
     assert vocab2.word_to_id == vocab.word_to_id
     for (name, a), (_, b) in zip(model.named_params(), restored.named_params()):
         assert a.tobytes() == b.tobytes(), name
 
 
 def test_load_decodes_in_place(reference):
-    """The load holds neither the file's text nor a blob's: about the new
-    model's parameters and a few chunks."""
+    """The load holds neither the file nor a copy of a tensor: about the new
+    model's parameters and the header."""
     model, _, _, path = reference
     (loaded, _, _), peak = traced_peak(lambda: load_checkpoint(str(path)))
     params = nbytes(arr for _, arr in loaded.named_params())

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURE_CSV, MICRO_DEFAULTS
+from conftest import FIXTURE_CSV, MICRO_DEFAULTS, join_checkpoint, split_checkpoint
 
 from slimrnn import cli, training
 from slimrnn.training import EpochMetrics, MetricsReport
@@ -89,7 +89,7 @@ class TestTrain:
 
     def test_artifacts_exist(self, trained_run):
         out_dir, _ = trained_run
-        for name in ("checkpoint.json", "metrics.json", "curves.csv",
+        for name in ("checkpoint.bin", "metrics.json", "curves.csv",
                      "manifest.json"):
             assert (out_dir / name).is_file(), name
 
@@ -103,7 +103,7 @@ class TestTrain:
         assert manifest["dataset"]["rows"] == 62
         assert len(manifest["dataset"]["sha256"]) == 64
         assert manifest["dataset"]["path"].endswith("fixture_tweets.csv")
-        assert manifest["outputs"] == {"checkpoint": "checkpoint.json",
+        assert manifest["outputs"] == {"checkpoint": "checkpoint.bin",
                                        "metrics": "metrics.json",
                                        "curves": "curves.csv"}
 
@@ -225,7 +225,7 @@ class TestTrain:
                             "--out", str(out_dir)],
                            env=env, check=True, capture_output=True, timeout=300)
             digests.append([hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-                            for name in ("metrics.json", "checkpoint.json")])
+                            for name in ("metrics.json", "checkpoint.bin")])
         assert digests[0] == digests[1]
 
 
@@ -289,7 +289,7 @@ class TestEval:
     def test_eval_against_fixture(self, trained_run, tmp_path):
         out_dir, _ = trained_run
         code, out, err = run_cli(["eval",
-                                  "--checkpoint", str(out_dir / "checkpoint.json"),
+                                  "--checkpoint", str(out_dir / "checkpoint.bin"),
                                   "--data", str(FIXTURE_CSV),
                                   "--out", str(tmp_path)])
         assert code == cli.EXIT_OK, err
@@ -303,36 +303,31 @@ class TestEval:
         assert code == cli.EXIT_DATA
 
     @staticmethod
-    def _set_blob(payload, key, value):
-        payload["params"]["head.bias"][key] = value  # shape [1]
-        return payload
-
-    @staticmethod
-    def _insert_character(payload):
-        blob = payload["params"]["head.weights"]
-        blob["data"] = blob["data"][:4] + "!" + blob["data"][4:]
-        return payload
+    def _set_shape(header, shape):
+        header["params"][-2][1] = shape  # head.bias, shape [1]
+        return header
 
     @pytest.mark.parametrize("corrupt, code", [
-        (lambda p: [p], cli.EXIT_DATA),
-        (lambda p: {**p, "params": 5}, cli.EXIT_DATA),
-        (lambda p: TestEval._set_blob(p, "shape", "ab"), cli.EXIT_DATA),
-        (lambda p: TestEval._set_blob(p, "shape", [[1]]), cli.EXIT_DATA),
-        (lambda p: TestEval._set_blob(p, "shape", [1.0]), cli.EXIT_DATA),
-        (lambda p: TestEval._insert_character(p), cli.EXIT_DATA),
-        (lambda p: {**p, "vocabulary": {"capacity": 40, "word_to_id": []}}, cli.EXIT_DATA),
-        (lambda p: {**p, "config": 5}, cli.EXIT_CONFIG),
-        (lambda p: json.dumps(p).encode().replace(b'"format_version"', b'"\xff"'),
-         cli.EXIT_DATA),
+        (lambda h, t: join_checkpoint([h], t), cli.EXIT_DATA),
+        (lambda h, t: join_checkpoint({**h, "params": 5}, t), cli.EXIT_DATA),
+        (lambda h, t: join_checkpoint(TestEval._set_shape(h, "ab"), t), cli.EXIT_DATA),
+        (lambda h, t: join_checkpoint(TestEval._set_shape(h, [[1]]), t), cli.EXIT_DATA),
+        (lambda h, t: join_checkpoint(TestEval._set_shape(h, [1.0]), t), cli.EXIT_DATA),
+        (lambda h, t: join_checkpoint(h, t)[:-1], cli.EXIT_DATA),
+        (lambda h, t: join_checkpoint(
+            {**h, "vocabulary": {"capacity": 40, "word_to_id": []}}, t), cli.EXIT_DATA),
+        (lambda h, t: join_checkpoint({**h, "config": 5}, t), cli.EXIT_CONFIG),
+        (lambda h, t: join_checkpoint(
+            json.dumps(h).encode().replace(b'"format_version"', b'"\xff"'), t), cli.EXIT_DATA),
+        (lambda h, t: json.dumps(h).encode(), cli.EXIT_DATA),
     ], ids=["top-level-list", "params-number", "shape-string", "shape-nested",
-            "shape-float", "non-base64-character", "word_to_id-list", "config-number",
-            "not-utf8"])
+            "shape-float", "tensor-bytes-truncated", "word_to_id-list", "config-number",
+            "not-utf8", "format-1"])
     def test_malformed_checkpoint(self, trained_run, tmp_path, corrupt, code):
         out_dir, _ = trained_run
-        payload = json.loads((out_dir / "checkpoint.json").read_text())
-        path = tmp_path / "bad.json"
-        text = corrupt(payload)
-        path.write_bytes(text if isinstance(text, bytes) else json.dumps(text).encode())
+        header, tensors = split_checkpoint((out_dir / "checkpoint.bin").read_bytes())
+        path = tmp_path / "bad.bin"
+        path.write_bytes(corrupt(header, tensors))
         got, _, err = run_cli(["eval", "--checkpoint", str(path),
                                "--data", str(FIXTURE_CSV), "--out", str(tmp_path)])
         assert got == code
@@ -416,7 +411,7 @@ def test_out_that_cannot_be_a_directory_fails_before_any_work(
     data = ["--data", str(FIXTURE_CSV), "--out", str(blocker)]
     argv = {
         "train": ["train", "--config", write_config(tmp_path)] + data,
-        "eval": ["eval", "--checkpoint", str(trained_run[0] / "checkpoint.json")] + data,
+        "eval": ["eval", "--checkpoint", str(trained_run[0] / "checkpoint.bin")] + data,
         "sweep": ["sweep", "--config", write_config(tmp_path)] + data
                  + ["--axis", "batch_size", "--values", "4,8"],
     }[command]
