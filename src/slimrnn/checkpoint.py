@@ -64,12 +64,12 @@ def _read_header(handle, path: str) -> dict:
     """The checked header. A regular file whose size differs from the one
     the header describes fails here, before the model is built."""
     prefix = handle.read(8)
-    if prefix[:1] == b"{":
-        raise DataError(f"checkpoint {path} is format 1, which is no longer read; "
-                        f"train the model again")
     if len(prefix) < 8:
         raise DataError(f"checkpoint {path} ends inside its header length")
     length = int.from_bytes(prefix, "little")
+    if prefix[:1] == b"{" and length >> 56:  # a format-1 JSON text; "{" alone is a valid low byte
+        raise DataError(f"checkpoint {path} is format 1, which is no longer read; "
+                        f"train the model again")
     info = os.fstat(handle.fileno())
     size = info.st_size if stat.S_ISREG(info.st_mode) else None
     if size is not None and 8 + length > size:

@@ -162,6 +162,25 @@ def test_format_1_is_refused_by_name(saved, tmp_path):
         load_bytes(tmp_path, json.dumps(header, sort_keys=True, indent=2).encode())
 
 
+def test_header_length_with_a_brace_low_byte_loads(trained, tmp_path):
+    """A header length of 123 mod 256 starts the file with ``{``, the byte
+    that also opens a format 1 file; such a format 2 file still loads."""
+    model, config, _, _ = trained
+    for pad in range(256):
+        vocab = Vocabulary({"good": 1, "bad": 2, "x" * pad: 3}, capacity=12)
+        data = checkpoint_bytes(model, config, vocab)
+        if data[:1] == b"{":
+            break
+    assert data[:1] == b"{"
+    path = tmp_path / "brace.bin"
+    save_checkpoint(str(path), model, config, vocab)
+    assert path.read_bytes() == data
+    restored, _, vocab2 = load_checkpoint(str(path))
+    assert vocab2.word_to_id == vocab.word_to_id
+    for (name, a), (_, b) in zip(model.named_params(), restored.named_params()):
+        assert a.tobytes() == b.tobytes(), name
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda h: json.dumps(h).encode().replace(b'"dtype"', b'"\xff"'), "not UTF-8"),
     (lambda h: b"not json {{{", "not valid JSON"),
