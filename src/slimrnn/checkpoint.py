@@ -37,22 +37,29 @@ DTYPE = "<f8"
 # The header is read this many bytes at a time, so a forged length fails at
 # the end of the file instead of asking for that much memory at once.
 HEADER_BLOCK = 1 << 20
+# Words per call of the C JSON encoder: its list of pieces for the whole
+# vocabulary would take about 4 MB at 20,000 words.
+VOCAB_SLICE = 2048
 
 
 def save_checkpoint(path: str, model, config: ExperimentConfig,
                     vocab: Vocabulary | None = None) -> None:
     """Write the checkpoint atomically: a failed write keeps the old file."""
     params = list(model.named_params())
-    header = bytearray()  # built from the encoder's pieces: json.dumps peaks higher
-    for piece in json.JSONEncoder(sort_keys=True).iterencode({
+    text = json.dumps({
         "format_version": FORMAT_VERSION,
         "config": config.to_dict(),
         "dtype": DTYPE,
         "params": [[name, list(arr.shape)] for name, arr in params],
         "vocabulary": None if vocab is None else {"capacity": vocab.capacity,
-                                                  "word_to_id": vocab.word_to_id},
-    }):
-        header += piece.encode("utf-8")
+                                                  "word_to_id": {}},
+    }, sort_keys=True)
+    if vocab is not None:  # word_to_id sorts last, so its "{}" is followed by "}}"
+        words = sorted(vocab.word_to_id)
+        text = text[:-3] + ", ".join(
+            json.dumps({w: vocab.word_to_id[w] for w in words[i:i + VOCAB_SLICE]})[1:-1]
+            for i in range(0, len(words), VOCAB_SLICE)) + text[-3:]
+    header = text.encode("utf-8")
     with atomic_write(path, binary=True) as handle:
         handle.write(len(header).to_bytes(8, "little"))
         handle.write(header)

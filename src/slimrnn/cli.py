@@ -269,7 +269,9 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--out", default="sweep", help="output directory")
     p_sweep.add_argument("--seed", type=int, help=f"RNG seed (fallback: ${SEED_ENV})")
     p_sweep.add_argument("--axis", required=True,
-                         help="config field to sweep (variant, lr, batch_size, ...)")
+                         help="config field to sweep (seed, variant, lr, hidden, ...; "
+                              "split for split_ratio); not extra_dense_dims, text_column, "
+                              "label_column, vocab_size or maxlen")
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -199,10 +199,11 @@ class MaxPool1D:
 
 
 class Dense:
-    """Affine map with optional activation over rows: act(x @ weights.T + bias)."""
+    """Affine map with an activation over rows: act(x @ weights.T + bias),
+    act ``"relu"`` or ``"sigmoid"``."""
 
-    def __init__(self, weights: np.ndarray, bias: np.ndarray, activation: str = "none"):
-        if activation not in ("none", "relu", "sigmoid"):
+    def __init__(self, weights: np.ndarray, bias: np.ndarray, activation: str):
+        if activation not in ("relu", "sigmoid"):
             raise ConfigError(f"unknown dense activation {activation!r}")
         self.weights = weights
         self.bias = bias
@@ -220,12 +221,7 @@ class Dense:
             raise ShapeError(f"dense: input {x.shape}, expected [B, {self.weights.shape[1]}]")
         z = x @ self.weights.T + self.bias
         self._x, self._z = x, z
-        if self.activation == "relu":
-            self._out = np.maximum(z, 0.0)
-        elif self.activation == "sigmoid":
-            self._out = sigmoid(z)
-        else:
-            self._out = z
+        self._out = np.maximum(z, 0.0) if self.activation == "relu" else sigmoid(z)
         return self._out
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
@@ -233,10 +229,8 @@ class Dense:
             raise ShapeError(f"dense: output gradient {d_out.shape}, expected {self._out.shape}")
         if self.activation == "relu":
             dz = d_out * (self._z > 0)
-        elif self.activation == "sigmoid":
-            dz = d_out * sigmoid_grad(self._out)
         else:
-            dz = d_out
+            dz = d_out * sigmoid_grad(self._out)
         self.grads["weights"] += dz.T @ self._x
         self.grads["bias"] += dz.sum(axis=0)
         return dz @ self.weights

@@ -125,9 +125,7 @@ class ExperimentConfig:
             raise ConfigError("config must set a seed")
         hints = get_type_hints(cls)
         for key, value in raw.items():
-            if not _has_type(value, hints[key]):
-                raise ConfigError(
-                    f"config {key}: expected {_type_name(hints[key])}, got {value!r}")
+            _check_type(key, value, hints[key])
         return cls(**raw)
 
     def to_dict(self) -> dict:
@@ -153,8 +151,10 @@ def _has_type(value, hint) -> bool:
     return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
 
 
-def _type_name(hint) -> str:
-    return hint.__name__ if isinstance(hint, type) else str(hint)
+def _check_type(key: str, value, hint) -> None:
+    if not _has_type(value, hint):
+        name = hint.__name__ if isinstance(hint, type) else str(hint)
+        raise ConfigError(f"config {key}: expected {name}, got {value!r}")
 
 
 def bce_loss(p, y):
@@ -308,36 +308,23 @@ def train(config: ExperimentConfig, dataset: LabeledDataset,
     return model, report
 
 
-SWEEP_AXES = ("variant", "lstm_position", "extra_dense", "lr", "optimizer",
-              "batch_size", "split")
+# Fields that decide how the CSV is read and encoded: a sweep trains every
+# value on one encoded dataset, so they cannot be its axis.
+_DATA_FIELDS = ("text_column", "label_column", "vocab_size", "maxlen")
+_BOOLS = dict.fromkeys(("true", "1", "yes"), True) | dict.fromkeys(("false", "0", "no"), False)
 
-_AXIS_FIELD = {axis: axis for axis in SWEEP_AXES} | {"split": "split_ratio"}
 
-
-def coerce_axis_value(axis: str, raw):
-    """Turn a CLI string into the right type for the swept config field."""
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis {axis!r}; pick one of {', '.join(SWEEP_AXES)}")
-    if isinstance(raw, str):
-        raw = raw.strip()
-        if axis in ("lr", "split"):
-            try:
-                return float(raw)
-            except ValueError:
-                raise ConfigError(f"{axis} value {raw!r} is not a number") from None
-        if axis == "batch_size":
-            try:
-                return int(raw)
-            except ValueError:
-                raise ConfigError(f"batch_size value {raw!r} is not an integer") from None
-        if axis == "extra_dense":
-            lowered = raw.lower()
-            if lowered in ("true", "1", "yes"):
-                return True
-            if lowered in ("false", "0", "no"):
-                return False
-            raise ConfigError(f"extra_dense value {raw!r} is not a boolean")
-    return raw
+def _parse_value(axis: str, raw: str, hint):
+    """A CLI string as a value of the field annotated ``hint``."""
+    raw = raw.strip()
+    kinds = get_args(hint) or (hint,)  # float | None -> (float, NoneType)
+    if raw == "null" and type(None) in kinds:
+        return None
+    kind = kinds[0]
+    try:
+        return _BOOLS[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{axis} value {raw!r} is not a valid {kind.__name__}") from None
 
 
 @dataclass
@@ -378,20 +365,33 @@ class SweepResult:
 
 def sweep_configs(base: ExperimentConfig, axis: str,
                   values: list) -> list[tuple[object, ExperimentConfig]]:
-    """Each value, coerced, with its config built and checked: a bad axis,
-    an empty list or a bad value anywhere raises ConfigError here."""
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis {axis!r}; pick one of {', '.join(SWEEP_AXES)}")
+    """Each value, converted by its field's annotation, with its config built
+    and checked. The axis is any config field (``split`` names
+    ``split_ratio``) except a tuple and the _DATA_FIELDS. A bad axis, an empty
+    list or a bad value anywhere raises ConfigError here."""
+    key = "split_ratio" if axis == "split" else axis
+    hint = get_type_hints(ExperimentConfig).get(key)
+    if hint is None:
+        raise ConfigError(f"unknown sweep axis {axis!r}: not a config field")
+    if get_origin(hint) is tuple:
+        raise ConfigError(f"cannot sweep {axis}: a comma list cannot carry a tuple")
+    if key in _DATA_FIELDS:
+        raise ConfigError(f"cannot sweep {axis}: every value trains on one dataset, "
+                          f"read and encoded with the base config's {key}")
     if not values:
         raise ConfigError("sweep needs at least one value")
-    values = [coerce_axis_value(axis, raw) for raw in values]
-    return [(value, replace(base, **{_AXIS_FIELD[axis]: value})) for value in values]
+    values = [_parse_value(axis, raw, hint) if isinstance(raw, str) else raw
+              for raw in values]
+    for value in values:
+        _check_type(key, value, hint)
+    return [(value, replace(base, **{key: value})) for value in values]
 
 
 def run_sweep(base: ExperimentConfig, axis: str, values: list,
               dataset: LabeledDataset) -> SweepResult:
-    """Train once per value, everything else (seed included) held fixed. A
-    bad value raises ConfigError before the first run starts."""
+    """Train once per value, every other field (the seed too, unless it is
+    the axis) held fixed. A bad value raises ConfigError before the first
+    run starts."""
     rows = []
     reports = []
     for value, config in sweep_configs(base, axis, values):

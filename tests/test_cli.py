@@ -378,13 +378,32 @@ class TestSweep:
         assert calls == []
         assert not (out_dir / "sweep.json").exists()
 
-    def test_bad_axis(self, tmp_path):
-        config_path = write_config(tmp_path)
+    @pytest.mark.parametrize("axis, values, expected", [
+        ("seed", "1,2", [1, 2]), ("hidden", "3,5", [3, 5]),
+        ("bidirectional_tail", "no,yes", [False, True]), ("clip_norm", "null,2.5", [None, 2.5]),
+    ])
+    def test_any_field_axis(self, tmp_path, axis, values, expected):
         out_dir = tmp_path / "sweep"
-        code, _, _ = run_cli(["sweep", "--config", config_path,
-                              "--data", str(FIXTURE_CSV), "--out", str(out_dir),
-                              "--axis", "kernel_size", "--values", "3,5"])
+        code, out, err = run_cli(["sweep", "--config", write_config(tmp_path, epochs=1),
+                                  "--data", str(FIXTURE_CSV), "--out", str(out_dir),
+                                  "--axis", axis, "--values", values])
+        assert code == cli.EXIT_OK, err
+        payload = json.loads((out_dir / "sweep.json").read_text())
+        assert [row["value"] for row in payload["rows"]] == expected
+        assert out.splitlines()[0].split()[0] == axis
+
+    @pytest.mark.parametrize("axis", ["kernel", "maxlen", "vocab_size", "text_column",
+                                      "label_column", "extra_dense_dims"])
+    def test_bad_axis(self, tmp_path, monkeypatch, axis):
+        reads = []
+        monkeypatch.setattr(cli, "ingest_csv", lambda *args: reads.append(args))
+        out_dir = tmp_path / "sweep"
+        code, _, err = run_cli(["sweep", "--config", write_config(tmp_path),
+                                "--data", str(FIXTURE_CSV), "--out", str(out_dir),
+                                "--axis", axis, "--values", "3,5"])
         assert code == cli.EXIT_CONFIG
+        assert err.startswith("error: ") and axis in err and "Traceback" not in err
+        assert reads == []
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("values", [",", " , ,"])

@@ -264,7 +264,6 @@ class TestDense:
         w = np.array([[1.0, -1.0], [0.5, 0.5]])
         b = np.array([0.0, -1.0])
         x = np.array([[2.0, 1.0]])
-        assert np.allclose(Dense(w, b, "none").forward(x), [[1.0, 0.5]])
         assert np.allclose(Dense(w, b, "relu").forward(x), [[1.0, 0.5]])
         neg = Dense(np.array([[-1.0, 0.0]]), np.zeros(1), "relu").forward(x)
         np.testing.assert_array_equal(neg, [[0.0]])
@@ -289,13 +288,15 @@ class TestDense:
 
     def test_input_shape_checked(self):
         with pytest.raises(ShapeError):
-            Dense(np.zeros((2, 3)), np.zeros(2)).forward(np.zeros((1, 4)))
+            Dense(np.zeros((2, 3)), np.zeros(2), "relu").forward(np.zeros((1, 4)))
         with pytest.raises(ShapeError):
-            Dense(np.zeros((2, 3)), np.zeros(2)).forward(np.zeros(3))  # no batch axis
+            Dense(np.zeros((2, 3)), np.zeros(2), "relu").forward(np.zeros(3))  # no batch axis
 
     def test_unknown_activation(self):
         with pytest.raises(ConfigError):
             Dense(np.zeros((1, 1)), np.zeros(1), activation="gelu")
+        with pytest.raises(ConfigError):
+            Dense(np.zeros((1, 1)), np.zeros(1), activation="none")
 
 
 def test_recurrent_wraps_sequence_forward():

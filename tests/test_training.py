@@ -24,12 +24,10 @@ from slimrnn import (
 )
 from slimrnn import training
 from slimrnn.layers import SentimentModel
-from slimrnn.training import (
-    EVAL_CHUNK,
-    SWEEP_AXES,
-    ExperimentConfig,
-    coerce_axis_value,
-)
+from slimrnn.training import EVAL_CHUNK, ExperimentConfig, sweep_configs
+
+# A tuple field, and the four fields the CSV is read and encoded by.
+NOT_AXES = ("extra_dense_dims", "text_column", "label_column", "vocab_size", "maxlen")
 
 
 class TestBceLoss:
@@ -371,20 +369,44 @@ class TestSweep:
         assert len(body) == 2
         assert body[0].startswith("0.25")
 
-    def test_axis_validation_and_coercion(self):
-        assert set(SWEEP_AXES) == {"variant", "lstm_position", "extra_dense",
-                                   "lr", "optimizer", "batch_size", "split"}
-        assert coerce_axis_value("lr", "1e-3") == pytest.approx(1e-3)
-        assert coerce_axis_value("batch_size", "64") == 64
-        assert coerce_axis_value("extra_dense", "true") is True
-        assert coerce_axis_value("extra_dense", "False") is False
-        assert coerce_axis_value("variant", "lstm2") == "lstm2"
-        with pytest.raises(ConfigError):
-            coerce_axis_value("epochs", "5")
-        with pytest.raises(ConfigError):
-            coerce_axis_value("batch_size", "sixteen")
-        with pytest.raises(ConfigError):
-            coerce_axis_value("extra_dense", "maybe")
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ExperimentConfig)])
+    def test_every_field_but_a_tuple_or_data_field_is_an_axis(self, name):
+        base = ExperimentConfig(seed=7)
+        default = getattr(base, name)
+        text = "null" if default is None else str(default)
+        if name in NOT_AXES:
+            with pytest.raises(ConfigError, match=f"cannot sweep {name}"):
+                sweep_configs(base, name, [text])
+        else:
+            [(value, config)] = sweep_configs(base, name, [text])
+            assert config == base
+            assert value == default and type(value) is type(default)
+
+    @pytest.mark.parametrize("axis", ["kernel", "split_ratios", "Variant", ""])
+    def test_unknown_axis(self, axis):
+        with pytest.raises(ConfigError, match="unknown sweep axis"):
+            sweep_configs(micro_config(), axis, ["1"])
+
+    @pytest.mark.parametrize("axis,raw,expected", [
+        ("split", "0.25", 0.25), ("split_ratio", "0.25", 0.25), ("lr", "1", 1.0),
+        ("batch_size", " 64 ", 64), ("seed", "3", 3), ("extra_dense", "yes", True),
+        ("extra_dense", "0", False), ("bidirectional_tail", "FALSE", False),
+        ("clip_norm", "null", None), ("clip_norm", "2.5", 2.5),
+        ("variant", "LSTM3", "LSTM3"), ("optimizer", "SGD", "SGD"),
+    ])
+    def test_strings_follow_the_annotation(self, axis, raw, expected):
+        [(value, config)] = sweep_configs(micro_config(), axis, [raw])
+        assert value == expected and type(value) is type(expected)
+        assert getattr(config, "split_ratio" if axis == "split" else axis) == expected
+
+    @pytest.mark.parametrize("axis,raw", [
+        ("batch_size", "sixteen"), ("batch_size", "4.5"), ("seed", "1.5"),
+        ("extra_dense", "maybe"), ("extra_dense", "null"), ("lr", "null"),
+        ("hidden", "null"), ("clip_norm", "none"),
+    ])
+    def test_unparsable_string_rejected(self, axis, raw):
+        with pytest.raises(ConfigError, match=f"{axis} value"):
+            sweep_configs(micro_config(), axis, [raw])
 
     def test_empty_values_rejected(self, separable_dataset):
         with pytest.raises(ConfigError):
@@ -393,6 +415,8 @@ class TestSweep:
     @pytest.mark.parametrize("axis,values", [
         ("optimizer", ["adam", "adamw"]), ("variant", ["lstm0", "lstm1", "lstm9"]),
         ("lr", ["0.01", "-1"]), ("split", ["0.3", "0.5", "1.5"]),
+        ("batch_size", [8, 4.5]), ("lr", [0.01, True]), ("extra_dense", [False, 2]),
+        ("variant", ["lstm0", 3]),
     ])
     def test_bad_last_value_rejected_before_any_training(
             self, separable_dataset, monkeypatch, axis, values):
