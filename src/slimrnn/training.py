@@ -36,9 +36,10 @@ EVAL_CHUNK = 32
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs besides the data itself, the model's sizes and
-    switches included. ``seed`` is mandatory. Every field is checked at
-    construction, so a bad value raises ConfigError before any data is read
-    or any model is built."""
+    switches included. ``seed`` is mandatory. Every field is checked against
+    its annotation, then its range, at each construction (directly, by
+    ``from_dict`` or by ``dataclasses.replace``), so a bad value raises
+    ConfigError before any data is read or any model is built."""
 
     seed: int
     variant: str = "lstm0"
@@ -67,6 +68,8 @@ class ExperimentConfig:
     label_column: str = "sentiment"
 
     def __post_init__(self):
+        for key, hint in _HINTS.items():
+            _check_type(key, getattr(self, key), hint)
         Variant.parse(self.variant)  # raises ConfigError on junk
         if self.lstm_position not in (CNN_THEN_LSTM, LSTM_THEN_CNN):
             raise ConfigError(
@@ -123,9 +126,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         if "seed" not in raw:
             raise ConfigError("config must set a seed")
-        hints = get_type_hints(cls)
-        for key, value in raw.items():
-            _check_type(key, value, hints[key])
         return cls(**raw)
 
     def to_dict(self) -> dict:
@@ -137,9 +137,12 @@ class ExperimentConfig:
         return SentimentModel(self, rng)
 
 
+_HINTS = get_type_hints(ExperimentConfig)
+
+
 def _has_type(value, hint) -> bool:
-    """Whether a config value read from JSON fits a field annotation. An
-    int is a float, a list is a tuple, and a bool is not a number."""
+    """Whether a config value fits a field annotation. An int is a float, a
+    list is a tuple, and a bool is not a number."""
     args = get_args(hint)
     if get_origin(hint) is UnionType:
         return any(_has_type(value, arg) for arg in args)
@@ -239,9 +242,8 @@ class MetricsReport:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def train(config: ExperimentConfig, dataset: LabeledDataset,
-          stop_at_train_accuracy: float | None = None,
-          ) -> tuple[SentimentModel, MetricsReport]:
+def train(config: ExperimentConfig,
+          dataset: LabeledDataset) -> tuple[SentimentModel, MetricsReport]:
     """Split, build, and run minibatch training; returns the trained model
     and its metrics.
 
@@ -249,12 +251,10 @@ def train(config: ExperimentConfig, dataset: LabeledDataset,
     accuracy is measured on the fly from the (dropout-active) training
     forward passes. The final partial batch is trained like any other; each
     sample's loss gradient is scaled by 1/batch so updates use the
-    batch-mean gradient. ``stop_at_train_accuracy`` ends the run early
-    once the epoch's training accuracy reaches that percentage (used by
-    capacity probes; epochs is still the hard budget). A non-finite
-    probability, loss or gradient norm raises NumericError before the
-    weights are touched. Clipping and the optimizer step visit only the
-    embedding rows that can move (see ``optimizers``).
+    batch-mean gradient. A non-finite probability, loss or gradient norm
+    raises NumericError before the weights are touched. Clipping and the
+    optimizer step visit only the embedding rows that can move (see
+    ``optimizers``).
     """
     root = Rng(config.seed)
     train_ds, val_ds = split_train_val(dataset, config.split_ratio, root.derive(1))
@@ -293,17 +293,13 @@ def train(config: ExperimentConfig, dataset: LabeledDataset,
                     f"gradient norm is {norm}")
             optimizer.apply_update(params, grads, ends)
         val = evaluate(model, val_ds)
-        train_accuracy = 100.0 * correct / n
         report.epochs.append(EpochMetrics(
             epoch=epoch,
             train_loss=epoch_loss / n,
-            train_accuracy=train_accuracy,
+            train_accuracy=100.0 * correct / n,
             val_loss=val.mean_loss,
             val_accuracy=val.overall_accuracy,
         ))
-        if (stop_at_train_accuracy is not None
-                and train_accuracy >= stop_at_train_accuracy):
-            break
     report.final = val  # the model has not changed since the last epoch's evaluation
     return model, report
 
@@ -348,8 +344,9 @@ class SweepResult:
 
     def format_table(self) -> str:
         header = (self.axis, "Positive", "Negative", "Overall")
-        body = [
-            (str(row.value),
+        body = [  # None and booleans spelled as in sweep.json and --values
+            (json.dumps(row.value) if row.value is None or isinstance(row.value, bool)
+             else str(row.value),
              f"{row.positive_accuracy:.2f}",
              f"{row.negative_accuracy:.2f}",
              f"{row.overall_accuracy:.2f}")
@@ -365,12 +362,12 @@ class SweepResult:
 
 def sweep_configs(base: ExperimentConfig, axis: str,
                   values: list) -> list[tuple[object, ExperimentConfig]]:
-    """Each value, converted by its field's annotation, with its config built
-    and checked. The axis is any config field (``split`` names
+    """Each value, a string converted by its field's annotation, with its
+    config built and checked. The axis is any config field (``split`` names
     ``split_ratio``) except a tuple and the _DATA_FIELDS. A bad axis, an empty
     list or a bad value anywhere raises ConfigError here."""
     key = "split_ratio" if axis == "split" else axis
-    hint = get_type_hints(ExperimentConfig).get(key)
+    hint = _HINTS.get(key)
     if hint is None:
         raise ConfigError(f"unknown sweep axis {axis!r}: not a config field")
     if get_origin(hint) is tuple:
@@ -382,8 +379,6 @@ def sweep_configs(base: ExperimentConfig, axis: str,
         raise ConfigError("sweep needs at least one value")
     values = [_parse_value(axis, raw, hint) if isinstance(raw, str) else raw
               for raw in values]
-    for value in values:
-        _check_type(key, value, hint)
     return [(value, replace(base, **{key: value})) for value in values]
 
 

@@ -255,6 +255,17 @@ class TestSeedResolution:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["seed"] == 99
 
+    def test_file_overrides_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.SEED_ENV, "23")
+        config_path = write_config(tmp_path, seed=5, epochs=1)
+        out_dir = tmp_path / "run"
+        code, _, err = run_cli(["train", "--config", config_path,
+                                "--data", str(FIXTURE_CSV),
+                                "--out", str(out_dir)])
+        assert code == cli.EXIT_OK, err
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["seed"] == 5
+
     def test_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.SEED_ENV, "23")
         config_path = write_config(tmp_path, drop=("seed",), epochs=1)
