@@ -3,7 +3,7 @@
 Seven cell variants (lstm0 through lstm6) share one cell-state recurrence
 and differ only in how the input/forget/output gates are computed, trading
 parameters for capacity. Everything runs on float64 numpy with explicit
-backward passes verified against a central-difference oracle.
+backward passes verified against a complex-step oracle.
 """
 
 from .cells import (

@@ -118,13 +118,14 @@ class CellParams:
     ``columns`` the pre-activation columns each buffer's rows feed, and
     ``grad_buffers`` and ``grads`` the same for the gradients, which
     sequence_backward adds into. Writers (init, checkpoint loads) fill the
-    views."""
+    views. ``dtype`` is float64, or complex128 in gradient-check twins."""
 
     variant: Variant
     input_dim: int
     hidden_dim: int
     _: KW_ONLY
     alpha: float = DEFAULT_ALPHA  # used by LSTM6 only
+    dtype: type = np.float64
     buffers: dict[str, np.ndarray] = field(init=False, repr=False)
     columns: dict[str, slice] = field(init=False, repr=False)
     tensors: dict[str, np.ndarray] = field(init=False, repr=False)
@@ -139,7 +140,7 @@ class CellParams:
             raise ConfigError(f"alpha must lie in (-1, 1), got {self.alpha}")
         _, kinds, names = _LAYOUTS[self.variant]
         row = {"W": (d,), "U": (n,), "u": (), "b": ()}
-        self.buffers = {k: np.zeros((count * n, *row[k])) for k, _, count in kinds}
+        self.buffers = {k: np.zeros((count * n, *row[k]), self.dtype) for k, _, count in kinds}
         self.grad_buffers = {k: np.zeros(buf.shape) for k, buf in self.buffers.items()}
         self.columns = {k: slice(first * n, (first + count) * n) for k, first, count in kinds}
         self.tensors = {name: self.buffers[k][r * n:(r + 1) * n] for name, k, r in names}
@@ -177,7 +178,7 @@ class SequenceCache:
 
 def _input_term(params: CellParams, x: np.ndarray) -> np.ndarray:
     """W x in the pre-activation layout, for inputs x [..., d]."""
-    a = np.zeros(x.shape[:-1] + (params.width,))
+    a = np.zeros(x.shape[:-1] + (params.width,), np.result_type(x, params.dtype))
     np.matmul(x.reshape(-1, params.input_dim), params.buffers["W"].T,
               out=a.reshape(-1, params.width)[:, params.columns["W"]])
     return a
@@ -203,8 +204,8 @@ def sequence_forward(params: CellParams, xs: np.ndarray,
     if xs.ndim != 3 or xs.shape[0] < 1 or xs.shape[2] != d:
         raise ShapeError(f"sequence_forward: need xs of shape [T>=1, B, {d}], got {xs.shape}")
     T, B, _ = xs.shape
-    h = np.zeros((T + 1, B, n))
-    c = np.zeros((T + 1, B, n))
+    h = np.zeros((T + 1, B, n), np.result_type(xs, params.dtype))
+    c = np.zeros(h.shape, h.dtype)
     if init is not None:
         if init.h.shape != (B, n) or init.c.shape != (B, n):
             raise ShapeError(f"sequence_forward: initial state {init.h.shape}/"
@@ -305,11 +306,12 @@ def count_params(variant: Variant, d: int, n: int) -> int:
 
 def init_params(variant: Variant, d: int, n: int, rng: Rng,
                 alpha: float = DEFAULT_ALPHA,
-                forget_bias: float = DEFAULT_FORGET_BIAS) -> CellParams:
+                forget_bias: float = DEFAULT_FORGET_BIAS,
+                dtype: type = np.float64) -> CellParams:
     """Uniform init in [-s, s]: s = 1/sqrt(d) for input weights, 1/sqrt(n) for
     recurrent and pointwise weights. Biases start at zero except the forget
     gate's, which starts at ``forget_bias`` where the variant has one."""
-    params = CellParams(variant, d, n, alpha=alpha)
+    params = CellParams(variant, d, n, alpha=alpha, dtype=dtype)
     s_in, s_rec = 1.0 / np.sqrt(d), 1.0 / np.sqrt(n)
     scale = {"W": s_in, "U": s_rec, "u": s_rec}
     drawn = [(view, scale[name[0]]) for name, view in params.tensors.items()

@@ -275,11 +275,11 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_grad = sub.add_parser("gradcheck", help="finite-difference gradient verification")
+    p_grad = sub.add_parser("gradcheck", help="complex-step gradient verification")
     p_grad.add_argument("scope", nargs="?", default="all", choices=GRADCHECK_SCOPES,
                         help="what to check (default: all)")
     p_grad.add_argument("--tol", type=float, default=1e-5,
-                        help="max relative error (default 1e-5; model uses >= 1e-4)")
+                        help="max relative error, for the cells and the model (default 1e-5)")
     p_grad.set_defaults(func=cmd_gradcheck)
 
     p_count = sub.add_parser("count-params", help="trainable parameter count for a cell")

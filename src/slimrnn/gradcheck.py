@@ -1,7 +1,11 @@
-"""Central finite-difference oracle for certifying backward passes.
+"""Complex-step oracle for certifying backward passes, and the checks on it.
 
-The oracle never reuses analytic machinery: it perturbs each coordinate of
-each array in place, re-runs the loss, and forms (L(w+eps) - L(w-eps))/2eps.
+The oracle never reuses analytic machinery. It steps one coordinate w of a
+complex128 twin's arrays at a time by ih, re-runs the loss forward and reads
+Im L(w + ih) / h (Squire & Trapp 1998; Martins, Sturdza & Alonso 2003). It
+subtracts nothing, so it has no roundoff floor. numpy orders complex numbers
+by their real part first, so a 1e-30i step never crosses a ReLU, max-pool or
+clamp kink. ``finite_diff`` is the central difference, kept for tests.
 Relative error uses |a - n| / max(|a|, |n|, 1e-12) so zero gradients compare
 cleanly. Dropout must be inactive in any loss handed to the checker.
 """
@@ -16,22 +20,17 @@ import numpy as np
 
 from .cells import CellParams, CellState, Variant, sequence_backward, sequence_forward
 from .errors import NumericError
-from .layers import CNN_THEN_LSTM, LSTM_THEN_CNN
+from .layers import CNN_THEN_LSTM, LSTM_THEN_CNN, SentimentModel
 from .numeric import sigmoid, sigmoid_grad, tanh_grad
 from .rng import Rng
 from .training import ExperimentConfig, bce_loss
 
-DEFAULT_EPS = 1e-6
+DEFAULT_EPS = 1e-6  # finite_diff's step
+COMPLEX_STEP = 1e-30  # any h far below sqrt(eps) gives the same bits
 # check_variant draws each problem's sizes uniformly from 1..these bounds.
 CELL_MAX_D, CELL_MAX_N, CELL_MAX_T, CELL_MAX_B = 6, 5, 4, 3
-# calibrate_oracle's bound on closed-form derivatives, at DEFAULT_EPS.
+# calibrate_oracle's bound on closed-form derivatives.
 CALIBRATION_TOL = 1e-8
-# The end-to-end model check uses a larger step: its loss sums MODEL_BATCH
-# O(1) terms while some true gradients sit near 1e-8, so the roundoff term
-# (machine epsilon * |loss| / step) must be pushed further below them than
-# the cell checks need. Much above 1e-4 a step starts to straddle the kinks
-# of ReLU and max-pool.
-MODEL_EPS = 1e-4
 MODEL_BATCH = 3
 # check_all runs the model check on this many of its seeds, the first ones;
 # check_model itself, as ``slimrnn gradcheck model`` calls it, uses them all.
@@ -72,13 +71,36 @@ def finite_diff(lossfn: Callable[[], float], arrays: Sequence[np.ndarray],
     return grads
 
 
+def complex_step(lossfn: Callable[[], complex],
+                 arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Float64 gradient of lossfn w.r.t. every entry of every complex array,
+    whose imaginary parts are zero, as Im L(w + ih) / h with h = COMPLEX_STEP;
+    entries are stepped in place and restored, as in finite_diff."""
+    grads = []
+    for arr in arrays:
+        if arr.dtype.kind != "c":
+            raise TypeError(f"complex_step: need complex arrays, got {arr.dtype}")
+        grad = np.zeros(arr.shape)
+        flat, gflat = arr.ravel(), grad.ravel()
+        for k in range(flat.size):
+            orig = flat[k]
+            flat[k] = orig + 1j * COMPLEX_STEP
+            value = lossfn()
+            flat[k] = orig
+            if not np.isfinite(value):
+                raise NumericError(f"complex_step: non-finite loss at coordinate {k}")
+            gflat[k] = value.imag / COMPLEX_STEP
+        grads.append(grad)
+    return grads
+
+
 @dataclass
 class ParamCheck:
     name: str
     max_rel_err: float
     mean_rel_err: float
     worst_index: int
-    kinks: int = 0  # coordinates left out because their step crossed a kink
+    zeros: int = 0  # coordinates exactly 0 on both sides: they test nothing
 
 
 @dataclass
@@ -100,44 +122,33 @@ class GradReport:
                f"(tol {self.tolerance:g}, worst {self.max_rel_err:.3e})"]
         for e in self.entries:
             flag = "ok " if e.max_rel_err < self.tolerance else "BAD"
-            kinks = f" ({e.kinks} at kinks)" if e.kinks else ""
+            zeros = f" ({e.zeros} both zero)" if e.zeros else ""
             out.append(f"  {flag} {e.name:<22} max {e.max_rel_err:.3e} "
-                       f"mean {e.mean_rel_err:.3e} @ {e.worst_index}{kinks}")
+                       f"mean {e.mean_rel_err:.3e} @ {e.worst_index}{zeros}")
         return out
 
 
-def _compare(name: str, analytic: np.ndarray, numeric: np.ndarray,
-             smooth: np.ndarray | None = None) -> ParamCheck:
-    """Relative error per coordinate; those where ``smooth`` is False are
-    left out and counted as kinks."""
+def _compare(name: str, analytic: np.ndarray, numeric: np.ndarray) -> ParamCheck:
+    """Relative error per coordinate, and the count of coordinates where
+    both gradients are exactly 0."""
     err = relative_error(analytic, numeric).ravel()
-    if smooth is None:
-        smooth = np.ones(err.size, dtype=bool)
-    err = np.where(smooth, err, 0.0)
     worst = int(np.argmax(err)) if err.size else 0
     return ParamCheck(name, float(err.max(initial=0.0)),
-                      float(err[smooth].mean()) if smooth.any() else 0.0, worst,
-                      int(err.size - smooth.sum()))
+                      float(err.mean()) if err.size else 0.0, worst,
+                      int(np.count_nonzero((analytic == 0) & (numeric == 0))))
 
 
 def _merge_worst(per_seed: list[list[ParamCheck]]) -> list[ParamCheck]:
     """Keep, per parameter name, the worst entry seen across seeds, with the
-    kinks of every seed added up."""
+    zeros of every seed added up."""
     worst: dict[str, ParamCheck] = {}
-    kinks: dict[str, int] = {}
+    zeros: dict[str, int] = {}
     for entries in per_seed:
         for e in entries:
-            kinks[e.name] = kinks.get(e.name, 0) + e.kinks
+            zeros[e.name] = zeros.get(e.name, 0) + e.zeros
             if e.name not in worst or e.max_rel_err > worst[e.name].max_rel_err:
                 worst[e.name] = e
-    return [replace(e, kinks=kinks[name]) for name, e in worst.items()]
-
-
-def _random_cell_params(variant: Variant, d: int, n: int, rng: Rng) -> CellParams:
-    params = CellParams(variant, d, n)
-    for view in params.tensors.values():
-        view[...] = rng.uniform(view.shape, -0.7, 0.7)
-    return params
+    return [replace(e, zeros=zeros[name]) for name, e in worst.items()]
 
 
 def check_variant(variant: Variant, seeds: Sequence[int], tol: float = 1e-5) -> GradReport:
@@ -154,21 +165,23 @@ def check_variant(variant: Variant, seeds: Sequence[int], tol: float = 1e-5) -> 
         n = 1 + int(rng.uniform(()) * CELL_MAX_N)
         T = 1 + int(rng.uniform(()) * CELL_MAX_T)
         B = 1 + int(rng.uniform(()) * CELL_MAX_B)
-        params = _random_cell_params(variant, d, n, rng)
+        params = CellParams(variant, d, n)
+        twin = CellParams(variant, d, n, dtype=np.complex128)
+        for name, view in params.tensors.items():
+            view[...] = twin.tensors[name][...] = rng.uniform(view.shape, -0.7, 0.7)
         xs = rng.uniform((T, B, d), -1.0, 1.0)
         init = CellState(rng.uniform((B, n), -0.5, 0.5), rng.uniform((B, n), -0.5, 0.5))
         d_hs = rng.uniform((T, B, n), -1.0, 1.0)
 
-        def loss() -> float:
-            hs, _ = sequence_forward(params, xs, init)
-            return float(np.sum(d_hs * hs))
-
-        hs, cache = sequence_forward(params, xs, init)
+        _, cache = sequence_forward(params, xs, init)
         d_xs, d_init = sequence_backward(params, cache, d_hs)
 
         names = sorted(params.tensors)
-        arrays = [params.tensors[name] for name in names] + [xs, init.h, init.c]
-        numeric = finite_diff(loss, arrays)
+        inputs = [arr.astype(np.complex128) for arr in (xs, init.h, init.c)]
+        twin_init = CellState(*inputs[1:])
+        numeric = complex_step(
+            lambda: np.sum(d_hs * sequence_forward(twin, inputs[0], twin_init)[0]),
+            [twin.tensors[name] for name in names] + inputs)
         analytic = [params.grads[name] for name in names] + [d_xs, d_init.h, d_init.c]
         labels = names + ["xs", "init.h", "init.c"]
         per_seed.append([_compare(lbl, a, num)
@@ -194,30 +207,18 @@ def _model_configs() -> list:
     return configs
 
 
-def _branches(model) -> bytes:
-    """The ReLU and max-pool branches the model's last forward pass took;
-    its loss is smooth wherever these stay the same."""
-    taken = [model.conv._z > 0, model.pool._arg] + [d._z > 0 for d in model.extra_dense]
-    return b"".join(t.tobytes() for t in taken)
-
-
-def check_model(seeds: Sequence[int], tol: float = 1e-4) -> GradReport:
+def check_model(seeds: Sequence[int], tol: float = 1e-5) -> GradReport:
     """End-to-end check of the full classification model on a micro
     instance, on a batch of MODEL_BATCH sequences: every cell variant at the
     default switches, and every switch combination for SWITCHED_VARIANTS.
 
     Dropout rates are zeroed so the loss is deterministic; the loss is the
-    summed binary cross-entropy against fixed labels. Parameters are redrawn
-    at O(1) scale after the build: training-grade inits leave this micro
-    model with gradients near 1e-12, underneath the central-difference
-    resolution floor (machine epsilon times |loss| over MODEL_EPS, about 1e-11),
-    where relative error is noise. The redraw keeps every gradient well
-    above that floor while exercising the same backward wiring; the extra
-    dense layers are 6 and 4 wide because through narrower ReLU layers the
-    signal reaching the head, and with it the gradients, fades towards that
-    floor. A coordinate whose step changes a ReLU or max-pool branch (see
-    ``_branches``) straddles a kink, where a central difference measures no
-    derivative; it is left out and counted in the entry's ``kinks``. Entries
+    summed binary cross-entropy against fixed labels. A float64 model's
+    backward pass is checked against the complex step through a complex128
+    twin. Parameters are redrawn at O(1) scale after the build: training-grade
+    inits leave this micro model with gradients near REL_FLOOR, 1e-12. The
+    extra dense layers are 6 and 4 wide because through narrower ReLU layers
+    the signal reaching the head, and with it the gradients, fades. Entries
     are named "<parameter> [<variant> <lstm_position> tail<0|1> dense<0|1>]".
     """
     per_seed = []
@@ -225,34 +226,25 @@ def check_model(seeds: Sequence[int], tol: float = 1e-4) -> GradReport:
         for k, config in enumerate(_model_configs()):
             rng = Rng(seed).derive(k)
             model = config.build(rng.derive(0))
+            twin = SentimentModel(config, rng.derive(0), dtype=np.complex128)
             shake = rng.derive(1)
-            for _, arr in model.named_params():
-                arr[...] = shake.uniform(arr.shape, -0.7, 0.7)
+            for (_, arr), (_, twin_arr) in zip(model.named_params(), twin.named_params()):
+                arr[...] = twin_arr[...] = shake.uniform(arr.shape, -0.7, 0.7)
             ids = (rng.uniform((MODEL_BATCH, 6)) * 20).astype(np.int64)
             y = np.ones(MODEL_BATCH)
-            stepped = []  # branches after each loss call: +eps, -eps per coordinate
-
-            def loss() -> float:
-                value = float(np.sum(bce_loss(model.forward(ids, training=False), y)[0]))
-                stepped.append(_branches(model))
-                return value
 
             _, dp = bce_loss(model.forward(ids, training=False), y)
-            taken = _branches(model)
             model.zero_grads()
             model.backward(dp)
 
-            names, arrays = zip(*model.named_params())
-            numeric = finite_diff(loss, arrays, MODEL_EPS)
+            names, arrays = zip(*twin.named_params())
+            numeric = complex_step(
+                lambda: np.sum(bce_loss(twin.forward(ids, training=False), y)[0]), arrays)
             grads = model.grads
-            analytic = [grads[name] for name in names]
-            smooth = np.array([up == taken == down
-                               for up, down in zip(stepped[::2], stepped[1::2])])
-            smooth = np.split(smooth, np.cumsum([arr.size for arr in arrays])[:-1])
             tag = (f"{config.variant} {config.lstm_position} "
                    f"tail{int(config.bidirectional_tail)} dense{int(config.extra_dense)}")
-            per_seed.append([_compare(f"{lbl} [{tag}]", a, num, ok)
-                             for lbl, a, num, ok in zip(names, analytic, numeric, smooth)])
+            per_seed.append([_compare(f"{name} [{tag}]", grads[name], num)
+                             for name, num in zip(names, numeric)])
     return GradReport("model", tol, _merge_worst(per_seed))
 
 
@@ -262,7 +254,7 @@ def check_module(target: str, seeds: Sequence[int], tol: float = 1e-5) -> GradRe
     Failures are data (report.passed is False), never exceptions.
     """
     if target.lower() == "model":
-        return check_model(seeds, tol=max(tol, 1e-4))
+        return check_model(seeds, tol=tol)
     return check_variant(Variant.parse(target), seeds, tol=tol)
 
 
@@ -270,21 +262,22 @@ def check_all(seeds: Sequence[int], tol: float = 1e-5) -> list[GradReport]:
     """All seven variants on every seed, plus the end-to-end model check on
     the first MODEL_SEEDS_IN_ALL seeds."""
     reports = [check_variant(v, seeds, tol=tol) for v in Variant]
-    reports.append(check_model(list(seeds)[:MODEL_SEEDS_IN_ALL], tol=max(tol, 1e-4)))
+    reports.append(check_model(list(seeds)[:MODEL_SEEDS_IN_ALL], tol=tol))
     return reports
 
 
 def calibrate_oracle() -> GradReport:
-    """Validate the oracle itself on closed-form derivatives before use."""
+    """Validate the complex step on closed-form derivatives before use."""
     entries = []
-    w = np.array([3.0])
-    num = finite_diff(lambda: float(w[0] ** 2), [w])[0]
+    w = np.array([3.0 + 0j])
+    num = complex_step(lambda: w[0] ** 2, [w])[0]
     entries.append(_compare("quadratic", np.array([6.0]), num))
 
     x = np.array([0.3, -1.2, 2.0])
-    num = finite_diff(lambda: float(np.sum(sigmoid(x))), [x])[0]
+    z = x.astype(np.complex128)
+    num = complex_step(lambda: np.sum(sigmoid(z)), [z])[0]
     entries.append(_compare("sigmoid", sigmoid_grad(sigmoid(x)), num))
 
-    num = finite_diff(lambda: float(np.sum(np.tanh(x))), [x])[0]
+    num = complex_step(lambda: np.sum(np.tanh(z)), [z])[0]
     entries.append(_compare("tanh", tanh_grad(np.tanh(x)), num))
     return GradReport("oracle-calibration", CALIBRATION_TOL, entries)

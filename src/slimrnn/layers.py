@@ -315,9 +315,10 @@ class LastStep:
         return d_x
 
 
-def _dense_init(out_dim: int, in_dim: int, rng: Rng, activation: str) -> Dense:
+def _dense_init(out_dim: int, in_dim: int, rng: Rng, activation: str, dtype: type) -> Dense:
     s = 1.0 / np.sqrt(in_dim)
-    return Dense(rng.uniform((out_dim, in_dim), -s, s), np.zeros(out_dim), activation)
+    return Dense(rng.uniform((out_dim, in_dim), -s, s).astype(dtype, copy=False),
+                 np.zeros(out_dim, dtype), activation)
 
 
 class SentimentModel:
@@ -335,37 +336,38 @@ class SentimentModel:
     spatial dropout and the dense stack, which forward runs in order and
     backward in reverse, and the parameter and gradient name tables, in the
     order embedding, conv, rnn, tail, dense*, head for both positions.
-    Clipping sums squares tensor by tensor in that order.
+    Clipping sums squares tensor by tensor in that order. ``dtype`` is
+    float64, or complex128 in the gradient check's forward-only twin.
     """
 
-    def __init__(self, config: ExperimentConfig, rng: Rng):
+    def __init__(self, config: ExperimentConfig, rng: Rng, dtype: type = np.float64):
         self.config = c = config
         self.variant = Variant.parse(c.variant)
         cnn_first = c.lstm_position == CNN_THEN_LSTM
 
         s_e = 0.05  # embedding init range, matching common framework defaults
-        self.embedding = Embedding(rng.uniform((c.vocab_size, c.embed_dim), -s_e, s_e))
+        self.embedding = Embedding(
+            rng.uniform((c.vocab_size, c.embed_dim), -s_e, s_e).astype(dtype, copy=False))
         self.spatial_dropout = Dropout(c.spatial_dropout, mode="spatial")
 
         conv_channels = c.embed_dim if cnn_first else c.hidden
         s_k = 1.0 / np.sqrt(c.kernel_size * conv_channels)
-        self.conv = Conv1D(
-            rng.uniform((c.conv_filters, c.kernel_size, conv_channels), -s_k, s_k),
-            np.zeros(c.conv_filters))
+        kernels = rng.uniform((c.conv_filters, c.kernel_size, conv_channels), -s_k, s_k)
+        self.conv = Conv1D(kernels.astype(dtype, copy=False), np.zeros(c.conv_filters, dtype))
         self.pool = MaxPool1D(c.pool_size)
 
         rnn_in = c.conv_filters if cnn_first else c.embed_dim
         self.rnn = Recurrent(init_params(
             self.variant, rnn_in, c.hidden, rng.derive(1),
-            alpha=c.alpha, forget_bias=c.forget_bias))
+            alpha=c.alpha, forget_bias=c.forget_bias, dtype=dtype))
 
         tail_in = c.hidden if cnn_first else c.conv_filters
         if c.bidirectional_tail:
             self.tail = Bidirectional(
                 init_params(Variant.LSTM0, tail_in, c.hidden, rng.derive(2),
-                            forget_bias=c.forget_bias),
+                            forget_bias=c.forget_bias, dtype=dtype),
                 init_params(Variant.LSTM0, tail_in, c.hidden, rng.derive(3),
-                            forget_bias=c.forget_bias))
+                            forget_bias=c.forget_bias, dtype=dtype))
             feat = 2 * c.hidden
         else:
             self.tail = None
@@ -376,11 +378,11 @@ class SentimentModel:
         if c.extra_dense:
             stage = rng.derive(4)
             for width in c.extra_dense_dims:
-                self.extra_dense.append(_dense_init(width, feat, stage, "relu"))
+                self.extra_dense.append(_dense_init(width, feat, stage, "relu", dtype))
                 self.extra_dropout.append(Dropout(c.dense_dropout, mode="elementwise"))
                 feat = width
 
-        self.head = _dense_init(1, feat, rng.derive(5), "sigmoid")
+        self.head = _dense_init(1, feat, rng.derive(5), "sigmoid", dtype)
 
         encoders = ([self.conv, self.pool, self.rnn] if cnn_first
                     else [self.rnn, self.conv, self.pool])

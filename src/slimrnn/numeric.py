@@ -1,4 +1,4 @@
-"""Nonlinearities with their gradients, on float64 numpy arrays, and
+"""Nonlinearities and their gradients (float64; sigmoid also complex), and
 ``mapped_zeros``, the one allocator of the arrays that may be large and
 mostly untouched: the embedding gradient and the optimizer slots."""
 
@@ -10,8 +10,12 @@ import numpy as np
 
 
 def sigmoid(x):
-    """Logistic function 1/(1+e^-x), overflow-safe at both extremes."""
-    x = np.asarray(x, dtype=np.float64)
+    """Logistic function 1/(1+e^-x), overflow-safe at both extremes for real
+    input; complex input takes the plain form (np.abs would drop its i part)."""
+    x = np.asarray(x)
+    if x.dtype.kind == "c":
+        return 1.0 / (1.0 + np.exp(-x))
+    x = x.astype(np.float64, copy=False)
     e = np.exp(-np.abs(x))  # never overflows
     out = np.where(x >= 0, 1.0, e) / (1.0 + e)  # 1/(1+e^-x) or e^x/(1+e^x)
     return out if out.ndim else float(out)

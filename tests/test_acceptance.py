@@ -54,7 +54,7 @@ def test_gradient_suite():
     worst = max(r.max_rel_err for r in reports)
     ok = all(r.passed for r in reports) and elapsed < 120.0
     failed = [r.target for r in reports if not r.passed]
-    detail = (f"7 cells at 1e-5 on seeds 0-9 plus model at 1e-4 on seeds "
+    detail = (f"7 cells at 1e-5 on seeds 0-9 plus model at 1e-5 on seeds "
               f"0-{MODEL_SEEDS_IN_ALL - 1}, "
               f"worst rel err {worst:.2e}, {elapsed:.1f}s")
     if failed:

@@ -256,6 +256,24 @@ class TestInitParams:
             assert params.tensors[name].tobytes() == expected.tobytes(), name
         assert drawn_once.uniform(4).tobytes() == drawn_each.uniform(4).tobytes()
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_complex_twin_holds_the_same_draws_and_runs_forward(self, variant):
+        """A complex128 build stores the float64 build's draws, and its
+        forward pass gives the float64 states in its real part; a float64
+        forward stays float64."""
+        params = init_params(variant, 4, 3, Rng(8), forget_bias=0.5)
+        twin = init_params(variant, 4, 3, Rng(8), forget_bias=0.5, dtype=np.complex128)
+        for name, view in params.tensors.items():
+            assert twin.tensors[name].dtype == np.complex128
+            np.testing.assert_array_equal(twin.tensors[name], view)
+        xs = Rng(9).uniform((5, 2, 4), -1, 1)
+        init = CellState(Rng(10).uniform((2, 3), -0.5, 0.5), Rng(11).uniform((2, 3), -0.5, 0.5))
+        hs, _ = sequence_forward(params, xs, init)
+        hs_twin, _ = sequence_forward(twin, xs, init)
+        assert hs.dtype == np.float64 and hs_twin.dtype == np.complex128
+        np.testing.assert_allclose(hs_twin.real, hs, rtol=1e-14, atol=1e-16)
+        assert not hs_twin.imag.any()
+
     def test_forget_bias_only_where_gate_has_bias(self):
         params = init_params(Variant.LSTM2, 5, 3, Rng(1), forget_bias=1.0)
         assert "b_f" not in params.tensors

@@ -30,6 +30,26 @@ class TestSigmoid:
         assert np.all(s >= 0.0) and np.all(s <= 1.0)
         np.testing.assert_allclose(sigmoid(-z), 1.0 - s, atol=1e-15)
 
+    @given(hnp.arrays(np.float64, st.integers(0, 30), elements=finite_floats))
+    @settings(max_examples=50, deadline=None)
+    def test_real_input_keeps_the_overflow_safe_form(self, z):
+        """Real input stays float64 and bit-identical to the overflow-safe
+        form; only complex input takes the plain formula."""
+        e = np.exp(-np.abs(z))
+        s = sigmoid(z)
+        assert s.dtype == np.float64
+        np.testing.assert_array_equal(s, np.where(z >= 0, 1.0, e) / (1.0 + e))
+        assert type(sigmoid(np.float64(0.3))) is float
+        assert sigmoid([1, -2]).dtype == np.float64
+
+    def test_complex_input_carries_the_derivative(self):
+        x = np.array([-3.0, -0.4, 0.0, 0.7, 5.0])
+        step = 1e-30
+        s = sigmoid(x + step * 1j)
+        assert s.dtype == np.complex128
+        np.testing.assert_allclose(s.real, sigmoid(x), rtol=1e-15)
+        np.testing.assert_allclose(s.imag / step, sigmoid_grad(sigmoid(x)), rtol=1e-12)
+
     def test_grad_from_output(self):
         s = sigmoid(np.array([0.0, 2.0]))
         np.testing.assert_allclose(sigmoid_grad(s), s * (1 - s))
