@@ -16,7 +16,7 @@ from .rng import Rng
 LABELS = ("Positive", "Negative", "Neutral")
 PAD_ID = 0
 
-_NON_ALNUM = re.compile(r"[^a-z0-9]+")
+_WORD = re.compile(r"[a-z0-9]+")  # a word: a maximal run of these in the lowercased text
 
 
 @dataclass
@@ -49,15 +49,17 @@ def ingest_csv(path: str, text_column: str = "text",
     records = []
     try:
         with handle:
-            reader = csv.DictReader(handle)
-            header = reader.fieldnames or []
-            for column in (text_column, label_column):
-                if column not in header:
-                    raise DataError(f"column {column!r} not in CSV header {header}")
-            for row in reader:
+            reader = csv.reader(handle)
+            header = next(reader, [])
+            column = {name: i for i, name in enumerate(header)}  # a repeated name: the last
+            for name in (text_column, label_column):
+                if name not in column:
+                    raise DataError(f"column {name!r} not in CSV header {header}")
+            text_at, label_at = column[text_column], column[label_column]
+            for row in filter(None, reader):  # a blank line is no row
                 report.total_rows += 1
-                text = (row.get(text_column) or "").strip()
-                label = (row.get(label_column) or "").strip().capitalize()
+                text = row[text_at].strip() if text_at < len(row) else ""
+                label = row[label_at].strip().capitalize() if label_at < len(row) else ""
                 if not text or label not in LABELS:
                     report.skipped_rows += 1
                     continue
@@ -79,9 +81,8 @@ def select_binary(records: list[RawRecord]) -> list[RawRecord]:
 
 
 def normalize_text(s: str) -> str:
-    """Lowercase and keep only letters/digits; everything else becomes a
-    single space, with the result trimmed."""
-    return _NON_ALNUM.sub(" ", s.lower()).strip()
+    """The words of the lowercased text (runs of a-z, 0-9), one space apart."""
+    return " ".join(_WORD.findall(s.lower()))
 
 
 @dataclass
@@ -100,29 +101,28 @@ def build_vocab(texts: list[str], capacity: int = 20000) -> Vocabulary:
     if capacity < 2:
         raise ConfigError(f"vocabulary capacity must be >= 2, got {capacity}")
     counts: Counter[str] = Counter()
-    first_seen: dict[str, int] = {}
-    position = 0
     for text in texts:
-        for word in normalize_text(text).split():
-            counts[word] += 1
-            if word not in first_seen:
-                first_seen[word] = position
-                position += 1
-    ranked = sorted(counts, key=lambda w: (-counts[w], first_seen[w]))
-    word_to_id = {w: i + 1 for i, w in enumerate(ranked[: capacity - 1])}
-    return Vocabulary(word_to_id, capacity)
+        counts.update(_WORD.findall(text.lower()))
+    ranked = counts.most_common(capacity - 1)  # equal counts stay in first-seen order
+    return Vocabulary({w: i for i, (w, _) in enumerate(ranked, 1)}, capacity)
+
+
+def _padded_ids(vocab: Vocabulary, texts: list[str], maxlen: int) -> np.ndarray:
+    """[N, maxlen] int64: each text's last ``maxlen`` in-vocabulary ids, left-padded."""
+    lookup = vocab.word_to_id
+    ids = [[lookup[w] for w in _WORD.findall(t.lower()) if w in lookup][-maxlen:]
+           for t in texts]
+    length = np.array([len(row) for row in ids], dtype=np.int64)
+    out = np.full((len(texts), maxlen), PAD_ID, dtype=np.int64)
+    # The mask's True cells, in row-major order, are the ids in text order.
+    out[np.arange(maxlen) >= maxlen - length[:, None]] = [i for row in ids for i in row]
+    return out
 
 
 def tokenize(vocab: Vocabulary, text: str, maxlen: int) -> np.ndarray:
     """Map words to ids (out-of-vocabulary words dropped), keep the last
     ``maxlen`` ids, and left-pad with 0 to exactly ``maxlen``."""
-    ids = [vocab.word_to_id[w] for w in normalize_text(text).split()
-           if w in vocab.word_to_id]
-    ids = ids[-maxlen:]
-    seq = np.full(maxlen, PAD_ID, dtype=np.int64)
-    if ids:
-        seq[-len(ids):] = ids
-    return seq
+    return _padded_ids(vocab, [text], maxlen)[0]
 
 
 @dataclass
@@ -139,7 +139,7 @@ class LabeledDataset:
 def encode_dataset(records: list[RawRecord], vocab: Vocabulary,
                    maxlen: int) -> LabeledDataset:
     """Tokenize binary (Positive/Negative) records into a padded dataset."""
-    sequences = np.stack([tokenize(vocab, r.text, maxlen) for r in records])
+    sequences = _padded_ids(vocab, [r.text for r in records], maxlen)
     labels = np.array([1 if r.label == "Positive" else 0 for r in records],
                       dtype=np.int64)
     return LabeledDataset(sequences, labels)

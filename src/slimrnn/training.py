@@ -68,8 +68,10 @@ class ExperimentConfig:
     label_column: str = "sentiment"
 
     def __post_init__(self):
-        for key, hint in _HINTS.items():
-            _check_type(key, getattr(self, key), hint)
+        for key, (fits, name) in _CHECKS.items():
+            value = getattr(self, key)
+            if not fits(value):
+                raise ConfigError(f"config {key}: expected {name}, got {value!r}")
         Variant.parse(self.variant)  # raises ConfigError on junk
         if self.lstm_position not in (CNN_THEN_LSTM, LSTM_THEN_CNN):
             raise ConfigError(
@@ -140,24 +142,24 @@ class ExperimentConfig:
 _HINTS = get_type_hints(ExperimentConfig)
 
 
-def _has_type(value, hint) -> bool:
-    """Whether a config value fits a field annotation. An int is a float, a
-    list is a tuple, and a bool is not a number."""
-    args = get_args(hint)
+def _checker(hint):
+    """A predicate: whether a config value fits the field annotation. An int
+    is a float, a list is a tuple, and a bool is not a number."""
     if get_origin(hint) is UnionType:
-        return any(_has_type(value, arg) for arg in args)
+        options = [_checker(arg) for arg in get_args(hint)]
+        return lambda value: any(fits(value) for fits in options)
     if get_origin(hint) is tuple:
-        return (isinstance(value, (list, tuple))
-                and all(_has_type(item, args[0]) for item in value))
-    if hint is float:
-        hint = (int, float)
-    return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
+        item = _checker(get_args(hint)[0])
+        return lambda value: isinstance(value, (list, tuple)) and all(map(item, value))
+    if hint is bool:
+        return lambda value: isinstance(value, bool)
+    kinds = (int, float) if hint is float else hint
+    return lambda value: isinstance(value, kinds) and not isinstance(value, bool)
 
 
-def _check_type(key: str, value, hint) -> None:
-    if not _has_type(value, hint):
-        name = hint.__name__ if isinstance(hint, type) else str(hint)
-        raise ConfigError(f"config {key}: expected {name}, got {value!r}")
+# Per field: its checker, built once here, and the type name its error shows.
+_CHECKS = {key: (_checker(hint), hint.__name__ if isinstance(hint, type) else str(hint))
+           for key, hint in _HINTS.items()}
 
 
 def bce_loss(p, y):

@@ -93,6 +93,16 @@ class TestExperimentConfig:
         assert len(messages) == 1
         assert key in messages.pop()
 
+    @pytest.mark.parametrize("key,value,name", [
+        ("epochs", "3", "int"), ("lr", True, "float"), ("extra_dense", 1, "bool"),
+        ("variant", 0, "str"), ("clip_norm", "3", "float | None"),
+        ("extra_dense_dims", [64, "32"], "tuple[int, ...]"),
+    ])
+    def test_type_error_names_the_annotation(self, key, value, name):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(**{"seed": 1, key: value})
+        assert str(err.value) == f"config {key}: expected {name}, got {value!r}"
+
     @pytest.mark.parametrize("key,value", [
         ("clip_norm", 0), ("clip_norm", -1.0), ("clip_norm", float("nan")),
         ("clip_norm", float("inf")), ("lr", float("nan")), ("lr", float("inf")),
