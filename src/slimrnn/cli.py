@@ -12,7 +12,6 @@ import csv
 import datetime
 import hashlib
 import json
-import math
 import os
 import sys
 
@@ -39,7 +38,6 @@ EXIT_NUMERIC = 3
 SEED_ENV = "SLIMRNN_SEED"
 
 GRADCHECK_SCOPES = ("all", "model", *(v.value.lower() for v in Variant))
-DEFAULT_GRADCHECK_SEEDS = tuple(range(10))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -217,19 +215,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise ConfigError(f"--tol must be a finite number above 0, got {args.tol}")
     calibration = calibrate_oracle()
     if not calibration.passed:
         for line in calibration.lines():
             print(line)
         print("gradient oracle failed self-calibration", file=sys.stderr)
         return EXIT_NUMERIC
-    seeds = DEFAULT_GRADCHECK_SEEDS
-    if args.scope == "all":
-        reports = check_all(seeds, tol=args.tol)
-    else:
-        reports = [check_module(args.scope, seeds, tol=args.tol)]
+    reports = check_all() if args.scope == "all" else [check_module(args.scope)]
     for report in reports:
         for line in report.lines():
             print(line)
@@ -278,8 +270,6 @@ def build_parser() -> _Parser:
     p_grad = sub.add_parser("gradcheck", help="complex-step gradient verification")
     p_grad.add_argument("scope", nargs="?", default="all", choices=GRADCHECK_SCOPES,
                         help="what to check (default: all)")
-    p_grad.add_argument("--tol", type=float, default=1e-5,
-                        help="max relative error, for the cells and the model (default 1e-5)")
     p_grad.set_defaults(func=cmd_gradcheck)
 
     p_count = sub.add_parser("count-params", help="trainable parameter count for a cell")

@@ -5,7 +5,8 @@ complex128 twin's arrays at a time by ih, re-runs the loss forward and reads
 Im L(w + ih) / h (Squire & Trapp 1998; Martins, Sturdza & Alonso 2003). It
 subtracts nothing, so it has no roundoff floor. numpy orders complex numbers
 by their real part first, so a 1e-30i step never crosses a ReLU, max-pool or
-clamp kink. ``finite_diff`` is the central difference, kept for tests.
+clamp kink. ``finite_diff`` is the central difference, kept for the
+benchmark's spot check and for tests that contrast the two.
 Relative error uses |a - n| / max(|a|, |n|, 1e-12) so zero gradients compare
 cleanly. Dropout must be inactive in any loss handed to the checker.
 """
@@ -29,12 +30,13 @@ DEFAULT_EPS = 1e-6  # finite_diff's step
 COMPLEX_STEP = 1e-30  # any h far below sqrt(eps) gives the same bits
 # check_variant draws each problem's sizes uniformly from 1..these bounds.
 CELL_MAX_D, CELL_MAX_N, CELL_MAX_T, CELL_MAX_B = 6, 5, 4, 3
-# calibrate_oracle's bound on closed-form derivatives.
+# The one policy of the cell and model checks: every relative error below
+# TOL, on every seed of SEEDS. calibrate_oracle holds closed-form
+# derivatives to the tighter CALIBRATION_TOL.
+TOL = 1e-5
+SEEDS = tuple(range(10))
 CALIBRATION_TOL = 1e-8
 MODEL_BATCH = 3
-# check_all runs the model check on this many of its seeds, the first ones;
-# check_model itself, as ``slimrnn gradcheck model`` calls it, uses them all.
-MODEL_SEEDS_IN_ALL = 3
 # check_model runs these variants under every architecture switch: lstm0
 # has W, U and b in each gate, lstm5 is the one with both u and b.
 SWITCHED_VARIANTS = (Variant.LSTM0, Variant.LSTM5)
@@ -151,7 +153,7 @@ def _merge_worst(per_seed: list[list[ParamCheck]]) -> list[ParamCheck]:
     return [replace(e, zeros=zeros[name]) for name, e in worst.items()]
 
 
-def check_variant(variant: Variant, seeds: Sequence[int], tol: float = 1e-5) -> GradReport:
+def check_variant(variant: Variant, seeds: Sequence[int] = SEEDS) -> GradReport:
     """Gradient-check one cell variant over several random problem instances.
 
     The loss is sum_t <d_hs[t], h_t> for a random weighting d_hs, so every
@@ -186,7 +188,7 @@ def check_variant(variant: Variant, seeds: Sequence[int], tol: float = 1e-5) -> 
         labels = names + ["xs", "init.h", "init.c"]
         per_seed.append([_compare(lbl, a, num)
                          for lbl, a, num in zip(labels, analytic, numeric)])
-    return GradReport(variant.value, tol, _merge_worst(per_seed))
+    return GradReport(variant.value, TOL, _merge_worst(per_seed))
 
 
 def _model_configs() -> list:
@@ -207,7 +209,7 @@ def _model_configs() -> list:
     return configs
 
 
-def check_model(seeds: Sequence[int], tol: float = 1e-5) -> GradReport:
+def check_model(seeds: Sequence[int] = SEEDS) -> GradReport:
     """End-to-end check of the full classification model on a micro
     instance, on a batch of MODEL_BATCH sequences: every cell variant at the
     default switches, and every switch combination for SWITCHED_VARIANTS.
@@ -245,25 +247,22 @@ def check_model(seeds: Sequence[int], tol: float = 1e-5) -> GradReport:
                    f"tail{int(config.bidirectional_tail)} dense{int(config.extra_dense)}")
             per_seed.append([_compare(f"{name} [{tag}]", grads[name], num)
                              for name, num in zip(names, numeric)])
-    return GradReport("model", tol, _merge_worst(per_seed))
+    return GradReport("model", TOL, _merge_worst(per_seed))
 
 
-def check_module(target: str, seeds: Sequence[int], tol: float = 1e-5) -> GradReport:
+def check_module(target: str, seeds: Sequence[int] = SEEDS) -> GradReport:
     """Check one named target: a variant name or "model".
 
     Failures are data (report.passed is False), never exceptions.
     """
     if target.lower() == "model":
-        return check_model(seeds, tol=tol)
-    return check_variant(Variant.parse(target), seeds, tol=tol)
+        return check_model(seeds)
+    return check_variant(Variant.parse(target), seeds)
 
 
-def check_all(seeds: Sequence[int], tol: float = 1e-5) -> list[GradReport]:
-    """All seven variants on every seed, plus the end-to-end model check on
-    the first MODEL_SEEDS_IN_ALL seeds."""
-    reports = [check_variant(v, seeds, tol=tol) for v in Variant]
-    reports.append(check_model(list(seeds)[:MODEL_SEEDS_IN_ALL], tol=tol))
-    return reports
+def check_all(seeds: Sequence[int] = SEEDS) -> list[GradReport]:
+    """All seven variants, then the end-to-end model, each on every seed."""
+    return [check_variant(v, seeds) for v in Variant] + [check_model(seeds)]
 
 
 def calibrate_oracle() -> GradReport:

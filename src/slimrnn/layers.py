@@ -191,10 +191,9 @@ class MaxPool1D:
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         B, windows, F = d_out.shape
-        d_blocks = np.zeros((B, windows, self.pool, F))
-        np.put_along_axis(d_blocks, self._arg, d_out[:, :, None], axis=2)
         d_x = np.zeros(self._in_shape)
-        d_x[:, : windows * self.pool] = d_blocks.reshape(B, windows * self.pool, F)
+        d_blocks = d_x[:, : windows * self.pool].reshape(B, windows, self.pool, F)  # a view
+        np.put_along_axis(d_blocks, self._arg, d_out[:, :, None], axis=2)
         return d_x
 
 
@@ -263,10 +262,11 @@ def _halves(fwd: dict, bwd: dict) -> dict:
 
 
 class Bidirectional:
-    """Two cells over [B, T, d], one time-reversed, outputs concatenated.
+    """Two cells over [B, T, d], one time-reversed, final states concatenated.
 
-    Output row t is [forward state after x_0..x_t | backward state after
-    x_{T-1}..x_t], width 2n.
+    The output [B, 2n] is [forward state after x_0..x_{T-1} | backward state
+    after x_{T-1}..x_0], as Keras ``Bidirectional(LSTM(n))`` returns it; so
+    both cells read the whole sequence and every tensor of both trains.
     """
 
     def __init__(self, fwd: CellParams, bwd: CellParams):
@@ -286,21 +286,23 @@ class Bidirectional:
         hs_f, cache_f = sequence_forward(self.fwd, xs_t)
         hs_b, cache_b = sequence_forward(self.bwd, xs_t[::-1])
         self._caches = (cache_f, cache_b)
-        return np.concatenate([hs_f, hs_b[::-1]], axis=2).transpose(1, 0, 2)
+        return np.concatenate([hs_f[-1], hs_b[-1]], axis=1)
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         n = self.fwd.hidden_dim
         cache_f, cache_b = self._caches
         self._caches = None
-        d_t = d_out.transpose(1, 0, 2)
-        d_xs_f, _ = sequence_backward(self.fwd, cache_f, d_t[:, :, :n])
-        d_xs_b, _ = sequence_backward(self.bwd, cache_b, d_t[::-1, :, n:])
+        d_hs = np.zeros((len(cache_f), *d_out.shape))  # [T, B, 2n], nonzero at T - 1 only
+        d_hs[-1] = d_out
+        d_xs_f, _ = sequence_backward(self.fwd, cache_f, d_hs[:, :, :n])
+        d_xs_b, _ = sequence_backward(self.bwd, cache_b, d_hs[:, :, n:])
         return (d_xs_f + d_xs_b[::-1]).transpose(1, 0, 2)
 
 
 class LastStep:
     """The final timestep of [B, T, F], as [B, F]; backward puts the
-    gradient back at step T - 1 and zeros everywhere else."""
+    gradient back at step T - 1 and zeros everywhere else. It ends the
+    chain of a model with no bidirectional tail."""
 
     def __init__(self):
         self._in_shape = None
@@ -325,24 +327,25 @@ class SentimentModel:
     """The full ids -> probability pipeline with manual backward.
 
     Canonical stack (cnn-then-lstm): embedding, spatial dropout, conv+relu,
-    maxpool, unidirectional variant cell, bidirectional tail, optional extra
-    dense/dropout trio, sigmoid head reading the tail's final timestep.
+    maxpool, unidirectional variant cell, bidirectional tail (both cells'
+    final states), optional extra dense/dropout stages, sigmoid head. With
+    no tail the head reads the last timestep of the encoders' output.
     lstm-then-cnn runs the variant cell directly on embeddings and convolves
     its hidden states instead. Sizes, rates and switches are read from the
     experiment config (which has already checked them); its training fields
     play no part here.
 
-    The constructor fixes the structure once: the sequence chain between
-    spatial dropout and the dense stack, which forward runs in order and
-    backward in reverse, and the parameter and gradient name tables, in the
+    The constructor fixes the structure once: the chain from spatial
+    dropout's [B, T, ·] output to the dense stack's [B, ·] input (encoders,
+    then the tail or LastStep), which forward runs in order and backward in
+    reverse, and the parameter and gradient name tables, in the
     order embedding, conv, rnn, tail, dense*, head for both positions.
     Clipping sums squares tensor by tensor in that order. ``dtype`` is
     float64, or complex128 in the gradient check's forward-only twin.
     """
 
     def __init__(self, config: ExperimentConfig, rng: Rng, dtype: type = np.float64):
-        self.config = c = config
-        self.variant = Variant.parse(c.variant)
+        c = config
         cnn_first = c.lstm_position == CNN_THEN_LSTM
 
         s_e = 0.05  # embedding init range, matching common framework defaults
@@ -358,7 +361,7 @@ class SentimentModel:
 
         rnn_in = c.conv_filters if cnn_first else c.embed_dim
         self.rnn = Recurrent(init_params(
-            self.variant, rnn_in, c.hidden, rng.derive(1),
+            Variant.parse(c.variant), rnn_in, c.hidden, rng.derive(1),
             alpha=c.alpha, forget_bias=c.forget_bias, dtype=dtype))
 
         tail_in = c.hidden if cnn_first else c.conv_filters
@@ -386,11 +389,11 @@ class SentimentModel:
 
         encoders = ([self.conv, self.pool, self.rnn] if cnn_first
                     else [self.rnn, self.conv, self.pool])
-        tail = [] if self.tail is None else [self.tail]
-        self._chain = encoders + tail + [LastStep()]
+        self._chain = encoders + [LastStep() if self.tail is None else self.tail]
 
         named = [("embedding", self.embedding), ("conv", self.conv), ("rnn", self.rnn)]
-        named += [("tail", layer) for layer in tail]
+        if self.tail is not None:
+            named.append(("tail", self.tail))
         named += [(f"dense{k}", layer) for k, layer in enumerate(self.extra_dense)]
         named.append(("head", self.head))
         self._params = [(f"{prefix}.{name}", arr) for prefix, layer in named
@@ -421,7 +424,8 @@ class SentimentModel:
     def forward(self, ids: np.ndarray, training: bool = False,
                 rng: Rng | None = None):
         """Probabilities [B] for ids [B, T]; a single sequence ids [T] is a
-        batch of one and gives a float."""
+        batch of one and gives a Python scalar: a float, or a complex in the
+        complex128 twin."""
         ids = np.asarray(ids)
         if ids.ndim not in (1, 2):
             raise ShapeError(f"model: need ids [B, T] or [T], got {ids.shape}")
@@ -433,7 +437,7 @@ class SentimentModel:
         for dense, drop in zip(self.extra_dense, self.extra_dropout):
             x = drop.forward(dense.forward(x), rng, training)
         p = self.head.forward(x)[:, 0]
-        return float(p[0]) if single else p
+        return p[0].item() if single else p
 
     def backward(self, d_loss) -> dict[str, np.ndarray]:
         """Backpropagate d(loss)/d(probability), one value per batch row (a

@@ -17,7 +17,7 @@ import pytest
 
 from conftest import FIXTURE_CSV, MICRO_DEFAULTS, join_checkpoint, split_checkpoint
 
-from slimrnn import cli, training
+from slimrnn import Variant, cli, gradcheck, training
 from slimrnn.training import EpochMetrics, MetricsReport
 
 
@@ -466,12 +466,27 @@ class TestGradcheckCommand:
         code, _, _ = run_cli(["gradcheck", "lstm9"])
         assert code == cli.EXIT_CONFIG
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-5"])
-    def test_tolerance_must_be_finite_and_positive(self, monkeypatch, tol):
+    def test_tolerance_is_not_an_option(self, monkeypatch):
         calls = []
         for name in ("calibrate_oracle", "check_all", "check_module"):
             monkeypatch.setattr(cli, name, lambda *args, name=name, **kw: calls.append(name))
-        code, out, err = run_cli(["gradcheck", "lstm6", f"--tol={tol}"])
+        code, out, err = run_cli(["gradcheck", "lstm6", "--tol", "1e-6"])
         assert code == cli.EXIT_CONFIG
         assert err.startswith("error: ") and "--tol" in err and "Traceback" not in err
         assert out == "" and calls == []
+
+    @pytest.mark.parametrize("scope, targets", [
+        ("all", [v.value for v in Variant] + ["model"]), ("model", ["model"])])
+    def test_checks_run_on_the_fixed_seeds(self, monkeypatch, scope, targets):
+        calls = []
+
+        def record(target, seeds):
+            calls.append((target, tuple(seeds)))
+            return gradcheck.GradReport(target, gradcheck.TOL, [])
+        monkeypatch.setattr(gradcheck, "check_variant",
+                            lambda variant, seeds: record(variant.value, seeds))
+        monkeypatch.setattr(gradcheck, "check_model", lambda seeds: record("model", seeds))
+        code, out, _ = run_cli(["gradcheck", scope])
+        assert code == cli.EXIT_OK
+        assert calls == [(target, gradcheck.SEEDS) for target in targets]
+        assert f"model: PASS (tol {gradcheck.TOL:g}" in out

@@ -16,9 +16,11 @@ from slimrnn import (
     Variant,
 )
 from slimrnn.gradcheck import (
+    CALIBRATION_TOL,
     COMPLEX_STEP,
-    DEFAULT_EPS,
+    SEEDS,
     SWITCHED_VARIANTS,
+    TOL,
     GradReport,
     ParamCheck,
     _compare,
@@ -38,7 +40,7 @@ from slimrnn.layers import Dense
 def test_oracle_self_calibration():
     report = calibrate_oracle()
     assert report.passed, "\n".join(report.lines())
-    assert report.max_rel_err < 1e-8
+    assert report.tolerance == CALIBRATION_TOL == 1e-8
 
 
 def test_finite_diff_quadratic_exact_to_truncation():
@@ -129,14 +131,14 @@ def test_relative_error_floor_and_scale():
 
 @pytest.mark.parametrize("variant", [Variant.LSTM0, Variant.LSTM4, Variant.LSTM6])
 def test_variant_check_passes(variant):
-    report = check_variant(variant, seeds=[0, 1], tol=1e-5)
+    report = check_variant(variant, seeds=[0, 1])
     assert report.passed, "\n".join(report.lines())
     checked = {e.name for e in report.entries}
     assert {"xs", "init.h", "init.c"} <= checked
 
 
 def test_variant_check_covers_all_tensors():
-    report = check_variant(Variant.LSTM5, seeds=[3], tol=1e-5)
+    report = check_variant(Variant.LSTM5, seeds=[3])
     names = {e.name for e in report.entries}
     assert {"u_i", "u_f", "u_o", "b_i", "b_f", "b_o", "W_c", "U_c", "b_c"} <= names
 
@@ -167,9 +169,9 @@ def test_compare_counts_coordinates_zero_on_both_sides():
     check = _compare("w", analytic, numeric)
     assert check.zeros == 3  # a -0.0 is zero; a tiny nonzero is not
     assert check.max_rel_err < 1e-280  # 1e-300 sits under the relative error's floor
-    assert "(3 both zero)" in "\n".join(GradReport("demo", 1e-5, [check]).lines())
+    assert "(3 both zero)" in "\n".join(GradReport("demo", TOL, [check]).lines())
     assert "both zero" not in "\n".join(
-        GradReport("demo", 1e-5, [_compare("w", np.ones(2), np.ones(2))]).lines())
+        GradReport("demo", TOL, [_compare("w", np.ones(2), np.ones(2))]).lines())
 
 
 def test_merge_keeps_the_worst_seed_and_sums_zeros():
@@ -180,13 +182,15 @@ def test_merge_keeps_the_worst_seed_and_sums_zeros():
 
 
 def test_check_module_dispatch():
-    assert check_module("lstm3", seeds=[0]).target == "LSTM3"
-    model_report = check_module("model", seeds=[], tol=1e-9)  # seed 0 runs elsewhere
-    assert model_report.tolerance == 1e-9  # one tolerance for every check
+    cell_report = check_module("lstm3", seeds=[0])
+    model_report = check_module("model", seeds=[])  # seed 0 runs elsewhere
+    assert (cell_report.target, model_report.target) == ("LSTM3", "model")
+    assert cell_report.tolerance == model_report.tolerance == TOL == 1e-5
+    assert SEEDS == tuple(range(10))
 
 
 def test_report_lines_format():
-    report = GradReport("demo", 1e-5, [ParamCheck("W", 1e-7, 1e-8, 3),
+    report = GradReport("demo", TOL, [ParamCheck("W", 1e-7, 1e-8, 3),
                                        ParamCheck("b", 2e-4, 1e-4, 0)])
     assert not report.passed
     text = "\n".join(report.lines())
@@ -195,12 +199,8 @@ def test_report_lines_format():
 
 def test_detects_a_broken_gradient():
     """Sanity: the harness must actually flag a wrong analytic gradient."""
-    w = np.array([0.7])
-
-    def loss():
-        return float(w[0] ** 3)
-
-    (numeric,) = finite_diff(loss, [w], DEFAULT_EPS)
+    w = np.array([0.7 + 0j])
+    (numeric,) = complex_step(lambda: w[0] ** 3, [w])
     wrong_analytic = np.array([1.0])  # truth is 3*w^2 = 1.47
     assert relative_error(wrong_analytic, numeric).max() > 0.3
 
@@ -254,9 +254,9 @@ def test_planted_cell_gradient_error_fails_the_variant_check(monkeypatch):
     def plant(params, *_):
         params.grads["W_c"] *= 1 + 1e-3
     _scale_after(monkeypatch, gradcheck, "sequence_backward", plant)
-    report = check_variant(Variant.LSTM0, seeds=[0, 1], tol=1e-5)
+    report = check_variant(Variant.LSTM0, seeds=[0, 1])
     assert not report.passed
-    assert [e.name for e in report.entries if e.max_rel_err >= 1e-5] == ["W_c"]
+    assert [e.name for e in report.entries if e.max_rel_err >= TOL] == ["W_c"]
 
 
 def test_planted_dense_gradient_error_fails_the_model_check(monkeypatch):
@@ -265,5 +265,5 @@ def test_planted_dense_gradient_error_fails_the_model_check(monkeypatch):
     _scale_after(monkeypatch, Dense, "backward", plant)
     report = check_model(seeds=[0])
     assert not report.passed
-    bad = {e.name.split(" [")[0] for e in report.entries if e.max_rel_err >= 1e-5}
+    bad = {e.name.split(" [")[0] for e in report.entries if e.max_rel_err >= TOL}
     assert bad == {"head.weights", "dense0.weights", "dense1.weights"}

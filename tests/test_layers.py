@@ -21,7 +21,7 @@ from slimrnn import (
     Variant,
 )
 from slimrnn.cells import count_params, init_params, sequence_forward
-from slimrnn.gradcheck import finite_diff, relative_error
+from slimrnn.gradcheck import TOL, complex_step, relative_error
 from slimrnn.layers import (
     Bidirectional,
     Conv1D,
@@ -38,6 +38,11 @@ from slimrnn.training import bce_loss
 MICRO = ExperimentConfig(seed=0, vocab_size=30, embed_dim=5, conv_filters=4,
                          kernel_size=3, pool_size=2, hidden=3, maxlen=9,
                          spatial_dropout=0.0, dense_dropout=0.0)
+
+
+def complex_twins(*arrays: np.ndarray) -> list[np.ndarray]:
+    """complex128 copies of float64 arrays, for the complex-step oracle."""
+    return [arr.astype(np.complex128) for arr in arrays]
 
 
 def param_count(model: SentimentModel) -> int:
@@ -214,13 +219,13 @@ class TestConv1D:
         x = rng.uniform((2, 7, 2), -1, 1)
         conv = Conv1D(rng.uniform((3, 3, 2), -1, 1), rng.uniform(3, -1, 1))
         weight = rng.uniform((2, 5, 3), -1, 1)
-
-        def loss():
-            return float(np.sum(conv.forward(x) * weight))
+        twin = Conv1D(*complex_twins(conv.kernels, conv.bias))
+        (x_twin,) = complex_twins(x)
 
         conv.forward(x)
         d_x = conv.backward(weight)
-        numeric = finite_diff(loss, [conv.kernels, conv.bias, x], 1e-6)
+        numeric = complex_step(lambda: np.sum(twin.forward(x_twin) * weight),
+                               [twin.kernels, twin.bias, x_twin])
         assert relative_error(conv.grads["kernels"], numeric[0]).max() < 1e-6
         assert relative_error(conv.grads["bias"], numeric[1]).max() < 1e-6
         assert relative_error(d_x, numeric[2]).max() < 1e-6
@@ -250,6 +255,25 @@ class TestMaxPool1D:
         np.testing.assert_array_equal(d_x[0].ravel(), [1.0, 0.0, 0.0, 1.0])
         np.testing.assert_array_equal(d_x[1].ravel(), [0.0, 2.0, 3.0, 0.0])
 
+    @pytest.mark.parametrize("shape, pool", [((2, 7, 3), 2), ((1, 9, 4), 3),
+                                             ((3, 4, 1), 4), ((2, 5, 2), 1)])
+    def test_backward_matches_a_naive_loop(self, shape, pool):
+        """Each window's gradient lands on its first max, the dropped
+        remainder gets zero, and a -0.0 keeps its sign."""
+        rng = Rng(sum(shape) + pool)
+        x = np.round(rng.uniform(shape, -2, 2), 1)  # rounding makes ties
+        layer = MaxPool1D(pool)
+        out = layer.forward(x)
+        d_out = rng.uniform(out.shape, -1, 1)
+        d_out[0, 0] = -0.0
+        expected = np.zeros(shape)
+        for b, w, f in itertools.product(*map(range, out.shape)):
+            window = list(x[b, w * pool:(w + 1) * pool, f])
+            expected[b, w * pool + window.index(max(window)), f] = d_out[b, w, f]
+        d_x = layer.backward(d_out)
+        np.testing.assert_array_equal(d_x, expected)
+        np.testing.assert_array_equal(np.signbit(d_x), np.signbit(expected))
+
     def test_too_short_input(self):
         with pytest.raises(ShapeError):
             MaxPool1D(4).forward(np.zeros((1, 3, 2)))
@@ -275,13 +299,13 @@ class TestDense:
         dense = Dense(rng.uniform((3, 4), -1, 1), rng.uniform(3, -1, 1), "sigmoid")
         x = rng.uniform((2, 4), -1, 1)
         weight = rng.uniform((2, 3), -1, 1)
-
-        def loss():
-            return float(np.sum(dense.forward(x) * weight))
+        twin = Dense(*complex_twins(dense.weights, dense.bias), "sigmoid")
+        (x_twin,) = complex_twins(x)
 
         dense.forward(x)
         d_x = dense.backward(weight)
-        numeric = finite_diff(loss, [dense.weights, dense.bias, x], 1e-6)
+        numeric = complex_step(lambda: np.sum(twin.forward(x_twin) * weight),
+                               [twin.weights, twin.bias, x_twin])
         assert relative_error(dense.grads["weights"], numeric[0]).max() < 1e-6
         assert relative_error(dense.grads["bias"], numeric[1]).max() < 1e-6
         assert relative_error(d_x, numeric[2]).max() < 1e-6
@@ -340,8 +364,9 @@ class TestBidirectional:
         xs_t = xs.transpose(1, 0, 2)
         hs_f, _ = sequence_forward(fwd, xs_t)
         hs_b, _ = sequence_forward(bwd, xs_t[::-1])
-        np.testing.assert_array_equal(out[:, :, :2], hs_f.transpose(1, 0, 2))
-        np.testing.assert_array_equal(out[:, :, 2:], hs_b[::-1].transpose(1, 0, 2))
+        assert out.shape == (2, 4)  # [B, 2n]: each direction's final state
+        np.testing.assert_array_equal(out[:, :2], hs_f[-1])
+        np.testing.assert_array_equal(out[:, 2:], hs_b[-1])
 
     def test_width_mismatch(self):
         with pytest.raises(ConfigError):
@@ -349,22 +374,25 @@ class TestBidirectional:
                           init_params(Variant.LSTM0, 3, 5, Rng(1)))
 
     def test_backward_against_oracle(self):
-        fwd = init_params(Variant.LSTM1, 2, 2, Rng(12))
-        bwd = init_params(Variant.LSTM1, 2, 2, Rng(13))
-        layer = Bidirectional(fwd, bwd)
+        """The input and all 24 tensors of both lstm0 cells, as the tail
+        builds them."""
+        layer, twin = (Bidirectional(
+            init_params(Variant.LSTM0, 2, 2, Rng(12), dtype=dtype),
+            init_params(Variant.LSTM0, 2, 2, Rng(13), dtype=dtype))
+            for dtype in (np.float64, np.complex128))
         xs = Rng(14).uniform((2, 3, 2), -1, 1)
-        weight = Rng(15).uniform((2, 3, 4), -1, 1)
-
-        def loss():
-            return float(np.sum(layer.forward(xs) * weight))
+        (xs_twin,) = complex_twins(xs)
+        weight = Rng(15).uniform((2, 4), -1, 1)
 
         layer.forward(xs)
         d_xs = layer.backward(weight)
-        arrays = [xs] + [layer.fwd.tensors[k] for k in sorted(layer.fwd.tensors)]
-        numeric = finite_diff(loss, arrays, 1e-6)
+        names, arrays = zip(*sorted(twin.params().items()))
+        assert len(names) == 24
+        numeric = complex_step(lambda: np.sum(twin.forward(xs_twin) * weight),
+                               [xs_twin, *arrays])
         assert relative_error(d_xs, numeric[0]).max() < 1e-6
-        for name, num in zip(sorted(layer.fwd.tensors), numeric[1:]):
-            assert relative_error(layer.grads[f"fwd.{name}"], num).max() < 2e-6, name
+        for name, num in zip(names, numeric[1:]):
+            assert relative_error(layer.grads[name], num).max() < 2e-6, name
 
 
 class TestSentimentModel:
@@ -413,11 +441,7 @@ class TestSentimentModel:
             assert model.row_ends == {"embedding.table": max(written) + 1}
             assert not model.grads["embedding.table"][max(written) + 1:].any()
             for name, g in model.grads.items():
-                # Some are zero by structure (the reversed tail's output at
-                # the last step starts from h = c = 0); give every one an
-                # entry to clear.
-                if name != "embedding.table":
-                    g[-1] += 1.0
+                assert g.any(), name  # every gradient has entries to clear
             model.zero_grads()
             for name, g in model.grads.items():
                 assert not g.any(), name
@@ -426,12 +450,12 @@ class TestSentimentModel:
 
     @pytest.mark.parametrize("position, extra", itertools.product(
         (CNN_THEN_LSTM, LSTM_THEN_CNN), (False, True)))
-    def test_reverse_tail_gradients_that_are_exactly_zero(self, position, extra):
-        """Pins a known bug. The head reads the tail's output at step T-1,
-        where the reverse cell has run a single step from h = c = 0; so
-        nothing reaches its recurrent weights (h_prev = 0) or its forget
-        gate (c_prev = 0), and those tensors never train. ROADMAP item 3's
-        tail fix must flip this test."""
+    def test_reverse_tail_gradients_are_all_nonzero(self, position, extra):
+        """The head reads the reverse cell's state after the whole reversed
+        sequence, so its recurrent weights and its forget gate get gradient
+        too. When the head read the concatenated output at step T-1, the
+        reverse cell had run one step there from h = c = 0, and its U_*,
+        W_f and b_f got exactly none."""
         model = SentimentModel(replace(MICRO, lstm_position=position,
                                        extra_dense=extra), Rng(20))
         rng = Rng(30)
@@ -439,10 +463,9 @@ class TestSentimentModel:
         model.forward(ids)
         model.backward(rng.uniform(4, -1.0, 1.0))
         grads = model.tail.bwd.grads
-        for name in ("U_i", "U_f", "U_o", "U_c", "W_f", "b_f"):
-            assert not grads[name].any(), name
-        for name in ("W_i", "W_o", "W_c", "b_i", "b_o", "b_c"):
-            assert grads[name].any(), name
+        assert len(grads) == 12
+        for name, g in grads.items():
+            assert g.all(), name
 
     @pytest.mark.parametrize("tail, extra", itertools.product((True, False), (False, True)))
     def test_names_in_the_same_order_for_both_positions(self, tail, extra):
@@ -489,27 +512,35 @@ class TestSentimentModel:
             assert model.forward(ids) == pytest.approx(expected, abs=1e-15)
 
     def test_rnn_before_conv_ordering_backward(self):
-        model = SentimentModel(replace(MICRO, variant="lstm1", lstm_position=LSTM_THEN_CNN),
-                               Rng(24))
+        config = replace(MICRO, variant="lstm1", lstm_position=LSTM_THEN_CNN)
+        model = SentimentModel(config, Rng(24))
+        twin = SentimentModel(config, Rng(24), dtype=np.complex128)
         shake = Rng(25)
-        for _, arr in model.named_params():
-            arr[...] = shake.uniform(arr.shape, -0.7, 0.7)
+        for (_, arr), (_, twin_arr) in zip(model.named_params(), twin.named_params()):
+            arr[...] = twin_arr[...] = shake.uniform(arr.shape, -0.7, 0.7)
         ids = (Rng(26).uniform(9) * 30).astype(np.int64)
-
-        def loss():
-            return bce_loss(model.forward(ids), 1)[0]
 
         p = model.forward(ids)
         _, dp = bce_loss(p, 1)
         model.zero_grads()
         model.backward(dp)
-        params = dict(model.named_params())
+        params = dict(twin.named_params())
         for name in ("conv.kernels", "rnn.W_c", "embedding.table", "head.weights"):
-            (numeric,) = finite_diff(loss, [params[name]], 1e-5)
-            err = relative_error(model.grads[name], numeric)
-            # ignore coordinates with no resolvable signal
-            mask = np.maximum(np.abs(model.grads[name]), np.abs(numeric)) > 1e-7
-            assert err[mask].max(initial=0.0) < 1e-4, name
+            (numeric,) = complex_step(lambda: bce_loss(twin.forward(ids), 1)[0],
+                                      [params[name]])
+            assert relative_error(model.grads[name], numeric).max() < TOL, name
+
+    @pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
+    def test_single_sequence_forward_keeps_the_imaginary_part(self):
+        """A single sequence [T] gives the batch-of-one probability as a
+        Python scalar, in the complex twin too, derivative included."""
+        twin = SentimentModel(MICRO, Rng(20), dtype=np.complex128)
+        twin.head.bias[0] += 1j * 1e-30  # a complex step on one weight
+        ids = (Rng(27).uniform(9) * 30).astype(np.int64)
+        p = twin.forward(ids)
+        assert type(p) is complex and p.imag != 0.0
+        assert p == twin.forward(ids[None])[0]
+        assert type(self.build().forward(ids)) is float
 
     def test_sequence_shorter_than_kernel_rejected(self):
         with pytest.raises(ConfigError, match="embedding->conv"):

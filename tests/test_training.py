@@ -53,12 +53,13 @@ class TestBceLoss:
         assert loss >= 0.0
         assert (grad < 0) == (y == 1)
 
-    def test_grad_matches_finite_difference(self):
-        from slimrnn.gradcheck import finite_diff
+    @pytest.mark.parametrize("y", [0, 1])
+    def test_grad_matches_complex_step(self, y):
+        from slimrnn.gradcheck import complex_step
 
-        p = np.array([0.3])
-        (numeric,) = finite_diff(lambda: bce_loss(p[0], 1)[0], [p], 1e-7)
-        assert numeric[0] == pytest.approx(bce_loss(0.3, 1)[1], rel=1e-6)
+        p = np.array([0.3 + 0j])
+        (numeric,) = complex_step(lambda: bce_loss(p[0], y)[0], [p])
+        assert numeric[0] == pytest.approx(bce_loss(0.3, y)[1], rel=1e-6)
 
 
 class TestExperimentConfig:
