@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: train, eval, sweep, gradcheck, count-params. Every command is
-non-interactive and exits 0 on success, 1 on usage/config problems, 2 on
-data problems, and 3 on numeric failures.
+non-interactive and exits 0 on success, 1 on usage/config problems, an
+output that cannot be written or memory that runs out, 2 on data problems,
+and 3 on numeric failures.
 """
 
 from __future__ import annotations
@@ -295,6 +296,12 @@ def main(argv=None) -> int:
     except (ShapeError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:  # reads raise ConfigError or DataError where they happen
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -140,17 +140,47 @@ def _compare(name: str, analytic: np.ndarray, numeric: np.ndarray) -> ParamCheck
                       int(np.count_nonzero((analytic == 0) & (numeric == 0))))
 
 
-def _merge_worst(per_seed: list[list[ParamCheck]]) -> list[ParamCheck]:
-    """Keep, per parameter name, the worst entry seen across seeds, with the
-    zeros of every seed added up."""
+def _certify(target: str, tol: float, cases: Iterable[tuple]) -> GradReport:
+    """Check each case (labels, their analytic gradients, the complex arrays
+    they are gradients of, a zero-argument loss over those arrays) against
+    the complex step. Keep, per label, the worst entry seen, with the zeros
+    of every case added up, in the order the labels first appear."""
     worst: dict[str, ParamCheck] = {}
     zeros: dict[str, int] = {}
-    for entries in per_seed:
-        for e in entries:
-            zeros[e.name] = zeros.get(e.name, 0) + e.zeros
-            if e.name not in worst or e.max_rel_err > worst[e.name].max_rel_err:
-                worst[e.name] = e
-    return [replace(e, zeros=zeros[name]) for name, e in worst.items()]
+    for labels, analytic, arrays, loss in cases:
+        for label, a, num in zip(labels, analytic, complex_step(loss, arrays)):
+            e = _compare(label, a, num)
+            zeros[label] = zeros.get(label, 0) + e.zeros
+            if label not in worst or e.max_rel_err > worst[label].max_rel_err:
+                worst[label] = e
+    return GradReport(target, tol, [replace(e, zeros=zeros[k]) for k, e in worst.items()])
+
+
+def _cell_case(variant: Variant, seed: int) -> tuple:
+    """One random problem instance for check_variant."""
+    rng = Rng(seed)
+    d = 1 + int(rng.uniform(()) * CELL_MAX_D)
+    n = 1 + int(rng.uniform(()) * CELL_MAX_N)
+    T = 1 + int(rng.uniform(()) * CELL_MAX_T)
+    B = 1 + int(rng.uniform(()) * CELL_MAX_B)
+    params = CellParams(variant, d, n)
+    twin = CellParams(variant, d, n, dtype=np.complex128)
+    for name, view in params.tensors.items():
+        view[...] = twin.tensors[name][...] = rng.uniform(view.shape, -0.7, 0.7)
+    xs = rng.uniform((T, B, d), -1.0, 1.0)
+    init = CellState(rng.uniform((B, n), -0.5, 0.5), rng.uniform((B, n), -0.5, 0.5))
+    d_hs = rng.uniform((T, B, n), -1.0, 1.0)
+
+    _, cache = sequence_forward(params, xs, init)
+    d_xs, d_init = sequence_backward(params, cache, d_hs)
+
+    names = sorted(params.tensors)
+    inputs = [arr.astype(np.complex128) for arr in (xs, init.h, init.c)]
+    twin_init = CellState(*inputs[1:])
+    return (names + ["xs", "init.h", "init.c"],
+            [params.grads[name] for name in names] + [d_xs, d_init.h, d_init.c],
+            [twin.tensors[name] for name in names] + inputs,
+            lambda: np.sum(d_hs * sequence_forward(twin, inputs[0], twin_init)[0]))
 
 
 def check_variant(variant: Variant, seeds: Sequence[int] = SEEDS) -> GradReport:
@@ -160,42 +190,14 @@ def check_variant(variant: Variant, seeds: Sequence[int] = SEEDS) -> GradReport:
     output coordinate of every batch row at every timestep backpropagates.
     Parameters, inputs and the initial state are all checked.
     """
-    per_seed = []
-    for seed in seeds:
-        rng = Rng(seed)
-        d = 1 + int(rng.uniform(()) * CELL_MAX_D)
-        n = 1 + int(rng.uniform(()) * CELL_MAX_N)
-        T = 1 + int(rng.uniform(()) * CELL_MAX_T)
-        B = 1 + int(rng.uniform(()) * CELL_MAX_B)
-        params = CellParams(variant, d, n)
-        twin = CellParams(variant, d, n, dtype=np.complex128)
-        for name, view in params.tensors.items():
-            view[...] = twin.tensors[name][...] = rng.uniform(view.shape, -0.7, 0.7)
-        xs = rng.uniform((T, B, d), -1.0, 1.0)
-        init = CellState(rng.uniform((B, n), -0.5, 0.5), rng.uniform((B, n), -0.5, 0.5))
-        d_hs = rng.uniform((T, B, n), -1.0, 1.0)
-
-        _, cache = sequence_forward(params, xs, init)
-        d_xs, d_init = sequence_backward(params, cache, d_hs)
-
-        names = sorted(params.tensors)
-        inputs = [arr.astype(np.complex128) for arr in (xs, init.h, init.c)]
-        twin_init = CellState(*inputs[1:])
-        numeric = complex_step(
-            lambda: np.sum(d_hs * sequence_forward(twin, inputs[0], twin_init)[0]),
-            [twin.tensors[name] for name in names] + inputs)
-        analytic = [params.grads[name] for name in names] + [d_xs, d_init.h, d_init.c]
-        labels = names + ["xs", "init.h", "init.c"]
-        per_seed.append([_compare(lbl, a, num)
-                         for lbl, a, num in zip(labels, analytic, numeric)])
-    return GradReport(variant.value, TOL, _merge_worst(per_seed))
+    return _certify(variant.value, TOL, (_cell_case(variant, seed) for seed in seeds))
 
 
 def _model_configs() -> list:
     """The micro model at every variant with the default switches, then
     every other combination of lstm_position, extra_dense and
     bidirectional_tail for SWITCHED_VARIANTS."""
-    micro = ExperimentConfig(seed=0, vocab_size=20, embed_dim=4, conv_filters=3,
+    micro = ExperimentConfig(seed=0, vocab_size=8, embed_dim=4, conv_filters=3,
                              kernel_size=2, pool_size=2, hidden=3, maxlen=6,
                              spatial_dropout=0.0, dense_dropout=0.0,
                              extra_dense_dims=(6, 4))
@@ -209,6 +211,29 @@ def _model_configs() -> list:
     return configs
 
 
+def _model_case(seed: int, k: int, config: ExperimentConfig) -> tuple:
+    """Build k of _model_configs at this seed, with a complex128 twin."""
+    rng = Rng(seed).derive(k)
+    model = config.build(rng.derive(0))
+    twin = SentimentModel(config, rng.derive(0), dtype=np.complex128)
+    shake = rng.derive(1)
+    for (_, arr), (_, twin_arr) in zip(model.named_params(), twin.named_params()):
+        arr[...] = twin_arr[...] = shake.uniform(arr.shape, -0.7, 0.7)
+    ids = (rng.uniform((MODEL_BATCH, 6)) * config.vocab_size).astype(np.int64)
+    y = np.ones(MODEL_BATCH)
+
+    _, dp = bce_loss(model.forward(ids, training=False), y)
+    model.zero_grads()
+    model.backward(dp)
+
+    names, arrays = zip(*twin.named_params())
+    grads = model.grads
+    tag = (f"{config.variant} {config.lstm_position} "
+           f"tail{int(config.bidirectional_tail)} dense{int(config.extra_dense)}")
+    return ([f"{name} [{tag}]" for name in names], [grads[name] for name in names], arrays,
+            lambda: np.sum(bce_loss(twin.forward(ids, training=False), y)[0]))
+
+
 def check_model(seeds: Sequence[int] = SEEDS) -> GradReport:
     """End-to-end check of the full classification model on a micro
     instance, on a batch of MODEL_BATCH sequences: every cell variant at the
@@ -220,34 +245,13 @@ def check_model(seeds: Sequence[int] = SEEDS) -> GradReport:
     twin. Parameters are redrawn at O(1) scale after the build: training-grade
     inits leave this micro model with gradients near REL_FLOOR, 1e-12. The
     extra dense layers are 6 and 4 wide because through narrower ReLU layers
-    the signal reaching the head, and with it the gradients, fades. Entries
+    the signal reaching the head, and with it the gradients, fades. The
+    table has 8 rows, so the 3 x 6 ids read nearly all of them and repeat
+    most: the embedding's sum over repeated ids is checked too. Entries
     are named "<parameter> [<variant> <lstm_position> tail<0|1> dense<0|1>]".
     """
-    per_seed = []
-    for seed in seeds:
-        for k, config in enumerate(_model_configs()):
-            rng = Rng(seed).derive(k)
-            model = config.build(rng.derive(0))
-            twin = SentimentModel(config, rng.derive(0), dtype=np.complex128)
-            shake = rng.derive(1)
-            for (_, arr), (_, twin_arr) in zip(model.named_params(), twin.named_params()):
-                arr[...] = twin_arr[...] = shake.uniform(arr.shape, -0.7, 0.7)
-            ids = (rng.uniform((MODEL_BATCH, 6)) * 20).astype(np.int64)
-            y = np.ones(MODEL_BATCH)
-
-            _, dp = bce_loss(model.forward(ids, training=False), y)
-            model.zero_grads()
-            model.backward(dp)
-
-            names, arrays = zip(*twin.named_params())
-            numeric = complex_step(
-                lambda: np.sum(bce_loss(twin.forward(ids, training=False), y)[0]), arrays)
-            grads = model.grads
-            tag = (f"{config.variant} {config.lstm_position} "
-                   f"tail{int(config.bidirectional_tail)} dense{int(config.extra_dense)}")
-            per_seed.append([_compare(f"{name} [{tag}]", grads[name], num)
-                             for name, num in zip(names, numeric)])
-    return GradReport("model", TOL, _merge_worst(per_seed))
+    return _certify("model", TOL, (_model_case(seed, k, config) for seed in seeds
+                                   for k, config in enumerate(_model_configs())))
 
 
 def check_module(target: str, seeds: Sequence[int] = SEEDS) -> GradReport:
@@ -267,16 +271,11 @@ def check_all(seeds: Sequence[int] = SEEDS) -> list[GradReport]:
 
 def calibrate_oracle() -> GradReport:
     """Validate the complex step on closed-form derivatives before use."""
-    entries = []
     w = np.array([3.0 + 0j])
-    num = complex_step(lambda: w[0] ** 2, [w])[0]
-    entries.append(_compare("quadratic", np.array([6.0]), num))
-
     x = np.array([0.3, -1.2, 2.0])
     z = x.astype(np.complex128)
-    num = complex_step(lambda: np.sum(sigmoid(z)), [z])[0]
-    entries.append(_compare("sigmoid", sigmoid_grad(sigmoid(x)), num))
-
-    num = complex_step(lambda: np.sum(np.tanh(z)), [z])[0]
-    entries.append(_compare("tanh", tanh_grad(np.tanh(x)), num))
-    return GradReport("oracle-calibration", CALIBRATION_TOL, entries)
+    return _certify("oracle-calibration", CALIBRATION_TOL, [
+        (["quadratic"], [np.array([6.0])], [w], lambda: w[0] ** 2),
+        (["sigmoid"], [sigmoid_grad(sigmoid(x))], [z], lambda: np.sum(sigmoid(z))),
+        (["tanh"], [tanh_grad(np.tanh(x))], [z], lambda: np.sum(np.tanh(z))),
+    ])

@@ -38,11 +38,12 @@ def ingest_csv(path: str, text_column: str = "text",
 
     A row is malformed if either field is missing, the text is empty after
     trimming, or the label is not Positive/Negative/Neutral (case-insensitive).
+    A leading UTF-8 byte-order mark, as spreadsheet tools write, is dropped.
     A file that is not UTF-8 or that the csv module cannot parse raises
     DataError.
     """
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open dataset {path}: {exc}") from None
     report = IngestReport(class_counts={label: 0 for label in LABELS})

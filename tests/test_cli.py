@@ -17,7 +17,7 @@ import pytest
 
 from conftest import FIXTURE_CSV, MICRO_DEFAULTS, join_checkpoint, split_checkpoint
 
-from slimrnn import Variant, cli, gradcheck, training
+from slimrnn import Variant, atomic, cli, gradcheck, training
 from slimrnn.training import EpochMetrics, MetricsReport
 
 
@@ -450,6 +450,29 @@ def test_out_that_cannot_be_a_directory_fails_before_any_work(
     assert err.startswith("error: ") and str(blocker) in err and "Traceback" not in err
     assert calls == [] and out == ""
     assert blocker.read_text() == "a file, not a directory\n"
+
+
+@pytest.mark.parametrize("fault", ["write", "memory"])
+def test_a_failed_write_or_allocation_is_one_error_line(fault, tmp_path, monkeypatch):
+    """A write refused at its final rename (after a full training run), or
+    memory that runs out, ends in exit 1 and one error line, and leaves no
+    temporary file in the output directory."""
+    if fault == "write":
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", dst)
+        monkeypatch.setattr(atomic.os, "replace", refuse)
+    else:
+        def exhaust(*args, **kwargs):
+            raise MemoryError("Unable to allocate 116. TiB for an array")
+        monkeypatch.setattr(cli, "train", exhaust)
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(["train", "--config", write_config(tmp_path),
+                              "--data", str(FIXTURE_CSV), "--out", str(out_dir)])
+    assert code == cli.EXIT_CONFIG
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err and out == ""
+    assert ("checkpoint.bin" if fault == "write" else "out of memory: Unable") in err
+    assert list(out_dir.iterdir()) == []
 
 
 class TestGradcheckCommand:

@@ -4,6 +4,7 @@ import csv
 import re
 from collections import Counter
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +138,18 @@ class TestIngest:
         assert report.skipped_rows == 2
         assert report.class_counts == {"Positive": 27, "Negative": 25, "Neutral": 8}
         assert len(records) == 60
+
+    def test_byte_order_mark_is_dropped(self, fixture_csv, tmp_path):
+        """Spreadsheet tools often start a UTF-8 CSV with a byte-order mark;
+        the file reads as it would without it. A mark anywhere else is text."""
+        path = tmp_path / "marked.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + Path(fixture_csv).read_bytes())
+        assert ingest_csv(str(path)) == ingest_csv(fixture_csv)
+        # the fixture's first column is one no check reads; here it is read
+        path.write_bytes("\ufefftext,sentiment\nhi,Positive\n\ufeffyo,Negative\n".encode())
+        records, report = ingest_csv(str(path))
+        assert records == [RawRecord("hi", "Positive"), RawRecord("\ufeffyo", "Negative")]
+        assert report.total_rows == 2 and report.skipped_rows == 0
 
     def test_labels_case_normalized(self, tmp_path):
         path = tmp_path / "mixed_case.csv"
