@@ -198,7 +198,7 @@ def _model_configs() -> list:
     every other combination of lstm_position, extra_dense and
     bidirectional_tail for SWITCHED_VARIANTS."""
     micro = ExperimentConfig(seed=0, vocab_size=8, embed_dim=4, conv_filters=3,
-                             kernel_size=2, pool_size=2, hidden=3, maxlen=6,
+                             kernel_size=2, pool_size=2, hidden=3, maxlen=5,
                              spatial_dropout=0.0, dense_dropout=0.0,
                              extra_dense_dims=(6, 4))
     configs = [replace(micro, variant=variant.value.lower()) for variant in Variant]
@@ -219,7 +219,7 @@ def _model_case(seed: int, k: int, config: ExperimentConfig) -> tuple:
     shake = rng.derive(1)
     for (_, arr), (_, twin_arr) in zip(model.named_params(), twin.named_params()):
         arr[...] = twin_arr[...] = shake.uniform(arr.shape, -0.7, 0.7)
-    ids = (rng.uniform((MODEL_BATCH, 6)) * config.vocab_size).astype(np.int64)
+    ids = (rng.uniform((MODEL_BATCH, config.maxlen)) * config.vocab_size).astype(np.int64)
     y = np.ones(MODEL_BATCH)
 
     _, dp = bce_loss(model.forward(ids, training=False), y)
@@ -246,9 +246,11 @@ def check_model(seeds: Sequence[int] = SEEDS) -> GradReport:
     inits leave this micro model with gradients near REL_FLOOR, 1e-12. The
     extra dense layers are 6 and 4 wide because through narrower ReLU layers
     the signal reaching the head, and with it the gradients, fades. The
-    table has 8 rows, so the 3 x 6 ids read nearly all of them and repeat
-    most: the embedding's sum over repeated ids is checked too. Entries
-    are named "<parameter> [<variant> <lstm_position> tail<0|1> dense<0|1>]".
+    table has 8 rows, so the 3 x 5 ids read nearly all of them and repeat
+    most: the embedding's sum over repeated ids is checked too. At maxlen 5
+    the kernel-2 conv makes 4 steps and the size-2 pool keeps a value from
+    every one of them. Entries are named
+    "<parameter> [<variant> <lstm_position> tail<0|1> dense<0|1>]".
     """
     return _certify("model", TOL, (_model_case(seed, k, config) for seed in seeds
                                    for k, config in enumerate(_model_configs())))

@@ -20,9 +20,11 @@ result is bit-identical to updating the whole tensor, and whole and prefix
 steps mix freely. Vocabulary ids are ranked by frequency, so the rows an
 embedding gradient touches sit near the start of the table.
 
-Clipping sums each tensor's squares up to its end only, in the pairwise
-order numpy's whole-tensor ``np.sum`` uses, so the norm keeps every bit
-(see ``clip_by_global_norm``).
+Clipping sums a tensor's squares one block of ``ROW_BLOCK`` rows at a
+time, in row order, stopping after the block that holds its row end. A block
+past the end is all zeros and would add exactly 0.0, and the block that
+holds the end is summed whole either way, so the norm has the same bits as
+with no ends given, for any dtype (see ``clip_by_global_norm``).
 """
 
 from __future__ import annotations
@@ -34,37 +36,22 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .numeric import mapped_zeros
 
-# numpy's pairwise summation (``pairwise_sum`` in its loops): a run of more
-# than this many elements is split in two and each half summed alone; a run
-# of at most this many is summed directly.
-PAIRWISE_BLOCK = 128
+ROW_BLOCK = 128  # rows of a gradient squared and summed by one np.sum
 
 RHO = 0.9  # RMSprop: decay of the mean squared gradient
 BETA1, BETA2 = 0.9, 0.999  # Adam: decays of the first and second moments
 EPS = 1e-8  # RMSprop and Adam: added to the root, outside the square root
 
 
-def _prefix_sum_of_squares(flat: np.ndarray, n: int, end: int) -> float:
-    """``float(np.sum(flat[:n] ** 2))``, bit for bit, for a contiguous
-    ``flat`` that is zero from index ``end`` on, squaring only about
-    ``end`` entries.
-
-    ``np.sum`` over a contiguous float64 array is one pairwise tree: a run of
-    n > PAIRWISE_BLOCK elements splits at ``n//2 - (n//2) % 8``, a shorter
-    run is a leaf. A subtree wholly before ``end`` is the same ``np.sum`` on
-    the same run; one wholly past it sums to exactly 0.0, and adding 0.0 to a
-    sum of squares leaves it unchanged. So only the path along ``end`` is
-    walked, about 2·log2(n / PAIRWISE_BLOCK) calls.
-    """
-    if end <= 0:
-        return 0.0
-    if end >= n or n <= PAIRWISE_BLOCK:
-        part = flat[:n]
-        return float(np.sum(part * part))
-    half = n // 2
-    half -= half % 8
-    return (_prefix_sum_of_squares(flat, half, end)
-            + _prefix_sum_of_squares(flat[half:], n - half, end - half))
+def _sum_of_squares(g: np.ndarray, end: int) -> float:
+    """The squared L2 norm of ``g``, zero from row ``end`` on: ``np.sum`` of
+    the squares of each ``ROW_BLOCK``-row block that starts before ``end``,
+    added in row order."""
+    total = 0.0
+    for start in range(0, end, ROW_BLOCK):
+        block = g[start:start + ROW_BLOCK]
+        total += float(np.sum(block * block))
+    return total
 
 
 def _row_ends(tensors: dict[str, np.ndarray],
@@ -88,16 +75,13 @@ def clip_by_global_norm(grads: dict[str, np.ndarray], max_norm: float,
     a max_norm of 0 only measures.
 
     ``ends`` gives, per tensor, the row from which its gradient is zero (see
-    the module docstring); only the rows before it are squared and scaled.
-    The squares are summed in numpy's pairwise order over the whole tensor
-    in C order, so for a C-contiguous gradient the norm equals the
-    whole-tensor ``np.sum(g * g)`` bit for bit; a sum over the written rows
-    alone would group the terms differently. Returns the pre-clip norm.
+    the module docstring); only the blocks of rows that start before it are
+    squared, and only the rows before it scaled. The norm has the same bits
+    as with no ends given; a tensor of at most ``ROW_BLOCK`` rows adds
+    exactly ``np.sum(g * g)``. Returns the pre-clip norm.
     """
     ends = _row_ends(grads, ends)
-    total = float(np.sqrt(sum(
-        _prefix_sum_of_squares(g.reshape(-1), g.size, ends[name] * math.prod(g.shape[1:]))
-        for name, g in grads.items())))
+    total = float(np.sqrt(sum(_sum_of_squares(g, ends[name]) for name, g in grads.items())))
     if total > max_norm > 0.0:
         factor = max_norm / total
         for name, g in grads.items():

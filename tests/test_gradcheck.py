@@ -157,8 +157,11 @@ def test_model_check_passes_single_seed():
     assert tags == expected
     assert any(e.name.startswith("dense1.") for e in report.entries)
     # Fewer table rows than ids in a batch: ids repeat, so the embedding's
-    # sum over repeated ids is checked in every build with a live table.
-    assert all(config.vocab_size < MODEL_BATCH * 6 for config in _model_configs())
+    # sum over repeated ids is checked in every build with a live table. The
+    # pool windows tile the conv's output, so every conv step is pooled.
+    for config in _model_configs():
+        assert config.vocab_size < MODEL_BATCH * config.maxlen
+        assert (config.maxlen - config.kernel_size + 1) % config.pool_size == 0
     assert any(e.name.startswith("embedding.table") for e in report.entries)
 
 
@@ -236,7 +239,7 @@ def test_complex_twin_forward_matches_float64(k):
         assert (name, twin_arr.dtype) == (twin_name, np.complex128)
         arr[...] = shake.uniform(arr.shape, -0.7, 0.7)
         twin_arr[...] = arr
-    ids = (Rng(200 + k).uniform((4, 6)) * config.vocab_size).astype(np.int64)
+    ids = (Rng(200 + k).uniform((4, config.maxlen)) * config.vocab_size).astype(np.int64)
     p = model.forward(ids)
     p_twin = twin.forward(ids)
     assert p.dtype == np.float64 and p_twin.dtype == np.complex128

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from conftest import DenseReference, assert_in_mapped_pages
 
 from slimrnn import SGD, Adam, ConfigError, RMSprop, ShapeError, clip_by_global_norm
-from slimrnn.optimizers import _prefix_sum_of_squares, make_optimizer
+from slimrnn.optimizers import _sum_of_squares, make_optimizer
 
 # Rows of a [12, 3] table given a gradient on successive steps. Row 1 gets
 # one gradient and never another, row 4 comes and goes, and rows 3, 5, 6,
@@ -258,51 +258,76 @@ def test_make_optimizer():
             make_optimizer("adam", lr)
 
 
-def row_sparse(n_rows: int, width: int, rows, seed: int = 0,
+def row_sparse(shape: tuple[int, ...], rows, seed: int = 0,
                scale: float = 1.0) -> np.ndarray:
-    """A [n_rows, width] gradient that is zero outside ``rows``."""
-    g = np.zeros((n_rows, width))
-    g[list(rows)] = np.random.default_rng(seed).normal(size=(len(rows), width)) * scale
+    """A gradient of ``shape`` that is zero outside ``rows`` (along axis 0)."""
+    g = np.zeros(shape)
+    g[list(rows)] = np.random.default_rng(seed).normal(size=(len(rows), *shape[1:])) * scale
     return g
 
 
-def prefix_norm_term(g: np.ndarray, rows) -> float:
-    end = max(rows) + 1 if len(rows) else 0
-    return _prefix_sum_of_squares(g.reshape(-1), g.size, end * g.shape[1])
+def assert_clips_like_no_ends(g: np.ndarray, end: int, max_norm: float) -> None:
+    """Clipping ``g`` with row end ``end`` returns the norm, and leaves the
+    bytes, that clipping a copy with no row end does."""
+    ref = g.copy()
+    with np.errstate(over="ignore", invalid="ignore"):  # 1e150 squared, inf * 0
+        got = clip_by_global_norm({"t": g}, max_norm, {"t": end})
+        expected = clip_by_global_norm({"t": ref}, max_norm)
+    assert got == expected or (math.isnan(got) and math.isnan(expected))
+    assert g.tobytes() == ref.tobytes()
 
 
 @st.composite
 def row_sparse_cases(draw):
-    n_rows = draw(st.integers(1, 300).filter(lambda n: n % 8))
-    width = draw(st.integers(1, 200))
-    rows = draw(st.one_of(
-        st.just([]), st.just([0]), st.just([n_rows - 1]),
-        st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=12, unique=True),
-        st.integers(1, n_rows).map(lambda end: list(range(end)))))
+    n_rows = draw(st.integers(1, 400))
+    shape = (n_rows, *draw(st.lists(st.integers(1, 12), max_size=2)))
+    end = draw(st.one_of(st.sampled_from([e for e in (0, 1, 127, 128, 129, n_rows)
+                                          if e <= n_rows]),
+                         st.integers(0, n_rows)))
+    rows = []
+    if end:
+        rows = draw(st.one_of(
+            st.just(list(range(end))),
+            st.lists(st.integers(0, end - 1), max_size=12, unique=True).map(
+                lambda r: sorted(set(r) | {end - 1}))))
     scale = 10.0 ** draw(st.integers(-150, 150))
-    g = row_sparse(n_rows, width, rows, draw(st.integers(0, 2**32 - 1)), scale)
+    g = row_sparse(shape, rows, draw(st.integers(0, 2**32 - 1)), scale)
     if rows and draw(st.booleans()):
-        g[rows[-1], draw(st.integers(0, width - 1))] = draw(
+        g[rows[-1]].flat[draw(st.integers(0, g[0].size - 1))] = draw(
             st.sampled_from([math.inf, -math.inf, math.nan]))
-    return g, rows
+    return g, end, draw(st.sampled_from([0.0, 1.0]))
 
 
 @given(row_sparse_cases())
 @settings(max_examples=150, deadline=None)
-def test_prefix_norm_equals_whole_tensor_sum(case):
-    g, rows = case
-    expected, got = float(np.sum(g * g)), prefix_norm_term(g, rows)
-    assert got == expected or (math.isnan(got) and math.isnan(expected))
+def test_row_end_clips_like_the_whole_tensor(case):
+    assert_clips_like_no_ends(*case)
 
 
-@pytest.mark.parametrize("end", [1, 2, 127, 129, 2048, 2700, 10001, 19999, 20000])
+@pytest.mark.parametrize("end", [1, 2, 127, 128, 129, 2048, 2700, 10001, 19999, 20000])
 @pytest.mark.parametrize("every", [1, 7])
-def test_prefix_norm_at_the_reference_shape(end, every):
-    # [20000, 128] is about 15 pairwise levels deep. Every row, or every 7th
-    # row, before end is written, and the last row written is end - 1.
+def test_row_end_clips_like_the_whole_table_at_the_reference_shape(end, every):
+    # Every row, or every 7th row, before end is written, and the last row
+    # written is end - 1. The table's norm is far above 1, so clipping fires.
     rows = sorted(set(range(0, end, every)) | {end - 1})
-    g = row_sparse(20000, 128, rows, seed=end)
-    assert prefix_norm_term(g, rows) == float(np.sum(g * g))
+    assert_clips_like_no_ends(row_sparse((20000, 128), rows, seed=end), end, 1.0)
+
+
+@pytest.mark.parametrize("shape", [(1,), (128,), (5, 3), (128, 64), (7, 3, 2)])
+def test_tensor_of_at_most_a_block_adds_its_whole_sum(shape):
+    g = np.random.default_rng(len(shape)).normal(size=shape)
+    assert _sum_of_squares(g, len(g)) == float(np.sum(g * g))
+
+
+@pytest.mark.parametrize("shape", [(129,), (3001, 37), (20000, 128)])
+def test_deep_table_sums_its_blocks_in_row_order(shape):
+    g = np.random.default_rng(3).normal(size=shape)
+    expected = 0.0
+    for start in range(0, len(g), 128):
+        expected += float(np.sum(g[start:start + 128] ** 2))
+    got = _sum_of_squares(g, len(g))
+    assert got == expected
+    assert got == pytest.approx(float(np.sum(g * g)), rel=1e-12, abs=0)
 
 
 class TestClipByGlobalNorm:
@@ -333,9 +358,9 @@ class TestClipByGlobalNorm:
         ((2000, 128), list(range(1500)) + [1999]),
     ])
     def test_deep_row_ends_scale_like_whole_tensors(self, max_norm, shape, rows):
-        # Tables many pairwise levels deep, written sparsely or in a dense prefix.
+        # Tables many row blocks deep, written sparsely or in a dense prefix.
         rng = np.random.default_rng(8)
-        grads = {"table": row_sparse(*shape, rows, seed=8), "bias": rng.normal(size=5)}
+        grads = {"table": row_sparse(shape, rows, seed=8), "bias": rng.normal(size=5)}
         ref = {k: g.copy() for k, g in grads.items()}
         norm = clip_by_global_norm(grads, max_norm, {"table": max(rows) + 1})
         assert norm == clip_by_global_norm(ref, max_norm)

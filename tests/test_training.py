@@ -314,10 +314,11 @@ class TestTrain:
     @pytest.mark.parametrize("kind", ["sgd", "rmsprop", "adam"])
     def test_row_sparse_step_equals_whole_table_run(self, monkeypatch, kind):
         # Even ids of a 300-row table: odd rows never get a gradient, and the
-        # rows that do sit apart, where a norm summed over them alone would
-        # differ in the last bits from the whole-table sum (numpy's pairwise
-        # order depends on where the nonzero entries sit). A clip norm of
-        # 1e-3 fires on every batch.
+        # table's row end falls inside one of its three 128-row blocks. The
+        # norm sums each block that starts before the end whole, in row
+        # order; a block past it is all zeros and adds exactly 0.0, so the
+        # norm has the whole table's bits. A clip norm of 1e-3 fires on
+        # every batch, so a norm off by one bit would change the weights.
         rng = np.random.default_rng(4)
         data = LabeledDataset(rng.integers(0, 150, size=(36, 8)) * 2, np.arange(36) % 2)
         config = micro_config(optimizer=kind, clip_norm=1e-3, epochs=3,
