@@ -7,15 +7,25 @@ recurrent layers' are their cells' own), and returns the gradient w.r.t. its
 input. Layers do not zero their own gradients: the model zeroes all of them
 in one loop (SentimentModel.zero_grads). The recurrent and conv layers
 release their caches in backward, so a batch's activations are freed before
-the optimizer step; each backward needs a forward of its own. The recurrent
-layers hand the cells time-major [T, B, features] views. The embedding's
-gradient is row-sparse: it keeps a row end, past which every row is zero,
-and the model hands it to clipping and the optimizer as ``row_ends``. It
-is allocated by ``numeric.mapped_zeros``, as the optimizer's slots are.
+the optimizer step; each backward needs a plain forward of its own, and the
+model refuses any other with a ShapeError. The recurrent layers hand the
+cells time-major [T, B, features] views. The embedding's gradient is
+row-sparse: it keeps a row end, past which every row is zero, and the model
+hands it to clipping and the optimizer as ``row_ends``. It is allocated by
+``numeric.mapped_zeros``, as the optimizer's slots are.
+
+Evaluation (``SentimentModel.predict``, dropout off) skips what every
+record's leading PAD_IDs compute: those steps give the same conv, pool and
+recurrent states in every record. Records are regrouped into full chunks by
+how many pooled steps see only padding (``padding_steps``); the most padded
+chunk runs as a plain forward, and the recurrent layers read the states it
+passed through (a ``Lead`` each) so that every other chunk starts after its
+shared padding. A cut forward keeps nothing a backward could read.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -23,6 +33,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .cells import (
     CellParams,
+    CellState,
+    SequenceCache,
     Variant,
     init_params,
     sequence_backward,
@@ -31,6 +43,7 @@ from .cells import (
 from .errors import ConfigError, DataError, ShapeError
 from .numeric import mapped_zeros, sigmoid, sigmoid_grad
 from .rng import Rng
+from .textdata import PAD_ID
 
 if TYPE_CHECKING:
     from .training import ExperimentConfig
@@ -235,8 +248,35 @@ class Dense:
         return dz @ self.weights
 
 
+@dataclass(frozen=True)
+class Lead:
+    """The steps cut from the front of a recurrent layer's input, which
+    every row of a cut forward shares: their input rows ``xs`` [S, d], and
+    the (forward) cell's states ``h`` and ``c`` [S + 1, n] from the zero
+    start on. The layer starts its cell from the last state; a reverse
+    cell still reads ``xs``, after the row's own steps."""
+
+    xs: np.ndarray
+    h: np.ndarray
+    c: np.ndarray
+
+    @classmethod
+    def read(cls, cache: SequenceCache, steps: int) -> "Lead":
+        """Batch row 0's first ``steps`` steps of a forward's cache, copied."""
+        return cls(cache.x[:steps, 0].copy(), cache.h[:steps + 1, 0].copy(),
+                   cache.c[:steps + 1, 0].copy())
+
+    def first(self, steps: int) -> "Lead":
+        return Lead(self.xs[:steps], self.h[:steps + 1], self.c[:steps + 1])
+
+    def start(self, batch: int) -> CellState:
+        shape = (batch, self.h.shape[1])
+        return CellState(np.broadcast_to(self.h[-1], shape), np.broadcast_to(self.c[-1], shape))
+
+
 class Recurrent:
-    """Unidirectional cell run over [B, T, d], emitting all hidden states."""
+    """Unidirectional cell run over [B, T, d], emitting all hidden states.
+    Given a Lead, the input starts after it and so do the outputs."""
 
     def __init__(self, cell: CellParams):
         self.cell = cell
@@ -246,8 +286,13 @@ class Recurrent:
     def params(self):
         return dict(self.cell.tensors)
 
-    def forward(self, xs: np.ndarray) -> np.ndarray:
-        hs, self._cache = sequence_forward(self.cell, xs.transpose(1, 0, 2))
+    def lead(self, steps: int) -> Lead:
+        return Lead.read(self._cache, steps)
+
+    def forward(self, xs: np.ndarray, lead: Lead | None = None) -> np.ndarray:
+        init = None if lead is None else lead.start(len(xs))
+        hs, cache = sequence_forward(self.cell, xs.transpose(1, 0, 2), init)
+        self._cache = cache if lead is None else None
         return hs.transpose(1, 0, 2)
 
     def backward(self, d_hs: np.ndarray) -> np.ndarray:
@@ -281,11 +326,20 @@ class Bidirectional:
     def params(self):
         return _halves(self.fwd.tensors, self.bwd.tensors)
 
-    def forward(self, xs: np.ndarray) -> np.ndarray:
+    def lead(self, steps: int) -> Lead:
+        return Lead.read(self._caches[0], steps)
+
+    def forward(self, xs: np.ndarray, lead: Lead | None = None) -> np.ndarray:
+        """Given a Lead, the forward cell starts after it and the backward
+        cell reads its rows after the input's own."""
         xs_t = xs.transpose(1, 0, 2)
-        hs_f, cache_f = sequence_forward(self.fwd, xs_t)
+        B = len(xs)
+        hs_f, cache_f = sequence_forward(self.fwd, xs_t, None if lead is None else lead.start(B))
+        if lead is not None:
+            shared = np.broadcast_to(lead.xs[:, None], (len(lead.xs), B, xs.shape[2]))
+            xs_t = np.concatenate([shared, xs_t])
         hs_b, cache_b = sequence_forward(self.bwd, xs_t[::-1])
-        self._caches = (cache_f, cache_b)
+        self._caches = (cache_f, cache_b) if lead is None else None
         return np.concatenate([hs_f[-1], hs_b[-1]], axis=1)
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
@@ -315,6 +369,32 @@ class LastStep:
         d_x = np.zeros(self._in_shape)
         d_x[:, -1] = d_out
         return d_x
+
+
+def padding_steps(ids: np.ndarray, kernel_size: int, pool_size: int) -> np.ndarray:
+    """Per row of ids [B, T], the pooled steps j that see only its leading
+    PAD_IDs: with L of them, j = min(T_pool, max(0, (L - k + 1) // p)) for
+    conv kernel k, pool p and pooled length T_pool = (T - k + 1) // p. Pooled
+    step m reads positions up to p * m + p + k - 2, so the first j read
+    padding alone, at either lstm position."""
+    words = np.asarray(ids) != PAD_ID
+    T = words.shape[1]
+    lead = np.where(words.any(axis=1), words.argmax(axis=1), T)
+    return np.clip((lead - kernel_size + 1) // pool_size, 0, (T - kernel_size + 1) // pool_size)
+
+
+@dataclass(frozen=True)
+class Cut:
+    """A forward that starts ``steps`` pooled steps into every row: the
+    embedding reads from position pool * steps on, and each recurrent layer
+    (the key) starts from its Lead."""
+
+    steps: int
+    leads: dict
+
+
+NO_FORWARD = ("model backward: no forward to backpropagate; each backward needs a "
+              "plain forward of its own, and evaluation keeps none")
 
 
 def _dense_init(out_dim: int, in_dim: int, rng: Rng, activation: str, dtype: type) -> Dense:
@@ -390,6 +470,11 @@ class SentimentModel:
         encoders = ([self.conv, self.pool, self.rnn] if cnn_first
                     else [self.rnn, self.conv, self.pool])
         self._chain = encoders + [LastStep() if self.tail is None else self.tail]
+        # Each recurrent layer with its steps per pooled step.
+        self._recurrent = [(self.rnn, 1 if cnn_first else c.pool_size)]
+        if self.tail is not None:
+            self._recurrent.append((self.tail, 1))
+        self._kept = False  # whether the last forward left caches for one backward
 
         named = [("embedding", self.embedding), ("conv", self.conv), ("rnn", self.rnn)]
         if self.tail is not None:
@@ -422,26 +507,86 @@ class SentimentModel:
         self.embedding.row_end = 0
 
     def forward(self, ids: np.ndarray, training: bool = False,
-                rng: Rng | None = None):
+                rng: Rng | None = None, cut: Cut | None = None):
         """Probabilities [B] for ids [B, T]; a single sequence ids [T] is a
         batch of one and gives a Python scalar: a float, or a complex in the
-        complex128 twin."""
+        complex128 twin. A ``cut`` forward (``predict``'s, evaluation only)
+        skips steps every row shares and keeps nothing for a backward."""
         ids = np.asarray(ids)
         if ids.ndim not in (1, 2):
             raise ShapeError(f"model: need ids [B, T] or [T], got {ids.shape}")
         single = ids.ndim == 1
+        self._kept = False
+        leads = {}
+        if cut is not None:
+            if training or single:
+                raise ConfigError("model: a cut forward takes ids [B, T] in evaluation mode")
+            ids, leads = ids[:, cut.steps * self.pool.pool:], cut.leads
         x = self.embedding.forward(ids[None] if single else ids)
         x = self.spatial_dropout.forward(x, rng, training)
         for layer in self._chain:
-            x = layer.forward(x)
+            lead = leads.get(layer)
+            x = layer.forward(x) if lead is None else layer.forward(x, lead)
         for dense, drop in zip(self.extra_dense, self.extra_dropout):
             x = drop.forward(dense.forward(x), rng, training)
         p = self.head.forward(x)[:, 0]
+        self._kept = cut is None
         return p[0].item() if single else p
+
+    def predict(self, ids: np.ndarray, chunk: int) -> np.ndarray:
+        """Evaluation-mode probabilities [N] for ids [N, T]: those of plain
+        forwards over ``chunk`` records at a time in order, from less work.
+
+        The rows of the full chunks are regrouped, most padded first (by
+        ``padding_steps``, ties in order), into full chunks, each cut at
+        its rows' fewest all-padding pooled steps, keeping one pooled step.
+        The first runs as a plain forward, and its row 0's recurrent states
+        over those steps are the Leads every later chunk starts from. The
+        partial last chunk runs in order as a plain forward. Products over
+        batch rows keep ``chunk`` rows and only reorder them, and products
+        over steps x rows shrink but keep at least ``chunk`` rows, so a
+        row's bits match the plain forwards' where a GEMM row's result
+        depends neither on its position nor, from that many rows on, on
+        the row count (measured for the model's shapes; see the README).
+        Fewer than two full chunks run in order, uncut. The model keeps
+        nothing for a backward.
+        """
+        ids = np.asarray(ids)
+        if ids.ndim != 2:
+            raise ShapeError(f"model predict: need ids [N, T], got {ids.shape}")
+        n = len(ids)
+        full = n - n % chunk
+        steps = padding_steps(ids[:full], self.conv.kernels.shape[1], self.pool.pool)
+        order = np.argsort(-steps, kind="stable") if full >= 2 * chunk else np.arange(full)
+        pooled = (ids.shape[1] - self.conv.kernels.shape[1] + 1) // self.pool.pool
+        out = np.empty(n, self.head.weights.dtype)
+        shared = None
+        try:
+            for start in range(0, full, chunk):
+                rows = order[start:start + chunk]
+                cut = max(0, min(int(steps[rows].min()), pooled - 1))  # keep a step
+                if shared is None:  # every row pads through `cut` steps, row 0 too
+                    out[rows] = self.forward(ids[rows])
+                    shared = {layer: layer.lead(cut * stride) for layer, stride in self._recurrent}
+                elif cut == 0:
+                    out[rows] = self.forward(ids[rows])
+                else:
+                    out[rows] = self.forward(ids[rows], cut=Cut(cut, {
+                        layer: shared[layer].first(cut * stride)
+                        for layer, stride in self._recurrent}))
+            if full < n:
+                out[full:] = self.forward(ids[full:])
+        finally:
+            self._kept = False
+        return out
 
     def backward(self, d_loss) -> dict[str, np.ndarray]:
         """Backpropagate d(loss)/d(probability), one value per batch row (a
-        float after a single-sequence forward); returns the grads dict."""
+        float after a single-sequence forward); returns the grads dict.
+        Each call needs a plain forward of its own (ShapeError otherwise)."""
+        if not self._kept:
+            raise ShapeError(NO_FORWARD)
+        self._kept = False
         d = self.head.backward(np.asarray(d_loss, dtype=np.float64).reshape(-1, 1))
         for dense, drop in zip(reversed(self.extra_dense), reversed(self.extra_dropout)):
             d = dense.backward(drop.backward(d))

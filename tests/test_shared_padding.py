@@ -1,0 +1,195 @@
+"""Evaluation from the end of each record's padding: ``padding_steps``, the
+cut forward, and ``evaluate`` against the plain chunk-by-chunk loop it
+replaced, bit for bit."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from conftest import micro_config
+
+from slimrnn import CNN_THEN_LSTM, LSTM_THEN_CNN, ExperimentConfig, LabeledDataset, Rng, ShapeError
+from slimrnn.layers import NO_FORWARD, Cut, SentimentModel, padding_steps
+from slimrnn.training import EVAL_CHUNK, THRESHOLD, EvalResult, bce_loss, evaluate
+
+VARIANTS = [f"lstm{k}" for k in range(7)]
+POSITIONS = (CNN_THEN_LSTM, LSTM_THEN_CNN)
+ARCHITECTURES = list(itertools.product(VARIANTS, POSITIONS, (True, False), (False, True)))
+SIZES = (0, 1, 31, 32, 33, 64, 65, 100, 1000)
+
+
+def plain_evaluate(model: SentimentModel, dataset: LabeledDataset) -> EvalResult:
+    """``evaluate`` as it was before the cut: one plain forward per
+    EVAL_CHUNK records, in order."""
+    tp = fp = tn = fn = 0
+    total_loss = 0.0
+    for start in range(0, len(dataset), EVAL_CHUNK):
+        p = model.forward(dataset.sequences[start:start + EVAL_CHUNK], training=False)
+        y = dataset.labels[start:start + EVAL_CHUNK]
+        total_loss += float(np.sum(bce_loss(p, y)[0]))
+        pred, pos = p > THRESHOLD, y == 1
+        tp += int(np.sum(pred & pos))
+        fn += int(np.sum(~pred & pos))
+        tn += int(np.sum(~pred & ~pos))
+        fp += int(np.sum(pred & ~pos))
+    n = len(dataset)
+    pos_total, neg_total = tp + fn, tn + fp
+    return EvalResult(
+        n=n,
+        mean_loss=total_loss / n if n else 0.0,
+        overall_accuracy=100.0 * (tp + tn) / n if n else 0.0,
+        positive_accuracy=100.0 * tp / pos_total if pos_total else 0.0,
+        negative_accuracy=100.0 * tn / neg_total if neg_total else 0.0,
+        true_positive=tp,
+        false_positive=fp,
+        true_negative=tn,
+        false_negative=fn,
+    )
+
+
+def mixed_dataset(n: int, maxlen: int, vocab: int, seed: int) -> LabeledDataset:
+    """Rows of every kind: all padding, unpadded, and left-padded to any
+    length, with a tenth of the ids after the first word set to zero."""
+    rng = Rng(seed)
+    ids = (1 + rng.uniform((n, maxlen)) * (vocab - 1)).astype(np.int64)
+    ids[rng.uniform((n, maxlen)) < 0.1] = 0
+    kind = rng.uniform(n)
+    pads = (rng.uniform(n) * (maxlen + 1)).astype(np.int64)
+    pads[kind < 0.15] = maxlen
+    pads[(kind >= 0.15) & (kind < 0.3)] = 0
+    for row, pad in enumerate(pads):
+        ids[row, :pad] = 0
+        if pad < maxlen:
+            ids[row, pad] = max(ids[row, pad], 1)  # the first word ends the padding
+    return LabeledDataset(ids, (rng.uniform(n) < 0.5).astype(np.int64))
+
+
+def reference_config(**overrides) -> ExperimentConfig:
+    """The reference layer sizes; a small vocabulary keeps the table cheap."""
+    return ExperimentConfig(**{"seed": 3, "vocab_size": 500, **overrides})
+
+
+def architecture(variant, position, tail, dense) -> dict:
+    return dict(variant=variant, lstm_position=position, bidirectional_tail=tail,
+                extra_dense=dense)
+
+
+@pytest.mark.parametrize("variant, position, tail, dense", ARCHITECTURES)
+def test_evaluate_keeps_every_bit_at_micro_size(variant, position, tail, dense):
+    config = micro_config(**architecture(variant, position, tail, dense))
+    model = config.build(Rng(5))
+    for n in SIZES:
+        dataset = mixed_dataset(n, config.maxlen, config.vocab_size, seed=n)
+        assert evaluate(model, dataset) == plain_evaluate(model, dataset), n
+
+
+@pytest.mark.parametrize("variant, position, tail, dense", ARCHITECTURES)
+def test_evaluate_keeps_every_bit_at_reference_size(variant, position, tail, dense):
+    config = reference_config(**architecture(variant, position, tail, dense))
+    model = config.build(Rng(5))
+    dataset = mixed_dataset(100, config.maxlen, config.vocab_size, seed=1)
+    assert evaluate(model, dataset) == plain_evaluate(model, dataset)
+
+
+@pytest.mark.parametrize("position", POSITIONS)
+def test_evaluate_keeps_every_bit_at_reference_size_for_every_count(position):
+    config = reference_config(lstm_position=position)
+    model = config.build(Rng(6))
+    for n in SIZES:
+        dataset = mixed_dataset(n, config.maxlen, config.vocab_size, seed=n)
+        assert evaluate(model, dataset) == plain_evaluate(model, dataset), n
+
+
+@pytest.mark.parametrize("maxlen, kernel, pool, pinned", [
+    # T_pool 7: a pooled step reads 4 conv outputs of 5 positions each.
+    (32, 5, 4, {0: 0, 4: 0, 7: 0, 8: 1, 11: 1, 12: 2, 31: 6, 32: 7}),
+    # pool 1: every conv output is its own pooled step.
+    (8, 3, 1, {0: 0, 2: 0, 3: 1, 7: 5, 8: 6}),
+    # conv output 8 pools to 2 steps and drops a remainder of 2.
+    (10, 3, 3, {4: 0, 5: 1, 7: 1, 8: 2, 10: 2}),
+])
+def test_padding_steps(maxlen, kernel, pool, pinned):
+    """j per count of leading PAD_IDs, pinned, and checked against the
+    pooled steps whose every input position lies in the padding."""
+    pooled = (maxlen - kernel + 1) // pool
+    ids = np.ones((maxlen + 1, maxlen), dtype=np.int64)
+    for lead in range(maxlen + 1):
+        ids[lead, :lead] = 0
+        ids[lead, lead + 1::2] = 0  # zeros after the first word do not count
+    steps = padding_steps(ids, kernel, pool)
+    for lead, j in pinned.items():
+        assert steps[lead] == j, lead
+    for lead in range(maxlen + 1):
+        last_read = [m * pool + pool + kernel - 2 for m in range(pooled)]
+        assert steps[lead] == sum(pos < lead for pos in last_read), lead
+
+
+def leads(model: SentimentModel, config: ExperimentConfig, steps: int) -> dict:
+    """The recurrent layers' Leads over ``steps`` pooled steps, read off the
+    plain forward just run."""
+    stride = 1 if config.lstm_position == CNN_THEN_LSTM else config.pool_size
+    out = {model.rnn: model.rnn.lead(steps * stride)}
+    if model.tail is not None:
+        out[model.tail] = model.tail.lead(steps)
+    return out
+
+
+@pytest.mark.parametrize("position, tail", itertools.product(POSITIONS, (True, False)))
+def test_backward_needs_a_plain_forward_of_its_own(position, tail):
+    """After evaluate, after a backward and after a cut forward, backward
+    raises one ShapeError and leaves every gradient as it was."""
+    config = micro_config(lstm_position=position, bidirectional_tail=tail)
+    model = config.build(Rng(7))
+    dataset = mixed_dataset(3 * EVAL_CHUNK, config.maxlen, config.vocab_size, seed=8)
+    ids = dataset.sequences
+    d_p = np.ones(EVAL_CHUNK)
+
+    def refused():
+        before = {name: g.copy() for name, g in model.grads.items()}
+        with pytest.raises(ShapeError) as raised:
+            model.backward(d_p)
+        assert str(raised.value) == NO_FORWARD
+        for name, g in model.grads.items():
+            assert np.array_equal(g, before[name]), name
+
+    evaluate(model, dataset)
+    refused()
+    model.forward(ids[:EVAL_CHUNK])
+    model.backward(d_p)
+    refused()
+
+    padded = np.zeros_like(ids[:EVAL_CHUNK])
+    padded[:, -2:] = np.maximum(ids[:EVAL_CHUNK, -2:], 1)  # six pads: 2 all-padding steps
+    model.forward(np.zeros_like(padded))
+    cut = Cut(1, leads(model, config, 1))
+    assert np.array_equal(model.forward(padded, cut=cut), model.forward(padded))
+    model.forward(padded, cut=cut)
+    refused()
+
+
+def test_evaluate_regroups_full_chunks_and_cuts_them(monkeypatch):
+    """Three full chunks padded through 3, 1 and 0 pooled steps, interleaved
+    in the dataset: the most padded runs plain, the next from its Leads, the
+    unpadded and the partial last chunk plain; one forward per chunk."""
+    config = micro_config()  # maxlen 8, kernel 3, pool 2: 3 pooled steps
+    rng = Rng(9)
+    n = 3 * EVAL_CHUNK + 5
+    ids = (1 + rng.uniform((n, config.maxlen)) * (config.vocab_size - 1)).astype(np.int64)
+    ids[0:3 * EVAL_CHUNK:3] = 0  # all padding: j = 3, cut at 2 to keep a step
+    ids[1:3 * EVAL_CHUNK:3, :4] = 0  # j = 1
+    dataset = LabeledDataset(ids, (rng.uniform(n) < 0.5).astype(np.int64))
+    assert sorted(padding_steps(ids, 3, 2)[:3 * EVAL_CHUNK]) == [0] * 32 + [1] * 32 + [3] * 32
+    model = config.build(Rng(10))
+    expected = plain_evaluate(model, dataset)
+
+    calls = []
+    forward = SentimentModel.forward
+
+    def spy(self, chunk, training=False, rng=None, cut=None):
+        calls.append((len(chunk), None if cut is None else cut.steps))
+        return forward(self, chunk, training, rng, cut)
+
+    monkeypatch.setattr(SentimentModel, "forward", spy)
+    assert evaluate(model, dataset) == expected
+    assert calls == [(32, None), (32, 1), (32, None), (5, None)]
