@@ -19,8 +19,9 @@ record's leading PAD_IDs compute: those steps give the same conv, pool and
 recurrent states in every record. Records are regrouped into full chunks by
 how many pooled steps see only padding (``padding_steps``); the most padded
 chunk runs as a plain forward, and the recurrent layers read the states it
-passed through (a ``Lead`` each) so that every other chunk starts after its
-shared padding. A cut forward keeps nothing a backward could read.
+passed through (a ``Lead`` each). Every other full chunk is a forward of its
+ids after their shared padding, from its Leads; a forward from Leads keeps
+nothing a backward could read.
 """
 
 from __future__ import annotations
@@ -251,10 +252,10 @@ class Dense:
 @dataclass(frozen=True)
 class Lead:
     """The steps cut from the front of a recurrent layer's input, which
-    every row of a cut forward shares: their input rows ``xs`` [S, d], and
-    the (forward) cell's states ``h`` and ``c`` [S + 1, n] from the zero
-    start on. The layer starts its cell from the last state; a reverse
-    cell still reads ``xs``, after the row's own steps."""
+    every row of a forward from Leads shares: their input rows ``xs``
+    [S, d], and the (forward) cell's states ``h`` and ``c`` [S + 1, n] from
+    the zero start on. The layer starts its cell from the last state; a
+    reverse cell still reads ``xs``, after the row's own steps."""
 
     xs: np.ndarray
     h: np.ndarray
@@ -383,16 +384,6 @@ def padding_steps(ids: np.ndarray, kernel_size: int, pool_size: int) -> np.ndarr
     return np.clip((lead - kernel_size + 1) // pool_size, 0, (T - kernel_size + 1) // pool_size)
 
 
-@dataclass(frozen=True)
-class Cut:
-    """A forward that starts ``steps`` pooled steps into every row: the
-    embedding reads from position pool * steps on, and each recurrent layer
-    (the key) starts from its Lead."""
-
-    steps: int
-    leads: dict
-
-
 NO_FORWARD = ("model backward: no forward to backpropagate; each backward needs a "
               "plain forward of its own, and evaluation keeps none")
 
@@ -507,30 +498,28 @@ class SentimentModel:
         self.embedding.row_end = 0
 
     def forward(self, ids: np.ndarray, training: bool = False,
-                rng: Rng | None = None, cut: Cut | None = None):
+                rng: Rng | None = None, leads: dict | None = None):
         """Probabilities [B] for ids [B, T]; a single sequence ids [T] is a
         batch of one and gives a Python scalar: a float, or a complex in the
-        complex128 twin. A ``cut`` forward (``predict``'s, evaluation only)
-        skips steps every row shares and keeps nothing for a backward."""
+        complex128 twin. Given ``leads`` (``predict``'s, evaluation only),
+        each recurrent layer (the key) starts from its Lead, the ids being
+        what follows it, and the model keeps nothing for a backward."""
         ids = np.asarray(ids)
         if ids.ndim not in (1, 2):
             raise ShapeError(f"model: need ids [B, T] or [T], got {ids.shape}")
         single = ids.ndim == 1
         self._kept = False
-        leads = {}
-        if cut is not None:
-            if training or single:
-                raise ConfigError("model: a cut forward takes ids [B, T] in evaluation mode")
-            ids, leads = ids[:, cut.steps * self.pool.pool:], cut.leads
+        if leads is not None and (training or single):
+            raise ConfigError("model: a forward from leads takes ids [B, T] in evaluation mode")
         x = self.embedding.forward(ids[None] if single else ids)
         x = self.spatial_dropout.forward(x, rng, training)
         for layer in self._chain:
-            lead = leads.get(layer)
+            lead = None if leads is None else leads.get(layer)
             x = layer.forward(x) if lead is None else layer.forward(x, lead)
         for dense, drop in zip(self.extra_dense, self.extra_dropout):
             x = drop.forward(dense.forward(x), rng, training)
         p = self.head.forward(x)[:, 0]
-        self._kept = cut is None
+        self._kept = leads is None
         return p[0].item() if single else p
 
     def predict(self, ids: np.ndarray, chunk: int) -> np.ndarray:
@@ -538,42 +527,41 @@ class SentimentModel:
         forwards over ``chunk`` records at a time in order, from less work.
 
         The rows of the full chunks are regrouped, most padded first (by
-        ``padding_steps``, ties in order), into full chunks, each cut at
-        its rows' fewest all-padding pooled steps, keeping one pooled step.
-        The first runs as a plain forward, and its row 0's recurrent states
-        over those steps are the Leads every later chunk starts from. The
-        partial last chunk runs in order as a plain forward. Products over
+        ``padding_steps``, keeping one pooled step; ties in order), into
+        full chunks. The first runs as a plain forward, and its row 0's
+        recurrent states over its rows' shared padding are the Leads. Every
+        later full chunk runs after its rows' shared padding, from that
+        many steps of the Leads (0 steps start from zeros, as a plain
+        forward does). The partial last chunk runs in order as a plain
+        forward. Products over
         batch rows keep ``chunk`` rows and only reorder them, and products
         over steps x rows shrink but keep at least ``chunk`` rows, so a
         row's bits match the plain forwards' where a GEMM row's result
         depends neither on its position nor, from that many rows on, on
         the row count (measured for the model's shapes; see the README).
-        Fewer than two full chunks run in order, uncut. The model keeps
-        nothing for a backward.
+        The model keeps nothing for a backward.
         """
         ids = np.asarray(ids)
         if ids.ndim != 2:
             raise ShapeError(f"model predict: need ids [N, T], got {ids.shape}")
         n = len(ids)
         full = n - n % chunk
-        steps = padding_steps(ids[:full], self.conv.kernels.shape[1], self.pool.pool)
-        order = np.argsort(-steps, kind="stable") if full >= 2 * chunk else np.arange(full)
-        pooled = (ids.shape[1] - self.conv.kernels.shape[1] + 1) // self.pool.pool
+        kernel, pool = self.conv.kernels.shape[1], self.pool.pool
+        pooled = (ids.shape[1] - kernel + 1) // pool
+        steps = np.minimum(padding_steps(ids[:full], kernel, pool), pooled - 1)
+        order = np.argsort(-steps, kind="stable")
         out = np.empty(n, self.head.weights.dtype)
-        shared = None
         try:
             for start in range(0, full, chunk):
                 rows = order[start:start + chunk]
-                cut = max(0, min(int(steps[rows].min()), pooled - 1))  # keep a step
-                if shared is None:  # every row pads through `cut` steps, row 0 too
+                cut = int(steps[rows].min())
+                if start == 0:  # every row pads through `cut` steps, row 0 too
                     out[rows] = self.forward(ids[rows])
                     shared = {layer: layer.lead(cut * stride) for layer, stride in self._recurrent}
-                elif cut == 0:
-                    out[rows] = self.forward(ids[rows])
                 else:
-                    out[rows] = self.forward(ids[rows], cut=Cut(cut, {
+                    out[rows] = self.forward(ids[rows, cut * pool:], leads={
                         layer: shared[layer].first(cut * stride)
-                        for layer, stride in self._recurrent}))
+                        for layer, stride in self._recurrent})
             if full < n:
                 out[full:] = self.forward(ids[full:])
         finally:

@@ -30,10 +30,11 @@ P_CLAMP = 1e-7
 THRESHOLD = 0.5
 # Records per evaluation forward pass, which bounds evaluation memory for
 # any dataset. SentimentModel.predict regroups the full chunks by leading
-# padding and cuts the shared all-padding prefix off all but the first. Its
-# cut products keep at least this many rows, and its results match plain
-# forwards only while a GEMM row's bits do not depend on the row count from
-# there on (19 rows for the model's shapes; see the README).
+# padding and runs all but the first after their shared padding, from the
+# first's recurrent states. Those shorter products keep at least this many
+# rows, and its results match plain forwards only while a GEMM row's bits
+# do not depend on the row count from there on (19 rows for the model's
+# shapes; see the README).
 EVAL_CHUNK = 32
 
 
@@ -197,23 +198,22 @@ def evaluate(model: SentimentModel, dataset: LabeledDataset) -> EvalResult:
     """Score every record at threshold 0.5; per-class accuracy is recall.
 
     ``model.predict`` gives the probabilities of plain forwards over
-    EVAL_CHUNK records at a time, in order, while cutting the all-padding
-    prefix the records share off most of them; the loss is summed over the
-    same EVAL_CHUNK-record groups in order, so the result keeps every bit.
-    The model keeps nothing for a backward afterwards."""
-    tp = fp = tn = fn = 0
-    total_loss = 0.0
-    probabilities = model.predict(dataset.sequences, EVAL_CHUNK)
-    for start in range(0, len(dataset), EVAL_CHUNK):
-        p = probabilities[start:start + EVAL_CHUNK]
-        y = dataset.labels[start:start + EVAL_CHUNK]
-        total_loss += float(np.sum(bce_loss(p, y)[0]))
-        pred, pos = p > THRESHOLD, y == 1
-        tp += int(np.sum(pred & pos))
-        fn += int(np.sum(~pred & pos))
-        tn += int(np.sum(~pred & ~pos))
-        fp += int(np.sum(pred & ~pos))
+    EVAL_CHUNK records at a time, in order, while skipping the all-padding
+    prefix the records share in most of them. The confusion cells are
+    counted over all records at once; the loss is summed over the same
+    EVAL_CHUNK-record groups in order, so the result keeps every bit. The
+    model keeps nothing for a backward afterwards."""
     n = len(dataset)
+    p, y = model.predict(dataset.sequences, EVAL_CHUNK), dataset.labels
+    loss = bce_loss(p, y)[0]
+    total_loss = 0.0
+    for start in range(0, n, EVAL_CHUNK):
+        total_loss += float(np.sum(loss[start:start + EVAL_CHUNK]))
+    pred, pos = p > THRESHOLD, y == 1
+    tp = int(np.sum(pred & pos))
+    fn = int(np.sum(~pred & pos))
+    tn = int(np.sum(~pred & ~pos))
+    fp = int(np.sum(pred & ~pos))
     pos_total, neg_total = tp + fn, tn + fp
     return EvalResult(
         n=n,

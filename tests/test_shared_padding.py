@@ -1,6 +1,6 @@
 """Evaluation from the end of each record's padding: ``padding_steps``, the
-cut forward, and ``evaluate`` against the plain chunk-by-chunk loop it
-replaced, bit for bit."""
+forward from Leads, ``evaluate`` against the plain chunk-by-chunk loop it
+replaced, bit for bit, and the BLAS property that equality rests on."""
 
 import itertools
 
@@ -9,8 +9,16 @@ import pytest
 
 from conftest import micro_config
 
-from slimrnn import CNN_THEN_LSTM, LSTM_THEN_CNN, ExperimentConfig, LabeledDataset, Rng, ShapeError
-from slimrnn.layers import NO_FORWARD, Cut, SentimentModel, padding_steps
+from slimrnn import (
+    CNN_THEN_LSTM,
+    LSTM_THEN_CNN,
+    ConfigError,
+    ExperimentConfig,
+    LabeledDataset,
+    Rng,
+    ShapeError,
+)
+from slimrnn.layers import NO_FORWARD, SentimentModel, padding_steps
 from slimrnn.training import EVAL_CHUNK, THRESHOLD, EvalResult, bce_loss, evaluate
 
 VARIANTS = [f"lstm{k}" for k in range(7)]
@@ -101,6 +109,17 @@ def test_evaluate_keeps_every_bit_at_reference_size_for_every_count(position):
         assert evaluate(model, dataset) == plain_evaluate(model, dataset), n
 
 
+@pytest.mark.parametrize("position, tail", itertools.product(POSITIONS, (True, False)))
+def test_evaluate_keeps_every_bit_with_one_pooled_step(position, tail):
+    """maxlen 5, kernel 3 and pool 2 leave one pooled step, which every chunk
+    keeps, so each later chunk runs from 0-step Leads: the zero start."""
+    config = micro_config(maxlen=5, lstm_position=position, bidirectional_tail=tail)
+    model = config.build(Rng(12))
+    for n in SIZES:
+        dataset = mixed_dataset(n, config.maxlen, config.vocab_size, seed=n)
+        assert evaluate(model, dataset) == plain_evaluate(model, dataset), n
+
+
 @pytest.mark.parametrize("maxlen, kernel, pool, pinned", [
     # T_pool 7: a pooled step reads 4 conv outputs of 5 positions each.
     (32, 5, 4, {0: 0, 4: 0, 7: 0, 8: 1, 11: 1, 12: 2, 31: 6, 32: 7}),
@@ -162,16 +181,30 @@ def test_backward_needs_a_plain_forward_of_its_own(position, tail):
     padded = np.zeros_like(ids[:EVAL_CHUNK])
     padded[:, -2:] = np.maximum(ids[:EVAL_CHUNK, -2:], 1)  # six pads: 2 all-padding steps
     model.forward(np.zeros_like(padded))
-    cut = Cut(1, leads(model, config, 1))
-    assert np.array_equal(model.forward(padded, cut=cut), model.forward(padded))
-    model.forward(padded, cut=cut)
+    shared, after = leads(model, config, 1), padded[:, config.pool_size:]
+    assert np.array_equal(model.forward(after, leads=shared), model.forward(padded))
+    model.forward(after, leads=shared)
     refused()
+
+
+def test_a_forward_from_leads_refuses_training_and_a_single_sequence():
+    config = micro_config()
+    model = config.build(Rng(13))
+    model.forward(np.zeros((EVAL_CHUNK, config.maxlen), np.int64))
+    shared = leads(model, config, 1)
+    after = mixed_dataset(EVAL_CHUNK, config.maxlen, config.vocab_size,
+                          seed=14).sequences[:, config.pool_size:]
+    with pytest.raises(ConfigError, match="evaluation mode"):
+        model.forward(after, training=True, rng=Rng(15), leads=shared)
+    with pytest.raises(ConfigError, match="evaluation mode"):
+        model.forward(after[0], leads=shared)
 
 
 def test_evaluate_regroups_full_chunks_and_cuts_them(monkeypatch):
     """Three full chunks padded through 3, 1 and 0 pooled steps, interleaved
-    in the dataset: the most padded runs plain, the next from its Leads, the
-    unpadded and the partial last chunk plain; one forward per chunk."""
+    in the dataset: the most padded runs plain, the next after one pooled
+    step from its Leads, the unpadded from 0-step Leads, and the partial
+    last chunk plain; one forward per chunk."""
     config = micro_config()  # maxlen 8, kernel 3, pool 2: 3 pooled steps
     rng = Rng(9)
     n = 3 * EVAL_CHUNK + 5
@@ -186,10 +219,52 @@ def test_evaluate_regroups_full_chunks_and_cuts_them(monkeypatch):
     calls = []
     forward = SentimentModel.forward
 
-    def spy(self, chunk, training=False, rng=None, cut=None):
-        calls.append((len(chunk), None if cut is None else cut.steps))
-        return forward(self, chunk, training, rng, cut)
+    def spy(self, chunk, training=False, rng=None, leads=None):
+        calls.append((chunk.shape, "plain" if leads is None else "leads"))
+        return forward(self, chunk, training, rng, leads)
 
     monkeypatch.setattr(SentimentModel, "forward", spy)
     assert evaluate(model, dataset) == expected
-    assert calls == [(32, None), (32, 1), (32, None), (5, None)]
+    assert calls == [((32, 8), "plain"), ((32, 6), "leads"), ((32, 8), "leads"),
+                     ((5, 8), "plain")]
+
+
+# [inner, out] of the x @ W.T products at the reference sizes, both positions.
+# Over steps x rows, which a later chunk shortens: the conv's im2col products
+# and the recurrent layers' input products (lstm0 and the tail feed 4n
+# columns, the other variants n).
+STEP_PRODUCTS = [(640, 64), (320, 64), (64, 256), (128, 256), (64, 64), (128, 64)]
+# Over batch rows alone, which regrouping reorders: the recurrent steps'
+# U h, the extra dense layers and the head.
+ROW_PRODUCTS = [(64, 256), (64, 64), (128, 64), (64, 32), (32, 16), (128, 1), (64, 1), (16, 1)]
+BLAS_CAUSE = ("the BLAS in use rounds a row of x @ W.T by {what}, so predict's "
+              "regrouped chunks cannot give the bits of plain forwards on it")
+
+
+@pytest.mark.parametrize("inner, out", STEP_PRODUCTS)
+def test_a_product_row_keeps_its_bits_in_every_chunk_multiple(inner, out):
+    """What ``predict``'s equality rests on, as the model computes it (the
+    conv as ``im2col @ kernels.reshape(F, k * C).T``): a row gets the same
+    bits in any product of 32 * k rows, up to 1,024, wherever it sits."""
+    rng = Rng(inner * out)
+    weights = rng.uniform((out, inner), -0.1, 0.1)  # kernels.reshape(F, k * C), or W
+    x = rng.uniform((1024, inner), -1.0, 1.0)
+    whole = x @ weights.T
+    for rows in range(EVAL_CHUNK, len(x) + 1, EVAL_CHUNK):
+        for at in (0, len(x) - rows):
+            assert np.array_equal(x[at:at + rows] @ weights.T, whole[at:at + rows]), \
+                BLAS_CAUSE.format(what=f"the row count ({rows} rows at {at}, [.x{inner}]->{out})")
+
+
+@pytest.mark.parametrize("inner, out", sorted(set(STEP_PRODUCTS + ROW_PRODUCTS)))
+def test_a_product_row_keeps_its_bits_under_row_permutations(inner, out):
+    """The other half: at EVAL_CHUNK rows, a row's bits do not depend on
+    where regrouping puts it."""
+    rng = Rng(inner * out + 1)
+    weights = rng.uniform((out, inner), -0.1, 0.1)
+    x = rng.uniform((EVAL_CHUNK, inner), -1.0, 1.0)
+    whole = x @ weights.T
+    for trial in range(20):
+        perm = rng.derive(trial).permutation(EVAL_CHUNK)
+        assert np.array_equal(x[perm] @ weights.T, whole[perm]), \
+            BLAS_CAUSE.format(what=f"its position ([{EVAL_CHUNK}x{inner}]->{out})")

@@ -231,9 +231,9 @@ class TestEvaluate:
         batch_sizes = []
         forward = SentimentModel.forward
 
-        def spy(self, ids, training=False, rng=None):
+        def spy(self, ids, training=False, rng=None, leads=None):
             batch_sizes.append(len(ids))
-            return forward(self, ids, training, rng)
+            return forward(self, ids, training, rng, leads)
 
         monkeypatch.setattr(SentimentModel, "forward", spy)
         result = evaluate(model, dataset)
