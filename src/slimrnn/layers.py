@@ -1,27 +1,29 @@
 """Non-recurrent layers, the bidirectional wrapper, and model assembly.
 
 Every layer is batch-major: sequences travel as [B, T, features] and vectors
-as [B, features]. Each layer caches what its backward pass needs on forward,
-accumulates parameter gradients into its ``grads`` dict across calls (the
-recurrent layers' are their cells' own), and returns the gradient w.r.t. its
-input. Layers do not zero their own gradients: the model zeroes all of them
-in one loop (SentimentModel.zero_grads). The recurrent and conv layers
-release their caches in backward, so a batch's activations are freed before
-the optimizer step; each backward needs a plain forward of its own, and the
-model refuses any other with a ShapeError. The recurrent layers hand the
-cells time-major [T, B, features] views. The embedding's gradient is
-row-sparse: it keeps a row end, past which every row is zero, and the model
-hands it to clipping and the optimizer as ``row_ends``. It is allocated by
-``numeric.mapped_zeros``, as the optimizer's slots are.
+as [B, features]. No layer keeps activations: ``forward`` returns its output
+and a cache, and ``backward(cache, d_out)`` takes that cache back,
+accumulates parameter gradients into the layer's ``grads`` dict across
+calls (the recurrent layers' are their cells' own), and returns the
+gradient w.r.t. its input. The model records a forward's (layer, cache)
+pairs in call order as one tape, and its backward runs the tape in reverse
+and drops it, so a batch's activations are freed before the optimizer step;
+each backward needs a plain forward of its own, and the model refuses any
+other with a ShapeError. Layers do not zero their own gradients: the model
+zeroes all of them in one loop (SentimentModel.zero_grads). The recurrent
+layers hand the cells time-major [T, B, features] views. The embedding's
+gradient is row-sparse: it keeps a row end, past which every row is zero,
+and the model hands it to clipping and the optimizer as ``row_ends``. It is
+allocated by ``numeric.mapped_zeros``, as the optimizer's slots are.
 
 Evaluation (``SentimentModel.predict``, dropout off) skips what every
 record's leading PAD_IDs compute: those steps give the same conv, pool and
 recurrent states in every record. Records are regrouped into full chunks by
 how many pooled steps see only padding (``padding_steps``); the most padded
-chunk runs as a plain forward, and the recurrent layers read the states it
-passed through (a ``Lead`` each). Every other full chunk is a forward of its
-ids after their shared padding, from its Leads; a forward from Leads keeps
-nothing a backward could read.
+chunk runs as a plain forward, and the recurrent layers' states it passed
+through are read off its tape (a ``Lead`` each). Every other full chunk is
+a forward of its ids after their shared padding, from its Leads; a forward
+from Leads keeps no tape, and no tape outlives ``predict``.
 """
 
 from __future__ import annotations
@@ -68,23 +70,21 @@ class Embedding:
         self.table = table
         self.grads = {"table": mapped_zeros(table.shape, table.dtype)}
         self.row_end = 0
-        self._ids = None
 
     def params(self):
         return {"table": self.table}
 
-    def forward(self, ids: np.ndarray) -> np.ndarray:
+    def forward(self, ids: np.ndarray):
         ids = np.asarray(ids)
         if ids.size and (ids.min() < 0 or ids.max() >= self.table.shape[0]):
             raise DataError(
                 f"embedding lookup: id out of range [0, {self.table.shape[0]}), "
                 f"got min={ids.min()} max={ids.max()}"
             )
-        self._ids = ids
-        return self.table[ids]
+        return self.table[ids], ids
 
-    def backward(self, d_out: np.ndarray):
-        ids = self._ids.ravel()
+    def backward(self, ids: np.ndarray, d_out: np.ndarray):
+        ids = ids.ravel()
         np.add.at(self.grads["table"], ids, d_out.reshape(-1, self.table.shape[1]))
         if ids.size:
             self.row_end = max(self.row_end, int(ids.max()) + 1)
@@ -108,37 +108,33 @@ class Dropout:
             raise ConfigError(f"unknown dropout mode {mode!r}")
         self.rate = rate
         self.mode = mode
-        self._mask = None
 
-    def forward(self, x: np.ndarray, rng: Rng | None = None,
-                training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, rng: Rng | None = None, training: bool = False):
+        """The output, and the mask as the cache (None for the identity)."""
         if not training or self.rate == 0.0:
-            self._mask = None
-            return x
+            return x, None
         if rng is None:
             raise ConfigError("dropout in training mode needs an rng")
         shape = x.shape
         if self.mode == "spatial" and x.ndim >= 2:
             shape = x.shape[:-2] + (1, x.shape[-1])
-        self._mask = (rng.uniform(shape) >= self.rate) / (1.0 - self.rate)
-        return x * self._mask
+        mask = (rng.uniform(shape) >= self.rate) / (1.0 - self.rate)
+        return x * mask, mask
 
-    def backward(self, d_out: np.ndarray) -> np.ndarray:
-        return d_out if self._mask is None else d_out * self._mask
+    def backward(self, mask: np.ndarray | None, d_out: np.ndarray) -> np.ndarray:
+        return d_out if mask is None else d_out * mask
 
 
 class Conv1D:
     """Valid cross-correlation, stride 1, then ReLU: kernels [F, k, C] over
     inputs [B, L, C], computed as one GEMM over im2col rows
-    [B * L_out, k * C]. The input, not its k times larger im2col copy, is
-    kept for backward."""
+    [B * L_out, k * C]. The cache holds the input, not its k times larger
+    im2col copy, and the pre-activations."""
 
     def __init__(self, kernels: np.ndarray, bias: np.ndarray):
         self.kernels = kernels
         self.bias = bias
         self.grads = {"kernels": np.zeros_like(kernels), "bias": np.zeros_like(bias)}
-        self._x = None
-        self._z = None
 
     def params(self):
         return {"kernels": self.kernels, "bias": self.bias}
@@ -150,25 +146,24 @@ class Conv1D:
         windows = sliding_window_view(x, k, axis=1)  # [B, L-k+1, C, k]
         return windows.transpose(0, 1, 3, 2).reshape(B * (L - k + 1), k * C)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray):
         F, k, C = self.kernels.shape
         if x.ndim != 3 or x.shape[2] != C:
             raise ShapeError(f"conv1d: input {x.shape} incompatible with kernels {self.kernels.shape}")
         if x.shape[1] < k:
             raise ShapeError(f"conv1d: input length {x.shape[1]} < kernel size {k}")
-        self._x = x
         z = self._im2col(x, k) @ self.kernels.reshape(F, k * C).T + self.bias
-        self._z = z.reshape(x.shape[0], -1, F)
-        return np.maximum(self._z, 0.0)
+        z = z.reshape(x.shape[0], -1, F)
+        return np.maximum(z, 0.0), (x, z)
 
-    def backward(self, d_out: np.ndarray) -> np.ndarray:
+    def backward(self, cache: tuple, d_out: np.ndarray) -> np.ndarray:
+        x, z = cache
         F, k, C = self.kernels.shape
-        dz = d_out * (self._z > 0)
+        dz = d_out * (z > 0)
         B, L_out, _ = dz.shape
         dz_rows = dz.reshape(B * L_out, F)
-        self.grads["kernels"] += (dz_rows.T @ self._im2col(self._x, k)).reshape(F, k, C)
+        self.grads["kernels"] += (dz_rows.T @ self._im2col(x, k)).reshape(F, k, C)
         self.grads["bias"] += dz_rows.sum(axis=0)
-        self._x = self._z = None
         # d_x[t] = sum_j dz[t - j] @ kernels[:, j]: a full correlation of the
         # zero-padded dz with the tap-reversed kernels, again one GEMM.
         padded = np.zeros((B, L_out + 2 * (k - 1), F))
@@ -188,10 +183,8 @@ class MaxPool1D:
         if pool < 1:
             raise ConfigError(f"pool size must be >= 1, got {pool}")
         self.pool = pool
-        self._arg = None
-        self._in_shape = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray):
         if x.ndim != 3:
             raise ShapeError(f"maxpool1d: need input [B, L, F], got {x.shape}")
         B, L, F = x.shape
@@ -199,15 +192,15 @@ class MaxPool1D:
         if windows < 1:
             raise ShapeError(f"maxpool1d: input length {L} < pool {self.pool}")
         blocks = x[:, : windows * self.pool].reshape(B, windows, self.pool, F)
-        self._arg = blocks.argmax(axis=2)[:, :, None]  # first max wins ties
-        self._in_shape = x.shape
-        return blocks.max(axis=2)
+        arg = blocks.argmax(axis=2)[:, :, None]  # first max wins ties
+        return blocks.max(axis=2), (arg, x.shape)
 
-    def backward(self, d_out: np.ndarray) -> np.ndarray:
+    def backward(self, cache: tuple, d_out: np.ndarray) -> np.ndarray:
+        arg, in_shape = cache
         B, windows, F = d_out.shape
-        d_x = np.zeros(self._in_shape)
+        d_x = np.zeros(in_shape)
         d_blocks = d_x[:, : windows * self.pool].reshape(B, windows, self.pool, F)  # a view
-        np.put_along_axis(d_blocks, self._arg, d_out[:, :, None], axis=2)
+        np.put_along_axis(d_blocks, arg, d_out[:, :, None], axis=2)
         return d_x
 
 
@@ -222,29 +215,26 @@ class Dense:
         self.bias = bias
         self.activation = activation
         self.grads = {"weights": np.zeros_like(weights), "bias": np.zeros_like(bias)}
-        self._x = None
-        self._out = None
-        self._z = None
 
     def params(self):
         return {"weights": self.weights, "bias": self.bias}
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray):
         if x.ndim != 2 or x.shape[1] != self.weights.shape[1]:
             raise ShapeError(f"dense: input {x.shape}, expected [B, {self.weights.shape[1]}]")
         z = x @ self.weights.T + self.bias
-        self._x, self._z = x, z
-        self._out = np.maximum(z, 0.0) if self.activation == "relu" else sigmoid(z)
-        return self._out
+        out = np.maximum(z, 0.0) if self.activation == "relu" else sigmoid(z)
+        return out, (x, z, out)
 
-    def backward(self, d_out: np.ndarray) -> np.ndarray:
-        if d_out.shape != self._out.shape:
-            raise ShapeError(f"dense: output gradient {d_out.shape}, expected {self._out.shape}")
+    def backward(self, cache: tuple, d_out: np.ndarray) -> np.ndarray:
+        x, z, out = cache
+        if d_out.shape != out.shape:
+            raise ShapeError(f"dense: output gradient {d_out.shape}, expected {out.shape}")
         if self.activation == "relu":
-            dz = d_out * (self._z > 0)
+            dz = d_out * (z > 0)
         else:
-            dz = d_out * sigmoid_grad(self._out)
-        self.grads["weights"] += dz.T @ self._x
+            dz = d_out * sigmoid_grad(out)
+        self.grads["weights"] += dz.T @ x
         self.grads["bias"] += dz.sum(axis=0)
         return dz @ self.weights
 
@@ -282,23 +272,17 @@ class Recurrent:
     def __init__(self, cell: CellParams):
         self.cell = cell
         self.grads = cell.grads
-        self._cache = None
 
     def params(self):
         return dict(self.cell.tensors)
 
-    def lead(self, steps: int) -> Lead:
-        return Lead.read(self._cache, steps)
-
-    def forward(self, xs: np.ndarray, lead: Lead | None = None) -> np.ndarray:
+    def forward(self, xs: np.ndarray, lead: Lead | None = None):
         init = None if lead is None else lead.start(len(xs))
         hs, cache = sequence_forward(self.cell, xs.transpose(1, 0, 2), init)
-        self._cache = cache if lead is None else None
-        return hs.transpose(1, 0, 2)
+        return hs.transpose(1, 0, 2), cache
 
-    def backward(self, d_hs: np.ndarray) -> np.ndarray:
-        d_xs, _ = sequence_backward(self.cell, self._cache, d_hs.transpose(1, 0, 2))
-        self._cache = None
+    def backward(self, cache: SequenceCache, d_hs: np.ndarray) -> np.ndarray:
+        d_xs, _ = sequence_backward(self.cell, cache, d_hs.transpose(1, 0, 2))
         return d_xs.transpose(1, 0, 2)
 
 
@@ -322,17 +306,14 @@ class Bidirectional:
         self.fwd = fwd
         self.bwd = bwd
         self.grads = _halves(fwd.grads, bwd.grads)
-        self._caches = None
 
     def params(self):
         return _halves(self.fwd.tensors, self.bwd.tensors)
 
-    def lead(self, steps: int) -> Lead:
-        return Lead.read(self._caches[0], steps)
-
-    def forward(self, xs: np.ndarray, lead: Lead | None = None) -> np.ndarray:
-        """Given a Lead, the forward cell starts after it and the backward
-        cell reads its rows after the input's own."""
+    def forward(self, xs: np.ndarray, lead: Lead | None = None):
+        """The output, and both cells' caches (forward cell first) as the
+        cache. Given a Lead, the forward cell starts after it and the
+        backward cell reads its rows after the input's own."""
         xs_t = xs.transpose(1, 0, 2)
         B = len(xs)
         hs_f, cache_f = sequence_forward(self.fwd, xs_t, None if lead is None else lead.start(B))
@@ -340,13 +321,11 @@ class Bidirectional:
             shared = np.broadcast_to(lead.xs[:, None], (len(lead.xs), B, xs.shape[2]))
             xs_t = np.concatenate([shared, xs_t])
         hs_b, cache_b = sequence_forward(self.bwd, xs_t[::-1])
-        self._caches = (cache_f, cache_b) if lead is None else None
-        return np.concatenate([hs_f[-1], hs_b[-1]], axis=1)
+        return np.concatenate([hs_f[-1], hs_b[-1]], axis=1), (cache_f, cache_b)
 
-    def backward(self, d_out: np.ndarray) -> np.ndarray:
+    def backward(self, caches: tuple, d_out: np.ndarray) -> np.ndarray:
         n = self.fwd.hidden_dim
-        cache_f, cache_b = self._caches
-        self._caches = None
+        cache_f, cache_b = caches
         d_hs = np.zeros((len(cache_f), *d_out.shape))  # [T, B, 2n], nonzero at T - 1 only
         d_hs[-1] = d_out
         d_xs_f, _ = sequence_backward(self.fwd, cache_f, d_hs[:, :, :n])
@@ -359,15 +338,11 @@ class LastStep:
     gradient back at step T - 1 and zeros everywhere else. It ends the
     chain of a model with no bidirectional tail."""
 
-    def __init__(self):
-        self._in_shape = None
+    def forward(self, x: np.ndarray):
+        return x[:, -1], x.shape
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._in_shape = x.shape
-        return x[:, -1]
-
-    def backward(self, d_out: np.ndarray) -> np.ndarray:
-        d_x = np.zeros(self._in_shape)
+    def backward(self, in_shape: tuple, d_out: np.ndarray) -> np.ndarray:
+        d_x = np.zeros(in_shape)
         d_x[:, -1] = d_out
         return d_x
 
@@ -408,11 +383,12 @@ class SentimentModel:
 
     The constructor fixes the structure once: the chain from spatial
     dropout's [B, T, ·] output to the dense stack's [B, ·] input (encoders,
-    then the tail or LastStep), which forward runs in order and backward in
-    reverse, and the parameter and gradient name tables, in the
-    order embedding, conv, rnn, tail, dense*, head for both positions.
-    Clipping sums squares tensor by tensor in that order. ``dtype`` is
-    float64, or complex128 in the gradient check's forward-only twin.
+    then the tail or LastStep), which forward runs in order, and the
+    parameter and gradient name tables, in the order embedding, conv, rnn,
+    tail, dense*, head for both positions. Clipping sums squares tensor by
+    tensor in that order. ``dtype`` is float64, or complex128 in the
+    gradient check's forward-only twin. The model alone holds activations:
+    the tape of its last plain forward, or None (``self._tape``).
     """
 
     def __init__(self, config: ExperimentConfig, rng: Rng, dtype: type = np.float64):
@@ -462,10 +438,10 @@ class SentimentModel:
                     else [self.rnn, self.conv, self.pool])
         self._chain = encoders + [LastStep() if self.tail is None else self.tail]
         # Each recurrent layer with its steps per pooled step.
-        self._recurrent = [(self.rnn, 1 if cnn_first else c.pool_size)]
+        self._recurrent = {self.rnn: 1 if cnn_first else c.pool_size}
         if self.tail is not None:
-            self._recurrent.append((self.tail, 1))
-        self._kept = False  # whether the last forward left caches for one backward
+            self._recurrent[self.tail] = 1
+        self._tape = None
 
         named = [("embedding", self.embedding), ("conv", self.conv), ("rnn", self.rnn)]
         if self.tail is not None:
@@ -501,25 +477,32 @@ class SentimentModel:
                 rng: Rng | None = None, leads: dict | None = None):
         """Probabilities [B] for ids [B, T]; a single sequence ids [T] is a
         batch of one and gives a Python scalar: a float, or a complex in the
-        complex128 twin. Given ``leads`` (``predict``'s, evaluation only),
-        each recurrent layer (the key) starts from its Lead, the ids being
-        what follows it, and the model keeps nothing for a backward."""
+        complex128 twin. Only a plain forward that completes keeps its tape.
+        Given ``leads`` (``predict``'s, evaluation only), each recurrent layer
+        (the key) starts from its Lead, the ids being what follows it."""
         ids = np.asarray(ids)
         if ids.ndim not in (1, 2):
             raise ShapeError(f"model: need ids [B, T] or [T], got {ids.shape}")
         single = ids.ndim == 1
-        self._kept = False
+        self._tape = None
         if leads is not None and (training or single):
             raise ConfigError("model: a forward from leads takes ids [B, T] in evaluation mode")
-        x = self.embedding.forward(ids[None] if single else ids)
-        x = self.spatial_dropout.forward(x, rng, training)
+        tape = []
+
+        def run(layer, x, *args):
+            out, cache = layer.forward(x, *args)
+            tape.append((layer, cache))
+            return out
+
+        x = run(self.embedding, ids[None] if single else ids)
+        x = run(self.spatial_dropout, x, rng, training)
         for layer in self._chain:
             lead = None if leads is None else leads.get(layer)
-            x = layer.forward(x) if lead is None else layer.forward(x, lead)
+            x = run(layer, x) if lead is None else run(layer, x, lead)
         for dense, drop in zip(self.extra_dense, self.extra_dropout):
-            x = drop.forward(dense.forward(x), rng, training)
-        p = self.head.forward(x)[:, 0]
-        self._kept = leads is None
+            x = run(drop, run(dense, x), rng, training)
+        p = run(self.head, x)[:, 0]
+        self._tape = tape if leads is None else None
         return p[0].item() if single else p
 
     def predict(self, ids: np.ndarray, chunk: int) -> np.ndarray:
@@ -529,17 +512,17 @@ class SentimentModel:
         The rows of the full chunks are regrouped, most padded first (by
         ``padding_steps``, keeping one pooled step; ties in order), into
         full chunks. The first runs as a plain forward, and its row 0's
-        recurrent states over its rows' shared padding are the Leads. Every
-        later full chunk runs after its rows' shared padding, from that
-        many steps of the Leads (0 steps start from zeros, as a plain
-        forward does). The partial last chunk runs in order as a plain
-        forward. Products over
-        batch rows keep ``chunk`` rows and only reorder them, and products
-        over steps x rows shrink but keep at least ``chunk`` rows, so a
-        row's bits match the plain forwards' where a GEMM row's result
-        depends neither on its position nor, from that many rows on, on
-        the row count (measured for the model's shapes; see the README).
-        The model keeps nothing for a backward.
+        recurrent states over its rows' shared padding, read off its tape,
+        are the Leads. Every later full chunk runs after its rows' shared
+        padding, from that many steps of the Leads (0 steps start from
+        zeros, as a plain forward does). The partial last chunk runs in
+        order as a plain forward. Products over batch rows keep ``chunk``
+        rows and only reorder them, and products over steps x rows shrink
+        but keep at least ``chunk`` rows, so a row's bits match the plain
+        forwards' where a GEMM row's result depends neither on its position
+        nor, from that many rows on, on the row count (measured for the
+        model's shapes; see the README). No tape outlives the call, so the
+        model keeps nothing for a backward.
         """
         ids = np.asarray(ids)
         if ids.ndim != 2:
@@ -557,28 +540,31 @@ class SentimentModel:
                 cut = int(steps[rows].min())
                 if start == 0:  # every row pads through `cut` steps, row 0 too
                     out[rows] = self.forward(ids[rows])
-                    shared = {layer: layer.lead(cut * stride) for layer, stride in self._recurrent}
+                    shared = {  # the tail's Lead is its forward cell's
+                        layer: Lead.read(cache if layer is self.rnn else cache[0],
+                                         cut * self._recurrent[layer])
+                        for layer, cache in self._tape if layer in self._recurrent}
                 else:
                     out[rows] = self.forward(ids[rows, cut * pool:], leads={
-                        layer: shared[layer].first(cut * stride)
-                        for layer, stride in self._recurrent})
+                        layer: lead.first(cut * self._recurrent[layer])
+                        for layer, lead in shared.items()})
             if full < n:
                 out[full:] = self.forward(ids[full:])
         finally:
-            self._kept = False
+            self._tape = None
         return out
 
     def backward(self, d_loss) -> dict[str, np.ndarray]:
         """Backpropagate d(loss)/d(probability), one value per batch row (a
         float after a single-sequence forward); returns the grads dict.
-        Each call needs a plain forward of its own (ShapeError otherwise)."""
-        if not self._kept:
+        Each call takes the tape of a plain forward of its own (ShapeError
+        otherwise) and hands each layer its cache back, last layer first.
+        Popping the tape frees each cache once its layer is done."""
+        tape, self._tape = self._tape, None
+        if tape is None:
             raise ShapeError(NO_FORWARD)
-        self._kept = False
-        d = self.head.backward(np.asarray(d_loss, dtype=np.float64).reshape(-1, 1))
-        for dense, drop in zip(reversed(self.extra_dense), reversed(self.extra_dropout)):
-            d = dense.backward(drop.backward(d))
-        for layer in reversed(self._chain):
-            d = layer.backward(d)
-        self.embedding.backward(self.spatial_dropout.backward(d))
+        d = np.asarray(d_loss, dtype=np.float64).reshape(-1, 1)
+        while tape:
+            layer, cache = tape.pop()
+            d = layer.backward(cache, d)
         return self.grads

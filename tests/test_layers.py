@@ -16,6 +16,7 @@ from slimrnn import (
     ConfigError,
     DataError,
     ExperimentConfig,
+    LabeledDataset,
     Rng,
     ShapeError,
     Variant,
@@ -33,7 +34,7 @@ from slimrnn.layers import (
     Recurrent,
     SentimentModel,
 )
-from slimrnn.training import bce_loss
+from slimrnn.training import bce_loss, evaluate
 
 MICRO = ExperimentConfig(seed=0, vocab_size=30, embed_dim=5, conv_filters=4,
                          kernel_size=3, pool_size=2, hidden=3, maxlen=9,
@@ -74,7 +75,7 @@ class TestEmbedding:
     def test_lookup(self):
         table = np.arange(12.0).reshape(4, 3)
         emb = Embedding(table)
-        out = emb.forward(np.array([2, 0, 2]))
+        out, _ = emb.forward(np.array([2, 0, 2]))
         np.testing.assert_array_equal(out, table[[2, 0, 2]])
 
     def test_out_of_range_ids(self):
@@ -86,8 +87,8 @@ class TestEmbedding:
 
     def test_backward_accumulates_duplicate_rows(self):
         emb = Embedding(np.zeros((4, 2)))
-        emb.forward(np.array([1, 1, 3]))
-        emb.backward(np.array([[1.0, 0.0], [2.0, 0.5], [0.0, 1.0]]))
+        _, ids = emb.forward(np.array([1, 1, 3]))
+        emb.backward(ids, np.array([[1.0, 0.0], [2.0, 0.5], [0.0, 1.0]]))
         np.testing.assert_array_equal(emb.grads["table"][1], [3.0, 0.5])
         np.testing.assert_array_equal(emb.grads["table"][3], [0.0, 1.0])
         np.testing.assert_array_equal(emb.grads["table"][0], [0.0, 0.0])
@@ -124,8 +125,8 @@ class TestEmbedding:
         assert_in_mapped_pages(emb.grads["table"])
         assert emb.grads["table"].sum() == 0.0
         assert resident() - before < 2 * mb
-        emb.forward(np.arange(100))
-        emb.backward(np.ones((100, 128)))
+        _, ids = emb.forward(np.arange(100))
+        emb.backward(ids, np.ones((100, 128)))
         assert resident() - before < 3 * mb
 
 
@@ -133,12 +134,14 @@ class TestDropout:
     def test_eval_is_identity(self):
         x = Rng(0).uniform((6, 4))
         drop = Dropout(0.5)
-        np.testing.assert_array_equal(drop.forward(x, training=False), x)
+        out, mask = drop.forward(x, training=False)
+        np.testing.assert_array_equal(out, x)
+        assert mask is None
 
     def test_training_scales_survivors(self):
         x = np.ones((2000, 1))
         drop = Dropout(0.25)
-        out = drop.forward(x, rng=Rng(1), training=True)
+        out, _ = drop.forward(x, rng=Rng(1), training=True)
         survivors = out[out != 0.0]
         np.testing.assert_allclose(survivors, 1 / 0.75)
         # survival frequency tracks the keep probability
@@ -149,7 +152,7 @@ class TestDropout:
     def test_spatial_mode_zeroes_whole_columns(self):
         x = np.ones((3, 10, 200))
         drop = Dropout(0.4, mode="spatial")
-        out = drop.forward(x, rng=Rng(2), training=True)
+        out, _ = drop.forward(x, rng=Rng(2), training=True)
         column_is_zero = (out == 0.0).all(axis=1)
         column_is_live = (out != 0.0).all(axis=1)
         assert np.all(column_is_zero | column_is_live)
@@ -159,17 +162,17 @@ class TestDropout:
 
     def test_spatial_batch_mask_equals_consecutive_sequence_masks(self):
         x = Rng(4).uniform((4, 6, 5))
-        batched = Dropout(0.4, mode="spatial").forward(x, rng=Rng(5), training=True)
+        batched, _ = Dropout(0.4, mode="spatial").forward(x, rng=Rng(5), training=True)
         one_at_a_time, rng = Dropout(0.4, mode="spatial"), Rng(5)
         for b in range(4):
-            alone = one_at_a_time.forward(x[b], rng=rng, training=True)
+            alone, _ = one_at_a_time.forward(x[b], rng=rng, training=True)
             np.testing.assert_array_equal(batched[b], alone)
 
     def test_backward_applies_same_mask(self):
         drop = Dropout(0.5)
         x = np.ones((8, 8))
-        out = drop.forward(x, rng=Rng(3), training=True)
-        back = drop.backward(np.ones_like(x))
+        out, mask = drop.forward(x, rng=Rng(3), training=True)
+        back = drop.backward(mask, np.ones_like(x))
         np.testing.assert_array_equal(back != 0.0, out != 0.0)
 
     def test_bad_configs(self):
@@ -204,14 +207,14 @@ class TestConv1D:
         kernels = rng.uniform((5, 2, 3), -1, 1)
         bias = rng.uniform(5, -1, 1)
         conv = Conv1D(kernels, bias)
-        out = conv.forward(x)
+        out, _ = conv.forward(x)
         for b in range(2):
             naive = naive_conv1d(x[b], kernels, bias)
             np.testing.assert_allclose(out[b], np.maximum(naive, 0.0), atol=1e-12)
 
     def test_relu_clips(self):
         conv = Conv1D(np.ones((1, 1, 1)), np.array([-10.0]))
-        out = conv.forward(np.ones((1, 3, 1)))
+        out, _ = conv.forward(np.ones((1, 3, 1)))
         np.testing.assert_array_equal(out, np.zeros((1, 3, 1)))
 
     def test_backward_gradients_match_oracle(self):
@@ -222,9 +225,9 @@ class TestConv1D:
         twin = Conv1D(*complex_twins(conv.kernels, conv.bias))
         (x_twin,) = complex_twins(x)
 
-        conv.forward(x)
-        d_x = conv.backward(weight)
-        numeric = complex_step(lambda: np.sum(twin.forward(x_twin) * weight),
+        _, cache = conv.forward(x)
+        d_x = conv.backward(cache, weight)
+        numeric = complex_step(lambda: np.sum(twin.forward(x_twin)[0] * weight),
                                [twin.kernels, twin.bias, x_twin])
         assert relative_error(conv.grads["kernels"], numeric[0]).max() < 1e-6
         assert relative_error(conv.grads["bias"], numeric[1]).max() < 1e-6
@@ -244,14 +247,14 @@ class TestMaxPool1D:
     def test_forward_drops_remainder(self):
         x = np.array([[[1.0], [5.0], [3.0], [2.0], [9.0]]])
         pool = MaxPool1D(2)
-        np.testing.assert_array_equal(pool.forward(x), [[[5.0], [3.0]]])
+        np.testing.assert_array_equal(pool.forward(x)[0], [[[5.0], [3.0]]])
 
     def test_backward_routes_to_first_argmax(self):
         x = np.array([[[2.0], [2.0], [1.0], [7.0]],
                       [[0.0], [3.0], [4.0], [4.0]]])
         pool = MaxPool1D(2)
-        pool.forward(x)
-        d_x = pool.backward(np.array([[[1.0], [1.0]], [[2.0], [3.0]]]))
+        _, cache = pool.forward(x)
+        d_x = pool.backward(cache, np.array([[[1.0], [1.0]], [[2.0], [3.0]]]))
         np.testing.assert_array_equal(d_x[0].ravel(), [1.0, 0.0, 0.0, 1.0])
         np.testing.assert_array_equal(d_x[1].ravel(), [0.0, 2.0, 3.0, 0.0])
 
@@ -263,14 +266,14 @@ class TestMaxPool1D:
         rng = Rng(sum(shape) + pool)
         x = np.round(rng.uniform(shape, -2, 2), 1)  # rounding makes ties
         layer = MaxPool1D(pool)
-        out = layer.forward(x)
+        out, cache = layer.forward(x)
         d_out = rng.uniform(out.shape, -1, 1)
         d_out[0, 0] = -0.0
         expected = np.zeros(shape)
         for b, w, f in itertools.product(*map(range, out.shape)):
             window = list(x[b, w * pool:(w + 1) * pool, f])
             expected[b, w * pool + window.index(max(window)), f] = d_out[b, w, f]
-        d_x = layer.backward(d_out)
+        d_x = layer.backward(cache, d_out)
         np.testing.assert_array_equal(d_x, expected)
         np.testing.assert_array_equal(np.signbit(d_x), np.signbit(expected))
 
@@ -288,10 +291,10 @@ class TestDense:
         w = np.array([[1.0, -1.0], [0.5, 0.5]])
         b = np.array([0.0, -1.0])
         x = np.array([[2.0, 1.0]])
-        assert np.allclose(Dense(w, b, "relu").forward(x), [[1.0, 0.5]])
-        neg = Dense(np.array([[-1.0, 0.0]]), np.zeros(1), "relu").forward(x)
+        assert np.allclose(Dense(w, b, "relu").forward(x)[0], [[1.0, 0.5]])
+        neg, _ = Dense(np.array([[-1.0, 0.0]]), np.zeros(1), "relu").forward(x)
         np.testing.assert_array_equal(neg, [[0.0]])
-        sig = Dense(w, b, "sigmoid").forward(x)
+        sig, _ = Dense(w, b, "sigmoid").forward(x)
         assert np.all((sig > 0) & (sig < 1))
 
     def test_backward_against_oracle(self):
@@ -302,9 +305,9 @@ class TestDense:
         twin = Dense(*complex_twins(dense.weights, dense.bias), "sigmoid")
         (x_twin,) = complex_twins(x)
 
-        dense.forward(x)
-        d_x = dense.backward(weight)
-        numeric = complex_step(lambda: np.sum(twin.forward(x_twin) * weight),
+        _, cache = dense.forward(x)
+        d_x = dense.backward(cache, weight)
+        numeric = complex_step(lambda: np.sum(twin.forward(x_twin)[0] * weight),
                                [twin.weights, twin.bias, x_twin])
         assert relative_error(dense.grads["weights"], numeric[0]).max() < 1e-6
         assert relative_error(dense.grads["bias"], numeric[1]).max() < 1e-6
@@ -328,14 +331,15 @@ def test_recurrent_wraps_sequence_forward():
     layer = Recurrent(cell)
     xs = Rng(8).uniform((2, 5, 3), -1, 1)  # [B, T, d]
     expected, _ = sequence_forward(cell, xs.transpose(1, 0, 2))
-    np.testing.assert_array_equal(layer.forward(xs), expected.transpose(1, 0, 2))
+    np.testing.assert_array_equal(layer.forward(xs)[0], expected.transpose(1, 0, 2))
 
 
 def test_last_step_round_trip():
     layer = LastStep()
     x = Rng(16).uniform((2, 4, 3))
-    np.testing.assert_array_equal(layer.forward(x), x[:, -1])
-    d_x = layer.backward(np.ones((2, 3)))
+    out, in_shape = layer.forward(x)
+    np.testing.assert_array_equal(out, x[:, -1])
+    d_x = layer.backward(in_shape, np.ones((2, 3)))
     assert d_x.shape == x.shape
     np.testing.assert_array_equal(d_x[:, -1], 1.0)
     assert not d_x[:, :-1].any()
@@ -360,7 +364,7 @@ class TestBidirectional:
         bwd = init_params(Variant.LSTM0, 3, 2, Rng(10))
         layer = Bidirectional(fwd, bwd)
         xs = Rng(11).uniform((2, 4, 3), -1, 1)  # [B, T, d]
-        out = layer.forward(xs)
+        out, _ = layer.forward(xs)
         xs_t = xs.transpose(1, 0, 2)
         hs_f, _ = sequence_forward(fwd, xs_t)
         hs_b, _ = sequence_forward(bwd, xs_t[::-1])
@@ -384,11 +388,11 @@ class TestBidirectional:
         (xs_twin,) = complex_twins(xs)
         weight = Rng(15).uniform((2, 4), -1, 1)
 
-        layer.forward(xs)
-        d_xs = layer.backward(weight)
+        _, caches = layer.forward(xs)
+        d_xs = layer.backward(caches, weight)
         names, arrays = zip(*sorted(twin.params().items()))
         assert len(names) == 24
-        numeric = complex_step(lambda: np.sum(twin.forward(xs_twin) * weight),
+        numeric = complex_step(lambda: np.sum(twin.forward(xs_twin)[0] * weight),
                                [xs_twin, *arrays])
         assert relative_error(d_xs, numeric[0]).max() < 1e-6
         for name, num in zip(names, numeric[1:]):
@@ -447,6 +451,32 @@ class TestSentimentModel:
                 assert not g.any(), name
             assert model.embedding.row_end == 0
             assert model.row_ends == {"embedding.table": 0}
+
+    @pytest.mark.parametrize("position, tail, extra", itertools.product(
+        (CNN_THEN_LSTM, LSTM_THEN_CNN), (True, False), (False, True)))
+    def test_layers_keep_no_per_call_state(self, position, tail, extra):
+        """A training forward and backward, then evaluate, leave every
+        attribute of every layer the same object; only the embedding's row
+        end moves. Activations live on the model's tape alone."""
+        model = SentimentModel(replace(MICRO, lstm_position=position, bidirectional_tail=tail,
+                                       extra_dense=extra, spatial_dropout=0.2,
+                                       dense_dropout=0.3), Rng(31))
+        layers = [model.embedding, model.spatial_dropout, *model._chain,
+                  *model.extra_dense, *model.extra_dropout, model.head]
+        before = [dict(vars(layer)) for layer in layers]
+        rng = Rng(32)
+        ids = (rng.uniform((70, 9)) * 30).astype(np.int64)
+        ids[::2, :4] = 0  # padded rows, so evaluate runs chunks from Leads
+        model.forward(ids[:8], training=True, rng=Rng(33))
+        model.backward(rng.uniform(8, -1.0, 1.0))
+        evaluate(model, LabeledDataset(ids, (rng.uniform(70) < 0.5).astype(np.int64)))
+        for layer, attrs in zip(layers, before):
+            now = dict(vars(layer))
+            if layer is model.embedding:
+                assert now.pop("row_end") != attrs.pop("row_end")
+            assert now.keys() == attrs.keys(), type(layer).__name__
+            for name, value in attrs.items():
+                assert now[name] is value, (type(layer).__name__, name)
 
     @pytest.mark.parametrize("position, extra", itertools.product(
         (CNN_THEN_LSTM, LSTM_THEN_CNN), (False, True)))

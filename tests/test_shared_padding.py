@@ -2,7 +2,9 @@
 forward from Leads, ``evaluate`` against the plain chunk-by-chunk loop it
 replaced, bit for bit, and the BLAS property that equality rests on."""
 
+import gc
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,12 +15,13 @@ from slimrnn import (
     CNN_THEN_LSTM,
     LSTM_THEN_CNN,
     ConfigError,
+    DataError,
     ExperimentConfig,
     LabeledDataset,
     Rng,
     ShapeError,
 )
-from slimrnn.layers import NO_FORWARD, SentimentModel, padding_steps
+from slimrnn.layers import NO_FORWARD, Lead, SentimentModel, padding_steps
 from slimrnn.training import EVAL_CHUNK, THRESHOLD, EvalResult, bce_loss, evaluate
 
 VARIANTS = [f"lstm{k}" for k in range(7)]
@@ -146,18 +149,20 @@ def test_padding_steps(maxlen, kernel, pool, pinned):
 
 def leads(model: SentimentModel, config: ExperimentConfig, steps: int) -> dict:
     """The recurrent layers' Leads over ``steps`` pooled steps, read off the
-    plain forward just run."""
+    tape of the plain forward just run (the tail's from its forward cell)."""
     stride = 1 if config.lstm_position == CNN_THEN_LSTM else config.pool_size
-    out = {model.rnn: model.rnn.lead(steps * stride)}
+    caches = dict(model._tape)
+    out = {model.rnn: Lead.read(caches[model.rnn], steps * stride)}
     if model.tail is not None:
-        out[model.tail] = model.tail.lead(steps)
+        out[model.tail] = Lead.read(caches[model.tail][0], steps)
     return out
 
 
 @pytest.mark.parametrize("position, tail", itertools.product(POSITIONS, (True, False)))
 def test_backward_needs_a_plain_forward_of_its_own(position, tail):
-    """After evaluate, after a backward and after a cut forward, backward
-    raises one ShapeError and leaves every gradient as it was."""
+    """After evaluate, after a backward, after a cut forward and after a
+    forward that raised, backward raises one ShapeError and leaves every
+    gradient as it was."""
     config = micro_config(lstm_position=position, bidirectional_tail=tail)
     model = config.build(Rng(7))
     dataset = mixed_dataset(3 * EVAL_CHUNK, config.maxlen, config.vocab_size, seed=8)
@@ -185,6 +190,35 @@ def test_backward_needs_a_plain_forward_of_its_own(position, tail):
     assert np.array_equal(model.forward(after, leads=shared), model.forward(padded))
     model.forward(after, leads=shared)
     refused()
+
+    model.forward(ids[:EVAL_CHUNK])
+    out_of_range = ids[:EVAL_CHUNK].copy()
+    out_of_range[0, -1] = config.vocab_size
+    with pytest.raises(DataError):
+        model.forward(out_of_range)
+    refused()
+
+
+@pytest.mark.parametrize("n", (64, 70))
+def test_evaluate_holds_no_memory_once_it_returns(n):
+    """No activations outlive evaluate at the reference size, whether the
+    last chunk runs from Leads (64 records) or is a plain partial chunk
+    (70). Caches left on the layers would hold about 0.7-1.4 MB."""
+    config = reference_config()
+    model = config.build(Rng(16))
+    rng = Rng(17)
+    ids = (1 + rng.uniform((n, config.maxlen)) * (config.vocab_size - 1)).astype(np.int64)
+    ids[:, :10] = 0  # one all-padding pooled step, so every later chunk runs from Leads
+    dataset = LabeledDataset(ids, (rng.uniform(n) < 0.5).astype(np.int64))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        evaluate(model, dataset)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 64 << 10, held
 
 
 def test_a_forward_from_leads_refuses_training_and_a_single_sequence():
