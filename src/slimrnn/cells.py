@@ -231,7 +231,8 @@ def sequence_forward(params: CellParams, xs: np.ndarray,
 
 def sequence_backward(params: CellParams, cache: SequenceCache,
                       d_hs: np.ndarray):
-    """Reverse-mode gradients of sum_t <d_hs[t], h_t> for d_hs [T, B, n].
+    """Reverse-mode gradients of sum_s <d_hs[s], hs[T-S+s]> for d_hs [S, B, n],
+    1 <= S <= T: the same as for d_hs zero-padded in front to all T states.
 
     Adds the parameter gradients into params.grad_buffers (so params.grads),
     never zeroing them: two calls add up, as in Conv1D and Dense. Returns
@@ -241,11 +242,10 @@ def sequence_backward(params: CellParams, cache: SequenceCache,
     """
     T, n = len(cache), params.hidden_dim
     B = cache.x.shape[1]
-    if T == 0 or d_hs.shape != (T, B, n):
-        raise ShapeError(
-            f"sequence_backward: d_hs {d_hs.shape} does not match "
-            f"{T} cached steps of {B} rows and width {n}"
-        )
+    S = len(d_hs) if d_hs.shape[1:] == (B, n) else 0
+    if not 1 <= S <= T:
+        raise ShapeError(f"sequence_backward: d_hs {d_hs.shape} is not [S, {B}, {n}] "
+                         f"with 1 <= S <= T = {T} cached steps")
     buf, cols = params.buffers, params.columns
     d_pre = np.empty((T, B, params.width))
     tanh_c = np.tanh(cache.c[1:])
@@ -255,7 +255,7 @@ def sequence_backward(params: CellParams, cache: SequenceCache,
     if gates is not None:
         gate_grad = sigmoid_grad(gates)
     dc_next = np.zeros((B, n))
-    dh = d_hs[T - 1].copy()
+    dh = d_hs[-1].copy()
 
     for t in range(T - 1, -1, -1):
         da = d_pre[t]
@@ -276,8 +276,8 @@ def sequence_backward(params: CellParams, cache: SequenceCache,
         dh = da[:, cols["U"]] @ buf["U"]
         if "u" in buf:
             dh += (da[:, cols["u"]] * buf["u"]).reshape(B, 3, n).sum(axis=1)
-        if t > 0:
-            dh += d_hs[t - 1]
+        if t > T - S:
+            dh += d_hs[t - 1 - T]  # hs[t - 1]'s row, counted from the end
 
     # after the step-0 iteration dh is dL/dh_0 and dc_next is dL/dc_0
     flat = d_pre.reshape(T * B, params.width)

@@ -1,20 +1,22 @@
-"""Non-recurrent layers, the bidirectional wrapper, and model assembly.
+"""The layers, the recurrent wrappers around cells, and model assembly.
 
 Every layer is batch-major: sequences travel as [B, T, features] and vectors
 as [B, features]. No layer keeps activations: ``forward`` returns its output
 and a cache, and ``backward(cache, d_out)`` takes that cache back,
 accumulates parameter gradients into the layer's ``grads`` dict across
 calls (the recurrent layers' are their cells' own), and returns the
-gradient w.r.t. its input. The model records a forward's (layer, cache)
-pairs in call order as one tape, and its backward runs the tape in reverse
-and drops it, so a batch's activations are freed before the optimizer step;
-each backward needs a plain forward of its own, and the model refuses any
-other with a ShapeError. Layers do not zero their own gradients: the model
-zeroes all of them in one loop (SentimentModel.zero_grads). The recurrent
-layers hand the cells time-major [T, B, features] views. The embedding's
-gradient is row-sparse: it keeps a row end, past which every row is zero,
-and the model hands it to clipping and the optimizer as ``row_ends``. It is
-allocated by ``numeric.mapped_zeros``, as the optimizer's slots are.
+gradient w.r.t. its input. The two recurrent layers follow one rule: the
+model builds their cells alike, and each hands them time-major [T, B, ·]
+views and caches the tuple of their caches, forward cell first. The model
+records a forward's (layer, cache) pairs in call order as one tape, and its
+backward runs the tape in reverse and drops it, so a batch's activations
+are freed before the optimizer step; each backward needs a plain forward of
+its own, and the model refuses any other with a ShapeError. Layers do not
+zero their own gradients: the model zeroes all of them in one loop
+(SentimentModel.zero_grads). The embedding's gradient is row-sparse: it
+keeps a row end, past which every row is zero, and the model hands it to
+clipping and the optimizer as ``row_ends``. It is allocated by
+``numeric.mapped_zeros``, as the optimizer's slots are.
 
 Evaluation (``SentimentModel.predict``, dropout off) skips what every
 record's leading PAD_IDs compute: those steps give the same conv, pool and
@@ -267,7 +269,8 @@ class Lead:
 
 class Recurrent:
     """Unidirectional cell run over [B, T, d], emitting all hidden states.
-    Given a Lead, the input starts after it and so do the outputs."""
+    Given a Lead, the input starts after it and so do the outputs. The cache
+    is (its cell's cache,)."""
 
     def __init__(self, cell: CellParams):
         self.cell = cell
@@ -279,10 +282,10 @@ class Recurrent:
     def forward(self, xs: np.ndarray, lead: Lead | None = None):
         init = None if lead is None else lead.start(len(xs))
         hs, cache = sequence_forward(self.cell, xs.transpose(1, 0, 2), init)
-        return hs.transpose(1, 0, 2), cache
+        return hs.transpose(1, 0, 2), (cache,)
 
-    def backward(self, cache: SequenceCache, d_hs: np.ndarray) -> np.ndarray:
-        d_xs, _ = sequence_backward(self.cell, cache, d_hs.transpose(1, 0, 2))
+    def backward(self, caches: tuple, d_hs: np.ndarray) -> np.ndarray:
+        d_xs, _ = sequence_backward(self.cell, caches[0], d_hs.transpose(1, 0, 2))
         return d_xs.transpose(1, 0, 2)
 
 
@@ -297,6 +300,7 @@ class Bidirectional:
     The output [B, 2n] is [forward state after x_0..x_{T-1} | backward state
     after x_{T-1}..x_0], as Keras ``Bidirectional(LSTM(n))`` returns it; so
     both cells read the whole sequence and every tensor of both trains.
+    Backward hands each cell the gradient of its last state alone.
     """
 
     def __init__(self, fwd: CellParams, bwd: CellParams):
@@ -311,9 +315,9 @@ class Bidirectional:
         return _halves(self.fwd.tensors, self.bwd.tensors)
 
     def forward(self, xs: np.ndarray, lead: Lead | None = None):
-        """The output, and both cells' caches (forward cell first) as the
-        cache. Given a Lead, the forward cell starts after it and the
-        backward cell reads its rows after the input's own."""
+        """The output, and (forward cell's cache, backward cell's cache).
+        Given a Lead, the forward cell starts after it and the backward cell
+        reads its rows after the input's own."""
         xs_t = xs.transpose(1, 0, 2)
         B = len(xs)
         hs_f, cache_f = sequence_forward(self.fwd, xs_t, None if lead is None else lead.start(B))
@@ -325,11 +329,8 @@ class Bidirectional:
 
     def backward(self, caches: tuple, d_out: np.ndarray) -> np.ndarray:
         n = self.fwd.hidden_dim
-        cache_f, cache_b = caches
-        d_hs = np.zeros((len(cache_f), *d_out.shape))  # [T, B, 2n], nonzero at T - 1 only
-        d_hs[-1] = d_out
-        d_xs_f, _ = sequence_backward(self.fwd, cache_f, d_hs[:, :, :n])
-        d_xs_b, _ = sequence_backward(self.bwd, cache_b, d_hs[:, :, n:])
+        d_xs_f, _ = sequence_backward(self.fwd, caches[0], d_out[None, :, :n])
+        d_xs_b, _ = sequence_backward(self.bwd, caches[1], d_out[None, :, n:])
         return (d_xs_f + d_xs_b[::-1]).transpose(1, 0, 2)
 
 
@@ -406,18 +407,20 @@ class SentimentModel:
         self.conv = Conv1D(kernels.astype(dtype, copy=False), np.zeros(c.conv_filters, dtype))
         self.pool = MaxPool1D(c.pool_size)
 
+        def cell(variant: Variant, width: int, stream: int) -> CellParams:
+            return init_params(variant, width, c.hidden, rng.derive(stream), alpha=c.alpha,
+                               forget_bias=c.forget_bias, dtype=dtype)
+
         rnn_in = c.conv_filters if cnn_first else c.embed_dim
-        self.rnn = Recurrent(init_params(
-            Variant.parse(c.variant), rnn_in, c.hidden, rng.derive(1),
-            alpha=c.alpha, forget_bias=c.forget_bias, dtype=dtype))
+        self.rnn = Recurrent(cell(Variant.parse(c.variant), rnn_in, 1))
+        # Each recurrent layer with its steps per pooled step.
+        self._recurrent = {self.rnn: 1 if cnn_first else c.pool_size}
 
         tail_in = c.hidden if cnn_first else c.conv_filters
         if c.bidirectional_tail:
-            self.tail = Bidirectional(
-                init_params(Variant.LSTM0, tail_in, c.hidden, rng.derive(2),
-                            forget_bias=c.forget_bias, dtype=dtype),
-                init_params(Variant.LSTM0, tail_in, c.hidden, rng.derive(3),
-                            forget_bias=c.forget_bias, dtype=dtype))
+            self.tail = Bidirectional(cell(Variant.LSTM0, tail_in, 2),
+                                      cell(Variant.LSTM0, tail_in, 3))
+            self._recurrent[self.tail] = 1
             feat = 2 * c.hidden
         else:
             self.tail = None
@@ -437,10 +440,6 @@ class SentimentModel:
         encoders = ([self.conv, self.pool, self.rnn] if cnn_first
                     else [self.rnn, self.conv, self.pool])
         self._chain = encoders + [LastStep() if self.tail is None else self.tail]
-        # Each recurrent layer with its steps per pooled step.
-        self._recurrent = {self.rnn: 1 if cnn_first else c.pool_size}
-        if self.tail is not None:
-            self._recurrent[self.tail] = 1
         self._tape = None
 
         named = [("embedding", self.embedding), ("conv", self.conv), ("rnn", self.rnn)]
@@ -540,10 +539,9 @@ class SentimentModel:
                 cut = int(steps[rows].min())
                 if start == 0:  # every row pads through `cut` steps, row 0 too
                     out[rows] = self.forward(ids[rows])
-                    shared = {  # the tail's Lead is its forward cell's
-                        layer: Lead.read(cache if layer is self.rnn else cache[0],
-                                         cut * self._recurrent[layer])
-                        for layer, cache in self._tape if layer in self._recurrent}
+                    shared = {  # each layer's Lead is its (forward) cell's
+                        layer: Lead.read(caches[0], cut * self._recurrent[layer])
+                        for layer, caches in self._tape if layer in self._recurrent}
                 else:
                     out[rows] = self.forward(ids[rows, cut * pool:], leads={
                         layer: lead.first(cut * self._recurrent[layer])

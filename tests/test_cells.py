@@ -347,6 +347,65 @@ class TestSequenceApi:
                 np.testing.assert_allclose(hs[:, b], alone[:, 0], rtol=1e-12, atol=1e-15)
 
 
+def grad_bytes(params: CellParams, cache, d_hs: np.ndarray) -> list[bytes]:
+    """The bytes of d_xs, d_init and every gradient buffer of one backward
+    into freshly zeroed gradients."""
+    for g in params.grad_buffers.values():
+        g[...] = 0.0
+    d_xs, d_init = sequence_backward(params, cache, d_hs)
+    return [d_xs.tobytes(), d_init.h.tobytes(), d_init.c.tobytes(),
+            *(g.tobytes() for g in params.grad_buffers.values())]
+
+
+class TestLastStatesEntry:
+    """d_hs [S, B, n] gives the gradients of the last S hidden states."""
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_equals_zero_padded_rows(self, variant):
+        T, B, d, n = 6, 3, 4, 3
+        for seed in range(5):
+            rng = Rng(seed)
+            params = init_params(variant, d, n, rng.derive(1))
+            init = CellState(rng.uniform((B, n), -1, 1), rng.uniform((B, n), -1, 1))
+            _, cache = sequence_forward(params, rng.uniform((T, B, d), -1, 1), init)
+            d_hs = rng.uniform((T, B, n), -1, 1)
+            for S in range(1, T + 1):
+                padded = d_hs.copy()
+                padded[:T - S] = 0.0
+                assert (grad_bytes(params, cache, d_hs[T - S:])
+                        == grad_bytes(params, cache, padded)), (seed, S)
+
+    @pytest.mark.parametrize("shape", [(0, 3, 4), (6, 3, 4), (2, 2, 4), (2, 3, 5), (3, 4)])
+    def test_rejects_shapes_outside_the_cache(self, shape):
+        """S = 0, S > T = 5, a wrong batch or width, or no step axis; the
+        refused call leaves the gradients alone."""
+        params = init_params(Variant.LSTM0, 2, 4, Rng(5))
+        _, cache = sequence_forward(params, Rng(6).uniform((5, 3, 2), -1, 1))
+        with pytest.raises(ShapeError, match=r"1 <= S <= T = 5"):
+            sequence_backward(params, cache, np.ones(shape))
+        assert not any(g.any() for g in params.grad_buffers.values())
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_lstm3_caches_constant_gates_and_lstm6_none(seed):
+    """lstm3's gates are sigmoid(b) at every step and row, bit for bit, from
+    any initial state; lstm6 has no gates to cache."""
+    rng = Rng(seed)
+    T, B, d, n = (1 + int(rng.uniform(()) * top) for top in (9, 9, 6, 20))
+    init = CellState(rng.uniform((B, n), -1, 1), rng.uniform((B, n), -1, 1))
+    xs = rng.uniform((T, B, d), -1, 1)
+    lstm3 = init_params(Variant.LSTM3, d, n, rng.derive(1))
+    lstm3.buffers["b"][...] = rng.uniform(4 * n, -3, 3)
+    _, cache = sequence_forward(lstm3, xs, init)
+    gates = cache.gates
+    assert gates.shape == (T, B, 3 * n)
+    assert gates.tobytes() == np.broadcast_to(gates[0, 0], gates.shape).tobytes()
+    np.testing.assert_allclose(gates[0, 0], 1 / (1 + np.exp(-lstm3.buffers["b"][:3 * n])),
+                               rtol=1e-14)
+    _, cache6 = sequence_forward(init_params(Variant.LSTM6, d, n, rng.derive(2)), xs, init)
+    assert cache6.gates is None
+
+
 class TestStackedLayout:
     def test_tensors_are_contiguous_views_into_kind_buffers(self):
         for variant in Variant:

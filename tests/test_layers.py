@@ -21,7 +21,7 @@ from slimrnn import (
     ShapeError,
     Variant,
 )
-from slimrnn.cells import count_params, init_params, sequence_forward
+from slimrnn.cells import SequenceCache, count_params, init_params, sequence_forward
 from slimrnn.gradcheck import TOL, complex_step, relative_error
 from slimrnn.layers import (
     Bidirectional,
@@ -477,6 +477,34 @@ class TestSentimentModel:
             assert now.keys() == attrs.keys(), type(layer).__name__
             for name, value in attrs.items():
                 assert now[name] is value, (type(layer).__name__, name)
+
+    @pytest.mark.parametrize("position, tail", itertools.product(
+        (CNN_THEN_LSTM, LSTM_THEN_CNN), (True, False)))
+    def test_recurrent_layers_follow_one_rule(self, position, tail):
+        """Every recurrent layer caches the tuple of its cells' caches,
+        forward cell first, and every cell is built alike: the config's
+        alpha, and its forget_bias wherever the cell has a b_f."""
+        for variant in ("lstm0", "lstm2", "lstm6"):
+            config = replace(MICRO, lstm_position=position, bidirectional_tail=tail,
+                             variant=variant, alpha=-0.3, forget_bias=0.25)
+            model = SentimentModel(config, Rng(40))
+            cells = {model.rnn: (model.rnn.cell,)}
+            if tail:
+                cells[model.tail] = (model.tail.fwd, model.tail.bwd)
+            for cell in itertools.chain(*cells.values()):
+                assert cell.alpha == -0.3, variant
+                if "b_f" in cell.tensors:
+                    assert np.all(cell.tensors["b_f"] == 0.25), variant
+            model.forward((Rng(41).uniform((4, 9)) * 30).astype(np.int64))
+            tape = dict(model._tape)
+            for layer, owners in cells.items():
+                caches = tape[layer]
+                assert type(caches) is tuple and len(caches) == len(owners), variant
+                for cache, cell in zip(caches, owners):
+                    assert isinstance(cache, SequenceCache)
+                    assert cache.x.shape[1:] == (4, cell.input_dim)
+                if tail and layer is model.tail:  # the backward cell reads reversed
+                    np.testing.assert_array_equal(caches[1].x, caches[0].x[::-1])
 
     @pytest.mark.parametrize("position, extra", itertools.product(
         (CNN_THEN_LSTM, LSTM_THEN_CNN), (False, True)))

@@ -149,10 +149,10 @@ def test_padding_steps(maxlen, kernel, pool, pinned):
 
 def leads(model: SentimentModel, config: ExperimentConfig, steps: int) -> dict:
     """The recurrent layers' Leads over ``steps`` pooled steps, read off the
-    tape of the plain forward just run (the tail's from its forward cell)."""
+    tape of the plain forward just run (each from its forward cell)."""
     stride = 1 if config.lstm_position == CNN_THEN_LSTM else config.pool_size
     caches = dict(model._tape)
-    out = {model.rnn: Lead.read(caches[model.rnn], steps * stride)}
+    out = {model.rnn: Lead.read(caches[model.rnn][0], steps * stride)}
     if model.tail is not None:
         out[model.tail] = Lead.read(caches[model.tail][0], steps)
     return out
