@@ -248,10 +248,12 @@ def sequence_backward(params: CellParams, cache: SequenceCache,
                          f"with 1 <= S <= T = {T} cached steps")
     buf, cols = params.buffers, params.columns
     d_pre = np.empty((T, B, params.width))
-    tanh_c = np.tanh(cache.c[1:])
+    gates = cache.gates
+    # LSTM6's forward wrote tanh(c) as its hidden state; the gated cells'
+    # states are o * tanh(c), so they recompute it rather than cache it.
+    tanh_c = cache.h[1:] if gates is None else np.tanh(cache.c[1:])
     c_hat_grad = tanh_grad(cache.c_hat)
     tanh_c_grad = tanh_grad(tanh_c)
-    gates = cache.gates
     if gates is not None:
         gate_grad = sigmoid_grad(gates)
     dc_next = np.zeros((B, n))

@@ -23,9 +23,11 @@ record's leading PAD_IDs compute: those steps give the same conv, pool and
 recurrent states in every record. Records are regrouped into full chunks by
 how many pooled steps see only padding (``padding_steps``); the most padded
 chunk runs as a plain forward, and the recurrent layers' states it passed
-through are read off its tape (a ``Lead`` each). Every other full chunk is
-a forward of its ids after their shared padding, from its Leads; a forward
-from Leads keeps no tape, and no tape outlives ``predict``.
+through are copied off each layer's cache as that layer returns (a ``Lead``
+each). Every other full chunk is a forward of its ids after their shared
+padding, from its Leads. No forward in ``predict`` keeps a tape: it hands
+each cache to ``predict`` (``forward``'s ``take``) or drops it, so
+evaluation holds one layer's activations at a time, plus the Leads.
 """
 
 from __future__ import annotations
@@ -389,7 +391,7 @@ class SentimentModel:
     tail, dense*, head for both positions. Clipping sums squares tensor by
     tensor in that order. ``dtype`` is float64, or complex128 in the
     gradient check's forward-only twin. The model alone holds activations:
-    the tape of its last plain forward, or None (``self._tape``).
+    the tape of its last direct plain forward, or None (``self._tape``).
     """
 
     def __init__(self, config: ExperimentConfig, rng: Rng, dtype: type = np.float64):
@@ -473,12 +475,15 @@ class SentimentModel:
         self.embedding.row_end = 0
 
     def forward(self, ids: np.ndarray, training: bool = False,
-                rng: Rng | None = None, leads: dict | None = None):
+                rng: Rng | None = None, leads: dict | None = None, *, take=None):
         """Probabilities [B] for ids [B, T]; a single sequence ids [T] is a
         batch of one and gives a Python scalar: a float, or a complex in the
-        complex128 twin. Only a plain forward that completes keeps its tape.
-        Given ``leads`` (``predict``'s, evaluation only), each recurrent layer
-        (the key) starts from its Lead, the ids being what follows it."""
+        complex128 twin. A plain forward that completes keeps its tape
+        unless ``take`` (``predict``'s) is given: then each (layer, cache)
+        is handed to ``take(layer, cache)`` as the layer returns, and
+        dropped, so the forward keeps no tape. Given ``leads`` (evaluation
+        only), each recurrent layer (the key) starts from its Lead, the ids
+        being what follows it; a forward from Leads keeps no tape either."""
         ids = np.asarray(ids)
         if ids.ndim not in (1, 2):
             raise ShapeError(f"model: need ids [B, T] or [T], got {ids.shape}")
@@ -486,11 +491,14 @@ class SentimentModel:
         self._tape = None
         if leads is not None and (training or single):
             raise ConfigError("model: a forward from leads takes ids [B, T] in evaluation mode")
-        tape = []
+        tape = [] if take is None and leads is None else None
 
         def run(layer, x, *args):
             out, cache = layer.forward(x, *args)
-            tape.append((layer, cache))
+            if tape is not None:
+                tape.append((layer, cache))
+            elif take is not None:
+                take(layer, cache)
             return out
 
         x = run(self.embedding, ids[None] if single else ids)
@@ -501,7 +509,7 @@ class SentimentModel:
         for dense, drop in zip(self.extra_dense, self.extra_dropout):
             x = run(drop, run(dense, x), rng, training)
         p = run(self.head, x)[:, 0]
-        self._tape = tape if leads is None else None
+        self._tape = tape
         return p[0].item() if single else p
 
     def predict(self, ids: np.ndarray, chunk: int) -> np.ndarray:
@@ -511,17 +519,20 @@ class SentimentModel:
         The rows of the full chunks are regrouped, most padded first (by
         ``padding_steps``, keeping one pooled step; ties in order), into
         full chunks. The first runs as a plain forward, and its row 0's
-        recurrent states over its rows' shared padding, read off its tape,
-        are the Leads. Every later full chunk runs after its rows' shared
-        padding, from that many steps of the Leads (0 steps start from
-        zeros, as a plain forward does). The partial last chunk runs in
-        order as a plain forward. Products over batch rows keep ``chunk``
-        rows and only reorder them, and products over steps x rows shrink
-        but keep at least ``chunk`` rows, so a row's bits match the plain
-        forwards' where a GEMM row's result depends neither on its position
-        nor, from that many rows on, on the row count (measured for the
-        model's shapes; see the README). No tape outlives the call, so the
-        model keeps nothing for a backward.
+        recurrent states over its rows' shared padding are the Leads, each
+        copied off its layer's cache as that layer returns. Every later
+        full chunk runs after its rows' shared padding, from that many
+        steps of the Leads (0 steps start from zeros, as a plain forward
+        does). The partial last chunk runs in order as a plain forward.
+        Products over batch rows keep ``chunk`` rows and only reorder them,
+        and products over steps x rows shrink but keep at least ``chunk``
+        rows, so a row's bits match the plain forwards' where a GEMM row's
+        result depends neither on its position nor, from that many rows on,
+        on the row count (measured for the model's shapes; see the README).
+        No forward here keeps a tape: each layer's cache is dropped once
+        the next layer has its output, so evaluation holds one layer's
+        activations at a time, plus the Leads, and leaves the model nothing
+        to backpropagate.
         """
         ids = np.asarray(ids)
         if ids.ndim != 2:
@@ -533,23 +544,27 @@ class SentimentModel:
         steps = np.minimum(padding_steps(ids[:full], kernel, pool), pooled - 1)
         order = np.argsort(-steps, kind="stable")
         out = np.empty(n, self.head.weights.dtype)
-        try:
-            for start in range(0, full, chunk):
-                rows = order[start:start + chunk]
-                cut = int(steps[rows].min())
-                if start == 0:  # every row pads through `cut` steps, row 0 too
-                    out[rows] = self.forward(ids[rows])
-                    shared = {  # each layer's Lead is its (forward) cell's
-                        layer: Lead.read(caches[0], cut * self._recurrent[layer])
-                        for layer, caches in self._tape if layer in self._recurrent}
-                else:
-                    out[rows] = self.forward(ids[rows, cut * pool:], leads={
-                        layer: lead.first(cut * self._recurrent[layer])
-                        for layer, lead in shared.items()})
-            if full < n:
-                out[full:] = self.forward(ids[full:])
-        finally:
-            self._tape = None
+        self._tape = None  # even when no forward runs
+        shared = {}
+
+        def read(layer, caches):  # the first chunk's: each Lead is its (forward) cell's
+            if layer in self._recurrent:
+                shared[layer] = Lead.read(caches[0], cut * self._recurrent[layer])
+
+        def drop(layer, cache):
+            pass
+
+        for start in range(0, full, chunk):
+            rows = order[start:start + chunk]
+            cut = int(steps[rows].min())
+            if start == 0:  # every row pads through `cut` steps, row 0 too
+                out[rows] = self.forward(ids[rows], take=read)
+            else:
+                out[rows] = self.forward(ids[rows, cut * pool:], leads={
+                    layer: lead.first(cut * self._recurrent[layer])
+                    for layer, lead in shared.items()})
+        if full < n:
+            out[full:] = self.forward(ids[full:], take=drop)
         return out
 
     def backward(self, d_loss) -> dict[str, np.ndarray]:

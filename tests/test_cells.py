@@ -406,6 +406,22 @@ def test_lstm3_caches_constant_gates_and_lstm6_none(seed):
     assert cache6.gates is None
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_lstm6_hidden_states_are_tanh_of_cell_states(seed):
+    """What lstm6's backward reads in place of recomputing tanh(c): its
+    cached states h[1:] are np.tanh(c[1:]) bit for bit, at odd and even
+    widths, from zeros or from an initial state whose h is not tanh(c)."""
+    rng = Rng(100 + seed)
+    T, B, d, n = (1 + int(rng.uniform(()) * top) for top in (12, 9, 7, 33))
+    params = init_params(Variant.LSTM6, d, n, rng.derive(1))
+    xs = rng.uniform((T, B, d), -2, 2)
+    init = CellState(rng.uniform((B, n), -1, 1), rng.uniform((B, n), -3, 3))
+    for start in (None, init):
+        _, cache = sequence_forward(params, xs, start)
+        assert cache.gates is None
+        assert cache.h[1:].tobytes() == np.tanh(cache.c[1:]).tobytes(), (T, B, d, n, start)
+
+
 class TestStackedLayout:
     def test_tensors_are_contiguous_views_into_kind_buffers(self):
         for variant in Variant:

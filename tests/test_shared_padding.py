@@ -221,6 +221,62 @@ def test_evaluate_holds_no_memory_once_it_returns(n):
     assert held < 64 << 10, held
 
 
+# Bounds on evaluate's traced peak below, in MiB. It is 5.04 at
+# lstm-then-cnn, and 6.67 if each chunk's caches live until its head has
+# run; at cnn-then-lstm the conv's im2col sets it, at 5.83 either way.
+EVAL_PEAK_MIB = {LSTM_THEN_CNN: 5.5, CNN_THEN_LSTM: 6.0}
+
+
+@pytest.mark.parametrize("position, n", itertools.product(POSITIONS, (64, 70)))
+def test_evaluate_holds_one_layer_at_a_time(position, n):
+    """No forward in evaluate keeps a tape: each layer's cache goes once the
+    next layer has its output, and the first chunk's Leads are copied off
+    as each recurrent layer returns. Reference widths, records with 10
+    leading pads; 64 records end on a chunk from Leads, 70 on a plain one."""
+    config = reference_config(lstm_position=position)
+    model = config.build(Rng(16))
+    rng = Rng(17)
+    ids = (1 + rng.uniform((n, config.maxlen)) * (config.vocab_size - 1)).astype(np.int64)
+    ids[:, :10] = 0
+    dataset = LabeledDataset(ids, (rng.uniform(n) < 0.5).astype(np.int64))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        evaluate(model, dataset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < EVAL_PEAK_MIB[position] * 2**20, peak
+
+
+@pytest.mark.parametrize("position, tail", itertools.product(POSITIONS, (True, False)))
+def test_evaluate_leaves_a_direct_forward_its_tape(position, tail):
+    """evaluate keeps no tape and takes none away: backward straight after
+    it is refused, even over no records, and a direct evaluation forward
+    after it backpropagates to the same gradients as one before it."""
+    config = micro_config(lstm_position=position, bidirectional_tail=tail)
+    dataset = mixed_dataset(2 * EVAL_CHUNK + 5, config.maxlen, config.vocab_size, seed=18)
+    ids, d_p = dataset.sequences[:EVAL_CHUNK], Rng(19).uniform(EVAL_CHUNK, -1, 1)
+
+    def gradients(model):
+        model.zero_grads()
+        model.forward(ids, training=False)
+        return {name: g.copy() for name, g in model.backward(d_p).items()}
+
+    expected = gradients(config.build(Rng(20)))
+    model = config.build(Rng(20))
+    for records in (dataset, LabeledDataset(ids[:0], dataset.labels[:0])):
+        model.forward(ids, training=False)
+        evaluate(model, records)
+        with pytest.raises(ShapeError) as raised:
+            model.backward(d_p)
+        assert str(raised.value) == NO_FORWARD
+        got = gradients(model)
+        assert got.keys() == expected.keys()
+        for name, g in got.items():
+            assert g.tobytes() == expected[name].tobytes(), name
+
+
 def test_a_forward_from_leads_refuses_training_and_a_single_sequence():
     config = micro_config()
     model = config.build(Rng(13))
@@ -253,14 +309,15 @@ def test_evaluate_regroups_full_chunks_and_cuts_them(monkeypatch):
     calls = []
     forward = SentimentModel.forward
 
-    def spy(self, chunk, training=False, rng=None, leads=None):
-        calls.append((chunk.shape, "plain" if leads is None else "leads"))
-        return forward(self, chunk, training, rng, leads)
+    def spy(self, chunk, training=False, rng=None, leads=None, *, take=None):
+        calls.append((chunk.shape, "plain" if leads is None else "leads", take is not None))
+        return forward(self, chunk, training, rng, leads, take=take)
 
     monkeypatch.setattr(SentimentModel, "forward", spy)
     assert evaluate(model, dataset) == expected
-    assert calls == [((32, 8), "plain"), ((32, 6), "leads"), ((32, 8), "leads"),
-                     ((5, 8), "plain")]
+    # every plain forward hands its caches to predict, so none keeps a tape
+    assert calls == [((32, 8), "plain", True), ((32, 6), "leads", False),
+                     ((32, 8), "leads", False), ((5, 8), "plain", True)]
 
 
 # [inner, out] of the x @ W.T products at the reference sizes, both positions.

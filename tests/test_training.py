@@ -231,9 +231,9 @@ class TestEvaluate:
         batch_sizes = []
         forward = SentimentModel.forward
 
-        def spy(self, ids, training=False, rng=None, leads=None):
+        def spy(self, ids, training=False, rng=None, leads=None, *, take=None):
             batch_sizes.append(len(ids))
-            return forward(self, ids, training, rng, leads)
+            return forward(self, ids, training, rng, leads, take=take)
 
         monkeypatch.setattr(SentimentModel, "forward", spy)
         result = evaluate(model, dataset)
