@@ -37,7 +37,6 @@ from .textdata import (
     build_vocab,
     encode_dataset,
     ingest_csv,
-    normalize_text,
     select_binary,
     split_train_val,
     tokenize,
@@ -95,7 +94,6 @@ __all__ = [
     "init_params",
     "load_checkpoint",
     "make_optimizer",
-    "normalize_text",
     "relative_error",
     "run_sweep",
     "save_checkpoint",

@@ -22,6 +22,7 @@ from .errors import ConfigError, DataError, NumericError, ShapeError
 from .gradcheck import calibrate_oracle, check_all, check_module
 from .textdata import build_vocab, encode_dataset, ingest_csv, select_binary
 from .training import (
+    REFUSED_AXES,
     ExperimentConfig,
     MetricsReport,
     evaluate,
@@ -35,8 +36,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
-
-SEED_ENV = "SLIMRNN_SEED"
 
 GRADCHECK_SCOPES = ("all", "model", *(v.value.lower() for v in Variant))
 
@@ -64,19 +63,12 @@ def _read_config_file(path: str) -> dict:
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    """Merge config file, --seed, and the SLIMRNN_SEED fallback."""
+    """The config file, with --seed in place of its seed when given."""
     raw = _read_config_file(args.config) if args.config else {}
     if args.seed is not None:
         raw["seed"] = args.seed
     if "seed" not in raw:
-        env = os.environ.get(SEED_ENV)
-        if env is not None:
-            try:
-                raw["seed"] = int(env)
-            except ValueError:
-                raise ConfigError(f"{SEED_ENV}={env!r} is not an integer") from None
-    if "seed" not in raw:
-        raise ConfigError(f"no seed: pass --seed, set it in the config, or export {SEED_ENV}")
+        raise ConfigError("no seed: pass --seed or set it in the config")
     return ExperimentConfig.from_dict(raw)
 
 
@@ -247,7 +239,7 @@ def build_parser() -> _Parser:
     p_train.add_argument("--config", help="flat JSON config file")
     p_train.add_argument("--data", required=True, help="CSV dataset")
     p_train.add_argument("--out", default="run", help="output directory (default: run)")
-    p_train.add_argument("--seed", type=int, help=f"RNG seed (fallback: ${SEED_ENV})")
+    p_train.add_argument("--seed", type=int, help="RNG seed (beats the config file's)")
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a CSV")
@@ -260,11 +252,11 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--config", help="flat JSON config file")
     p_sweep.add_argument("--data", required=True, help="CSV dataset")
     p_sweep.add_argument("--out", default="sweep", help="output directory")
-    p_sweep.add_argument("--seed", type=int, help=f"RNG seed (fallback: ${SEED_ENV})")
+    p_sweep.add_argument("--seed", type=int, help="RNG seed (beats the config file's)")
+    *refused, last = REFUSED_AXES
     p_sweep.add_argument("--axis", required=True,
                          help="config field to sweep (seed, variant, lr, hidden, ...; "
-                              "split for split_ratio); not extra_dense_dims, text_column, "
-                              "label_column, vocab_size or maxlen")
+                              f"split for split_ratio); not {', '.join(refused)} or {last}")
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.set_defaults(func=cmd_sweep)
 

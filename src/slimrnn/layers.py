@@ -20,14 +20,15 @@ clipping and the optimizer as ``row_ends``. It is allocated by
 
 Evaluation (``SentimentModel.predict``, dropout off) skips what every
 record's leading PAD_IDs compute: those steps give the same conv, pool and
-recurrent states in every record. Records are regrouped into full chunks by
-how many pooled steps see only padding (``padding_steps``); the most padded
-chunk runs as a plain forward, and the recurrent layers' states it passed
-through are copied off each layer's cache as that layer returns (a ``Lead``
-each). Every other full chunk is a forward of its ids after their shared
-padding, from its Leads. No forward in ``predict`` keeps a tape: it hands
-each cache to ``predict`` (``forward``'s ``take``) or drops it, so
-evaluation holds one layer's activations at a time, plus the Leads.
+recurrent states in every record. Records are regrouped into full chunks
+of EVAL_CHUNK by how many pooled steps see only padding (``padding_steps``);
+the most padded chunk runs as a plain forward, and the recurrent layers'
+states it passed through are copied off each layer's cache as that layer
+returns (a ``Lead`` each). Every other full chunk is a forward of its ids
+after their shared padding, from its Leads. No forward in ``predict``
+keeps a tape: it hands each cache to ``predict`` (``forward``'s ``take``)
+or drops it, so evaluation holds one layer's activations at a time, plus
+the Leads.
 """
 
 from __future__ import annotations
@@ -57,6 +58,15 @@ if TYPE_CHECKING:
 
 CNN_THEN_LSTM = "cnn-then-lstm"
 LSTM_THEN_CNN = "lstm-then-cnn"
+
+# Records per evaluation forward pass, which bounds evaluation memory for
+# any dataset. SentimentModel.predict regroups the full chunks by leading
+# padding and runs all but the first after their shared padding, from the
+# first's recurrent states. Those shorter products keep at least this many
+# rows, and its results match plain forwards only while a GEMM row's bits
+# do not depend on the row count from there on (19 rows for the model's
+# shapes; see the README).
+EVAL_CHUNK = 32
 
 
 class Embedding:
@@ -512,9 +522,9 @@ class SentimentModel:
         self._tape = tape
         return p[0].item() if single else p
 
-    def predict(self, ids: np.ndarray, chunk: int) -> np.ndarray:
+    def predict(self, ids: np.ndarray) -> np.ndarray:
         """Evaluation-mode probabilities [N] for ids [N, T]: those of plain
-        forwards over ``chunk`` records at a time in order, from less work.
+        forwards over EVAL_CHUNK records at a time in order, from less work.
 
         The rows of the full chunks are regrouped, most padded first (by
         ``padding_steps``, keeping one pooled step; ties in order), into
@@ -524,8 +534,8 @@ class SentimentModel:
         full chunk runs after its rows' shared padding, from that many
         steps of the Leads (0 steps start from zeros, as a plain forward
         does). The partial last chunk runs in order as a plain forward.
-        Products over batch rows keep ``chunk`` rows and only reorder them,
-        and products over steps x rows shrink but keep at least ``chunk``
+        Products over batch rows keep EVAL_CHUNK rows and only reorder them,
+        and products over steps x rows shrink but keep at least EVAL_CHUNK
         rows, so a row's bits match the plain forwards' where a GEMM row's
         result depends neither on its position nor, from that many rows on,
         on the row count (measured for the model's shapes; see the README).
@@ -538,7 +548,7 @@ class SentimentModel:
         if ids.ndim != 2:
             raise ShapeError(f"model predict: need ids [N, T], got {ids.shape}")
         n = len(ids)
-        full = n - n % chunk
+        full = n - n % EVAL_CHUNK
         kernel, pool = self.conv.kernels.shape[1], self.pool.pool
         pooled = (ids.shape[1] - kernel + 1) // pool
         steps = np.minimum(padding_steps(ids[:full], kernel, pool), pooled - 1)
@@ -554,8 +564,8 @@ class SentimentModel:
         def drop(layer, cache):
             pass
 
-        for start in range(0, full, chunk):
-            rows = order[start:start + chunk]
+        for start in range(0, full, EVAL_CHUNK):
+            rows = order[start:start + EVAL_CHUNK]
             cut = int(steps[rows].min())
             if start == 0:  # every row pads through `cut` steps, row 0 too
                 out[rows] = self.forward(ids[rows], take=read)

@@ -17,8 +17,7 @@ def sigmoid(x):
         return 1.0 / (1.0 + np.exp(-x))
     x = x.astype(np.float64, copy=False)
     e = np.exp(-np.abs(x))  # never overflows
-    out = np.where(x >= 0, 1.0, e) / (1.0 + e)  # 1/(1+e^-x) or e^x/(1+e^x)
-    return out if out.ndim else float(out)
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)  # 1/(1+e^-x) or e^x/(1+e^x)
 
 
 def sigmoid_grad(s):

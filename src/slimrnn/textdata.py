@@ -1,4 +1,4 @@
-"""Dataset ingestion and preprocessing: class selection, normalization,
+"""Dataset ingestion and preprocessing: class selection, the word rule,
 frequency-ranked tokenization with pre-padding, and the train/val split."""
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .rng import Rng
 LABELS = ("Positive", "Negative", "Neutral")
 PAD_ID = 0
 
-_WORD = re.compile(r"[a-z0-9]+")  # a word: a maximal run of these in the lowercased text
+_WORD = re.compile(r"[a-z0-9]+")
 
 
 @dataclass
@@ -32,8 +32,8 @@ class IngestReport:
     class_counts: dict = field(default_factory=dict)
 
 
-def ingest_csv(path: str, text_column: str = "text",
-               label_column: str = "sentiment") -> tuple[list[RawRecord], IngestReport]:
+def ingest_csv(path: str, text_column: str,
+               label_column: str) -> tuple[list[RawRecord], IngestReport]:
     """Parse one record per CSV row; malformed rows are counted and skipped.
 
     A row is malformed if either field is missing, the text is empty after
@@ -81,9 +81,9 @@ def select_binary(records: list[RawRecord]) -> list[RawRecord]:
     return kept
 
 
-def normalize_text(s: str) -> str:
-    """The words of the lowercased text (runs of a-z, 0-9), one space apart."""
-    return " ".join(_WORD.findall(s.lower()))
+def _words(text: str) -> list[str]:
+    """The word rule: the maximal runs of a-z and 0-9 in the lowercased text."""
+    return _WORD.findall(text.lower())
 
 
 @dataclass
@@ -98,12 +98,12 @@ class Vocabulary:
         return len(self.word_to_id) + 1  # plus the padding id
 
 
-def build_vocab(texts: list[str], capacity: int = 20000) -> Vocabulary:
+def build_vocab(texts: list[str], capacity: int) -> Vocabulary:
     if capacity < 2:
         raise ConfigError(f"vocabulary capacity must be >= 2, got {capacity}")
     counts: Counter[str] = Counter()
     for text in texts:
-        counts.update(_WORD.findall(text.lower()))
+        counts.update(_words(text))
     ranked = counts.most_common(capacity - 1)  # equal counts stay in first-seen order
     return Vocabulary({w: i for i, (w, _) in enumerate(ranked, 1)}, capacity)
 
@@ -111,7 +111,7 @@ def build_vocab(texts: list[str], capacity: int = 20000) -> Vocabulary:
 def _padded_ids(vocab: Vocabulary, texts: list[str], maxlen: int) -> np.ndarray:
     """[N, maxlen] int64: each text's last ``maxlen`` in-vocabulary ids, left-padded."""
     lookup = vocab.word_to_id
-    ids = [[lookup[w] for w in _WORD.findall(t.lower()) if w in lookup][-maxlen:]
+    ids = [[lookup[w] for w in _words(t) if w in lookup][-maxlen:]
            for t in texts]
     length = np.array([len(row) for row in ids], dtype=np.int64)
     out = np.full((len(texts), maxlen), PAD_ID, dtype=np.int64)

@@ -21,21 +21,13 @@ import numpy as np
 
 from .cells import DEFAULT_ALPHA, DEFAULT_FORGET_BIAS, Variant
 from .errors import ConfigError, NumericError
-from .layers import CNN_THEN_LSTM, LSTM_THEN_CNN, SentimentModel
+from .layers import CNN_THEN_LSTM, EVAL_CHUNK, LSTM_THEN_CNN, SentimentModel
 from .optimizers import clip_by_global_norm, make_optimizer
 from .rng import Rng
 from .textdata import LabeledDataset, split_train_val
 
 P_CLAMP = 1e-7
 THRESHOLD = 0.5
-# Records per evaluation forward pass, which bounds evaluation memory for
-# any dataset. SentimentModel.predict regroups the full chunks by leading
-# padding and runs all but the first after their shared padding, from the
-# first's recurrent states. Those shorter products keep at least this many
-# rows, and its results match plain forwards only while a GEMM row's bits
-# do not depend on the row count from there on (19 rows for the model's
-# shapes; see the README).
-EVAL_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -204,7 +196,7 @@ def evaluate(model: SentimentModel, dataset: LabeledDataset) -> EvalResult:
     EVAL_CHUNK-record groups in order, so the result keeps every bit. The
     model keeps nothing for a backward afterwards."""
     n = len(dataset)
-    p, y = model.predict(dataset.sequences, EVAL_CHUNK), dataset.labels
+    p, y = model.predict(dataset.sequences), dataset.labels
     loss = bce_loss(p, y)[0]
     total_loss = 0.0
     for start in range(0, n, EVAL_CHUNK):
@@ -319,6 +311,10 @@ def train(config: ExperimentConfig,
 # Fields that decide how the CSV is read and encoded: a sweep trains every
 # value on one encoded dataset, so they cannot be its axis.
 _DATA_FIELDS = ("text_column", "label_column", "vocab_size", "maxlen")
+_TUPLE_FIELDS = tuple(key for key, hint in _HINTS.items() if get_origin(hint) is tuple)
+# The fields a sweep refuses as its axis: the tuples, which a comma list
+# cannot carry, and the _DATA_FIELDS. `slimrnn sweep --help` lists them.
+REFUSED_AXES = _TUPLE_FIELDS + _DATA_FIELDS
 _BOOLS = dict.fromkeys(("true", "1", "yes"), True) | dict.fromkeys(("false", "0", "no"), False)
 
 
@@ -376,13 +372,13 @@ def sweep_configs(base: ExperimentConfig, axis: str,
                   values: list) -> list[tuple[object, ExperimentConfig]]:
     """Each value, a string converted by its field's annotation, with its
     config built and checked. The axis is any config field (``split`` names
-    ``split_ratio``) except a tuple and the _DATA_FIELDS. A bad axis, an empty
-    list or a bad value anywhere raises ConfigError here."""
+    ``split_ratio``) except the REFUSED_AXES. A bad axis, an empty list or a
+    bad value anywhere raises ConfigError here."""
     key = "split_ratio" if axis == "split" else axis
     hint = _HINTS.get(key)
     if hint is None:
         raise ConfigError(f"unknown sweep axis {axis!r}: not a config field")
-    if get_origin(hint) is tuple:
+    if key in _TUPLE_FIELDS:
         raise ConfigError(f"cannot sweep {axis}: a comma list cannot carry a tuple")
     if key in _DATA_FIELDS:
         raise ConfigError(f"cannot sweep {axis}: every value trains on one dataset, "

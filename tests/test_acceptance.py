@@ -31,7 +31,6 @@ from slimrnn import (
     evaluate,
     ingest_csv,
     load_checkpoint,
-    normalize_text,
     run_sweep,
     save_checkpoint,
     select_binary,
@@ -233,13 +232,12 @@ GOP_CSV = os.environ.get("SLIMRNN_GOP_CSV", "")
 @pytest.mark.skipif(not GOP_CSV, reason="set SLIMRNN_GOP_CSV to a labeled "
                     "tweet CSV to run the desk-scale reproduction")
 def test_soft_reproduction():
-    records, _ = ingest_csv(GOP_CSV)
-    binary = select_binary(records)
     base_config = ExperimentConfig(seed=0, variant="lstm0", optimizer="adam",
                                    lr=1e-4, batch_size=32, epochs=10,
                                    split_ratio=0.4)
-    vocab = build_vocab([normalize_text(r.text) for r in binary],
-                        base_config.vocab_size)
+    records, _ = ingest_csv(GOP_CSV, base_config.text_column, base_config.label_column)
+    binary = select_binary(records)
+    vocab = build_vocab([r.text for r in binary], base_config.vocab_size)
     dataset = encode_dataset(binary, vocab, base_config.maxlen)
 
     _, base_report = train(base_config, dataset)

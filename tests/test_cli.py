@@ -5,10 +5,12 @@ behaves the same whether pytest capture is on or off.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +19,7 @@ import pytest
 
 from conftest import FIXTURE_CSV, MICRO_DEFAULTS, join_checkpoint, split_checkpoint
 
-from slimrnn import Variant, atomic, cli, gradcheck, training
+from slimrnn import ConfigError, ExperimentConfig, Variant, atomic, cli, gradcheck, training
 from slimrnn.training import EpochMetrics, MetricsReport
 
 
@@ -255,45 +257,24 @@ class TestSeedResolution:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["seed"] == 99
 
-    def test_file_overrides_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.SEED_ENV, "23")
+    def test_file_seed_without_flag(self, tmp_path):
         config_path = write_config(tmp_path, seed=5, epochs=1)
         out_dir = tmp_path / "run"
         code, _, err = run_cli(["train", "--config", config_path,
-                                "--data", str(FIXTURE_CSV),
-                                "--out", str(out_dir)])
+                                "--data", str(FIXTURE_CSV), "--out", str(out_dir)])
         assert code == cli.EXIT_OK, err
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["seed"] == 5
 
-    def test_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.SEED_ENV, "23")
-        config_path = write_config(tmp_path, drop=("seed",), epochs=1)
-        out_dir = tmp_path / "run"
-        code, _, err = run_cli(["train", "--config", config_path,
-                                "--data", str(FIXTURE_CSV),
-                                "--out", str(out_dir)])
-        assert code == cli.EXIT_OK, err
-        manifest = json.loads((out_dir / "manifest.json").read_text())
-        assert manifest["seed"] == 23
-
-    def test_env_invalid(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.SEED_ENV, "not-a-number")
-        config_path = write_config(tmp_path, drop=("seed",))
-        code, _, err = run_cli(["train", "--config", config_path,
-                                "--data", str(FIXTURE_CSV),
-                                "--out", str(tmp_path / "run")])
-        assert code == cli.EXIT_CONFIG
-        assert cli.SEED_ENV in err
-
     def test_no_seed_anywhere(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        monkeypatch.setenv("SLIMRNN_SEED", "23")  # the environment is no source
         config_path = write_config(tmp_path, drop=("seed",))
         code, _, err = run_cli(["train", "--config", config_path,
                                 "--data", str(FIXTURE_CSV),
                                 "--out", str(tmp_path / "run")])
         assert code == cli.EXIT_CONFIG
-        assert "seed" in err.lower()
+        assert err == "error: no seed: pass --seed or set it in the config\n"
+        assert not (tmp_path / "run").exists()
 
 
 class TestEval:
@@ -426,6 +407,21 @@ class TestSweep:
         assert code == cli.EXIT_CONFIG
         assert "at least one value" in err and "Traceback" not in err
         assert not out_dir.exists()
+
+    def test_axis_help_names_exactly_the_refused_fields(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+            cli.main(["sweep", "--help"])
+        listed = re.search(r"; not ((?:\w+, )*\w+) or (\w+)", " ".join(out.getvalue().split()))
+        base = ExperimentConfig(seed=0)
+        refused = []
+        for field in dataclasses.fields(base):
+            try:
+                training.sweep_configs(base, field.name, ["1"])
+            except ConfigError as exc:
+                if str(exc).startswith("cannot sweep"):
+                    refused.append(field.name)
+        assert sorted(listed.group(1).split(", ") + [listed.group(2)]) == sorted(refused)
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "sweep"])

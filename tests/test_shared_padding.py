@@ -21,8 +21,8 @@ from slimrnn import (
     Rng,
     ShapeError,
 )
-from slimrnn.layers import NO_FORWARD, Lead, SentimentModel, padding_steps
-from slimrnn.training import EVAL_CHUNK, THRESHOLD, EvalResult, bce_loss, evaluate
+from slimrnn.layers import EVAL_CHUNK, NO_FORWARD, Lead, SentimentModel, padding_steps
+from slimrnn.training import THRESHOLD, EvalResult, bce_loss, evaluate
 
 VARIANTS = [f"lstm{k}" for k in range(7)]
 POSITIONS = (CNN_THEN_LSTM, LSTM_THEN_CNN)

@@ -1,6 +1,7 @@
 """Ingestion, normalization, vocabulary ranking, tokenization, splitting."""
 
 import csv
+import inspect
 import re
 from collections import Counter
 from dataclasses import asdict
@@ -18,12 +19,13 @@ from slimrnn import (
     build_vocab,
     encode_dataset,
     ingest_csv,
-    normalize_text,
     select_binary,
     split_train_val,
     tokenize,
 )
-from slimrnn.textdata import LABELS, IngestReport, LabeledDataset, RawRecord
+from slimrnn.textdata import LABELS, IngestReport, LabeledDataset, RawRecord, _words
+
+COLUMNS = ("text", "sentiment")  # the fixture's text and label columns
 
 # Oracles: the earlier per-word implementations (a csv.DictReader ingest, a
 # substitution-based normalize, a loop that counts words and records where
@@ -56,7 +58,7 @@ def oracle_tokenize(word_to_id, text, maxlen):
     return seq
 
 
-def oracle_ingest(path, text_column="text", label_column="sentiment"):
+def oracle_ingest(path, text_column, label_column):
     report = IngestReport(class_counts={label: 0 for label in LABELS})
     records = []
     with open(path, newline="", encoding="utf-8") as handle:
@@ -77,49 +79,49 @@ def oracle_ingest(path, text_column="text", label_column="sentiment"):
     return records, report
 
 
-def assert_ingest_matches_oracle(path, **columns):
+def assert_ingest_matches_oracle(path, columns=COLUMNS):
     """Records and report equal to the oracle's, or None when both raise the
     same DataError."""
     try:
-        expected = oracle_ingest(str(path), **columns)
+        expected = oracle_ingest(str(path), *columns)
     except DataError as err:
         with pytest.raises(DataError) as ours:
-            ingest_csv(str(path), **columns)
+            ingest_csv(str(path), *columns)
         assert str(ours.value) == str(err)
         return None
-    records, report = ingest_csv(str(path), **columns)
+    records, report = ingest_csv(str(path), *columns)
     assert records == expected[0]
     assert asdict(report) == asdict(expected[1])
     return records, report
 
 
-class TestNormalizeText:
+class TestWords:
+    """The word rule that build_vocab and tokenizing share."""
+
     def test_canonical_example(self):
-        assert normalize_text("RT @GOP: Great!") == "rt gop great"
+        assert _words("RT @GOP: Great!") == ["rt", "gop", "great"]
 
     def test_lowercase_and_punctuation(self):
-        assert normalize_text("Wow—SO   good?!") == "wow so good"
-        assert normalize_text("#debate2015 was LIT") == "debate2015 was lit"
+        assert _words("Wow—SO   good?!") == ["wow", "so", "good"]
+        assert _words("#debate2015 was LIT") == ["debate2015", "was", "lit"]
 
     def test_digits_survive(self):
-        assert normalize_text("Top 10, no.1!") == "top 10 no 1"
+        assert _words("Top 10, no.1!") == ["top", "10", "no", "1"]
 
     def test_whitespace_only_and_symbols(self):
-        assert normalize_text("   ") == ""
-        assert normalize_text("@#$%^") == ""
+        assert _words("   ") == []
+        assert _words("@#$%^") == []
 
     @given(st.text(max_size=80))
     @settings(max_examples=80, deadline=None)
     def test_output_alphabet_is_closed(self, s):
-        out = normalize_text(s)
-        assert set(out) <= set("abcdefghijklmnopqrstuvwxyz0123456789 ")
-        assert out == out.strip()
-        assert "  " not in out
+        for word in _words(s):
+            assert word and set(word) <= set("abcdefghijklmnopqrstuvwxyz0123456789")
 
     @given(st.text(max_size=80) | st.text("aZ9 \u0130\u212a\u03a3\u00df-\n", max_size=40))
     @settings(max_examples=200, deadline=None)
     def test_word_split_matches_oracle_on_any_unicode(self, s):
-        assert normalize_text(s) == oracle_normalize(s)
+        assert _words(s) == oracle_normalize(s).split()
 
     @pytest.mark.parametrize("text, words", [
         ("\u0130stanbul", "i stanbul"),  # lower() gives i + U+0307 (combining dot)
@@ -128,12 +130,12 @@ class TestNormalizeText:
         ("one\ntwo\r\nthree", "one two three"),
     ])
     def test_unicode_and_line_breaks(self, text, words):
-        assert normalize_text(text) == words == oracle_normalize(text)
+        assert " ".join(_words(text)) == words == oracle_normalize(text)
 
 
 class TestIngest:
     def test_fixture_counts(self, fixture_csv):
-        records, report = ingest_csv(fixture_csv)
+        records, report = ingest_csv(fixture_csv, *COLUMNS)
         assert report.total_rows == 62
         assert report.skipped_rows == 2
         assert report.class_counts == {"Positive": 27, "Negative": 25, "Neutral": 8}
@@ -144,30 +146,30 @@ class TestIngest:
         the file reads as it would without it. A mark anywhere else is text."""
         path = tmp_path / "marked.csv"
         path.write_bytes(b"\xef\xbb\xbf" + Path(fixture_csv).read_bytes())
-        assert ingest_csv(str(path)) == ingest_csv(fixture_csv)
+        assert ingest_csv(str(path), *COLUMNS) == ingest_csv(fixture_csv, *COLUMNS)
         # the fixture's first column is one no check reads; here it is read
         path.write_bytes("\ufefftext,sentiment\nhi,Positive\n\ufeffyo,Negative\n".encode())
-        records, report = ingest_csv(str(path))
+        records, report = ingest_csv(str(path), *COLUMNS)
         assert records == [RawRecord("hi", "Positive"), RawRecord("\ufeffyo", "Negative")]
         assert report.total_rows == 2 and report.skipped_rows == 0
 
     def test_labels_case_normalized(self, tmp_path):
         path = tmp_path / "mixed_case.csv"
         path.write_text("text,sentiment\nfine,POSITIVE\nbad,negative\nmeh,NeUtRaL\n")
-        records, report = ingest_csv(str(path))
+        records, report = ingest_csv(str(path), *COLUMNS)
         assert [r.label for r in records] == ["Positive", "Negative", "Neutral"]
         assert report.skipped_rows == 0
 
     def test_missing_file(self):
         with pytest.raises(DataError) as err:
-            ingest_csv("/no/such/file.csv")
+            ingest_csv("/no/such/file.csv", *COLUMNS)
         assert "/no/such/file.csv" in str(err.value)
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "no_label.csv"
         path.write_text("text,stance\nhello,pro\n")
         with pytest.raises(DataError) as err:
-            ingest_csv(str(path))
+            ingest_csv(str(path), *COLUMNS)
         assert "sentiment" in str(err.value)
 
     def test_custom_columns(self, tmp_path):
@@ -206,7 +208,7 @@ class TestIngest:
         path.write_text("mood,tweet,text,mood\nPositive,good stuff,x,Negative\n"
                         "Neutral,meh\n\nbad,ugh,y,Negative\n")
         records, report = assert_ingest_matches_oracle(
-            path, text_column="tweet", label_column="mood")
+            path, columns=("tweet", "mood"))
         assert [(r.text, r.label) for r in records] == [
             ("good stuff", "Negative"), ("ugh", "Negative")]
         assert report.total_rows == 3 and report.skipped_rows == 1
@@ -214,9 +216,9 @@ class TestIngest:
     def test_quoted_line_breaks_survive_to_tokens(self, tmp_path):
         path = tmp_path / "multiline.csv"
         path.write_bytes(b'text,sentiment\r\n"one\ntwo",Positive\r\n"three\r\nfour",Negative\r\n')
-        records, _ = ingest_csv(str(path))
+        records, _ = ingest_csv(str(path), *COLUMNS)
         assert [r.text for r in records] == ["one\ntwo", "three\r\nfour"]
-        assert [normalize_text(r.text) for r in records] == ["one two", "three four"]
+        assert [_words(r.text) for r in records] == [["one", "two"], ["three", "four"]]
 
     @given(st.lists(st.sampled_from(["text", "sentiment", "id"]), min_size=1, max_size=4),
            st.lists(st.lists(st.sampled_from(
@@ -232,7 +234,7 @@ class TestIngest:
 
 class TestSelectBinary:
     def test_drops_neutral_preserves_order(self, fixture_csv):
-        records, _ = ingest_csv(fixture_csv)
+        records, _ = ingest_csv(fixture_csv, *COLUMNS)
         binary = select_binary(records)
         assert len(binary) == 52
         assert all(r.label in ("Positive", "Negative") for r in binary)
@@ -300,7 +302,7 @@ class TestTokenize:
 
 
 def test_encode_dataset_labels_and_shapes(fixture_csv):
-    records, _ = ingest_csv(fixture_csv)
+    records, _ = ingest_csv(fixture_csv, *COLUMNS)
     binary = select_binary(records)
     vocab = build_vocab([r.text for r in binary], capacity=500)
     ds = encode_dataset(binary, vocab, maxlen=12)
@@ -333,6 +335,14 @@ def test_encode_dataset_matches_per_record_tokenize(texts, capacity, maxlen):
     expected = [oracle_tokenize(vocab.word_to_id, t, maxlen) for t in texts]
     assert ds.sequences.tobytes() == b"".join(row.tobytes() for row in expected)
     assert ds.sequences.shape == (len(texts), maxlen) and ds.sequences.dtype == np.int64
+
+
+@pytest.mark.parametrize("fn", [ingest_csv, build_vocab])
+def test_config_settings_have_no_second_default(fn):
+    """Column names and the vocabulary capacity come from the caller (the
+    config declares their defaults), never from a default here."""
+    params = inspect.signature(fn).parameters.values()
+    assert [p.name for p in params if p.default is not inspect.Parameter.empty] == []
 
 
 class TestSplit:

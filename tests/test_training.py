@@ -23,8 +23,8 @@ from slimrnn import (
     train,
 )
 from slimrnn import training
-from slimrnn.layers import SentimentModel
-from slimrnn.training import EVAL_CHUNK, ExperimentConfig, sweep_configs
+from slimrnn.layers import EVAL_CHUNK, SentimentModel
+from slimrnn.training import ExperimentConfig, sweep_configs
 
 # A tuple field, and the four fields the CSV is read and encoded by.
 NOT_AXES = ("extra_dense_dims", "text_column", "label_column", "vocab_size", "maxlen")
@@ -180,16 +180,18 @@ class TestExperimentConfig:
         assert dataclasses.replace(config, epochs=3).epochs == 3
 
     def test_readme_config_table_matches_defaults(self):
+        """The README's table lists the fields in order, each default as
+        json.dumps spells it (``5.0``, not ``5``; ``false``, not ``0``)."""
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         section = readme.split("\n## Config file\n", 1)[1].split("\n## ", 1)[0]
         rows = [line.split("|")[1:3] for line in section.splitlines()
                 if line.startswith("| `")]
         table = {key.strip().strip("`"): cell.strip() for key, cell in rows}
         defaults = ExperimentConfig(seed=0).to_dict()
-        assert table.keys() == defaults.keys()
+        assert list(table) == list(defaults)
         assert table.pop("seed") == "required"
         for key, cell in table.items():
-            assert json.loads(cell.strip("`")) == defaults[key], key
+            assert cell == f"`{json.dumps(defaults[key])}`", key
 
     def test_build_produces_model(self):
         model = micro_config().build(Rng(0))
